@@ -16,8 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .oracle import NoBoundState, NonConvergence, solve_bound_state
 from .perturbation import (
@@ -138,31 +137,25 @@ def _parse_state(text: str, parser) -> QuantumState:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated shared command configuration."""
+    """Shared command configuration; ``model`` and ``units`` are built (and
+    validate ``delta0`` and ``hartree_to_ev``) once, here."""
 
     delta0: float = 0.98
     screening: ScreeningLaw = ScreeningLaw.FERMI_AMALDI
     hartree_to_ev: float = 27.212
     order: int = 3
     output_format: str = "table"
+    model: ScreeningModel = field(init=False, repr=False)
+    units: UnitSystem = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.delta0 < 0:
-            raise ValueError(f"delta0 must be non-negative, got {self.delta0}")
-        if self.hartree_to_ev <= 0:
-            raise ValueError(f"hartree-ev must be positive, got {self.hartree_to_ev}")
+        object.__setattr__(self, "model",
+                           ScreeningModel(variant=self.screening, delta0=self.delta0))
+        object.__setattr__(self, "units", UnitSystem(hartree_to_ev=self.hartree_to_ev))
         if self.order not in (0, 1, 2, 3):
             raise ValueError(f"order must be in 0..3, got {self.order}")
         if self.output_format not in ("table", "csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-
-    @property
-    def model(self) -> ScreeningModel:
-        return ScreeningModel(variant=self.screening, delta0=self.delta0)
-
-    @property
-    def units(self) -> UnitSystem:
-        return UnitSystem(hartree_to_ev=self.hartree_to_ev)
 
 
 def _config(args) -> RunConfig:
@@ -200,14 +193,6 @@ _BREAKDOWN_COLUMNS = ["z", "n", "l", "order", "delta", "e0_hartree", "a_delta_ha
                       "total_kev", "flag"]
 
 
-def _ordered_map(fn, items):
-    """Fan out independent computations; results keep the input order."""
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(8, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_level(args, parser) -> int:
     cfg = _config(args)
     state = QuantumState(args.n, args.l)
@@ -223,10 +208,7 @@ def cmd_table(args, parser) -> int:
     n, l = SHELL_QUANTUM_NUMBERS[args.shell]
     state = QuantumState(n, l)
     z_list = _parse_z_spec(args.z, args.shell, parser)
-    rows = _ordered_map(
-        lambda z: {"shell": args.shell, **_breakdown_row(z, state, cfg)},
-        z_list,
-    )
+    rows = [{"shell": args.shell, **_breakdown_row(z, state, cfg)} for z in z_list]
     _render(rows, ["shell"] + _BREAKDOWN_COLUMNS, cfg.output_format)
     return 0
 
@@ -235,10 +217,8 @@ def cmd_verify(args, parser) -> int:
     cfg = _config(args)
     states = [_parse_state(s, parser) for s in (args.state or ["0,0"])]
     z_list = _parse_z_spec(args.z, "E00", parser)
-    jobs = [(z, st) for z in z_list for st in states]
 
-    def run(job):
-        z, st = job
+    def run(z, st):
         system = AtomicSystem(z)
         delta = screening_delta(z, cfg.model)
         b = energy_breakdown(system.a, st, delta, cfg.order)
@@ -254,11 +234,11 @@ def cmd_verify(args, parser) -> int:
             res = solve_bound_state(system, delta, st)
         except NoBoundState:
             row["flag"] = "NO_BOUND_STATE"
-            return row, None
+            return row
         except NonConvergence as exc:
             row["oracle_hartree"] = exc.result.energy
             row["flag"] = "NON_CONVERGENCE"
-            return row, exc
+            return row
         row["oracle_hartree"] = res.energy
         row["oracle_kev"] = to_kev(res.energy, cfg.units)
         row["abs_diff_hartree"] = abs(b.total - res.energy)
@@ -267,17 +247,16 @@ def cmd_verify(args, parser) -> int:
         row["grid_points"] = res.grid_points
         if row["rel_diff"] > BREAKDOWN_REL_THRESHOLD or b.series_suspect:
             row["flag"] = "BREAKDOWN"
-        return row, None
+        return row
 
-    results = _ordered_map(run, jobs)
-    rows = [r for r, _ in results]
-    failures = [e for _, e in results if e is not None]
+    rows = [run(z, st) for z in z_list for st in states]
+    failures = sum(row["flag"] == "NON_CONVERGENCE" for row in rows)
     columns = ["z", "n", "l", "order", "perturbative_hartree", "oracle_hartree",
                "perturbative_kev", "oracle_kev", "abs_diff_hartree", "rel_diff",
                "nodes", "grid_points", "flag"]
     _render(rows, columns, cfg.output_format)
     if failures:
-        print(f"error: {len(failures)} oracle run(s) did not converge", file=sys.stderr)
+        print(f"error: {failures} oracle run(s) did not converge", file=sys.stderr)
         return 3
     return 0
 

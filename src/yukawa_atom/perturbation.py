@@ -105,7 +105,7 @@ class UnitSystem:
 
     def __post_init__(self):
         if self.hartree_to_ev <= 0:
-            raise ValueError("hartree_to_ev must be positive")
+            raise ValueError(f"hartree_to_ev must be positive, got {self.hartree_to_ev}")
 
 
 @dataclass(frozen=True)

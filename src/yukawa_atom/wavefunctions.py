@@ -19,7 +19,7 @@ the third-order integrand takes the plain product W1*W2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,7 +38,6 @@ __all__ = [
     "moderating_u",
     "ModeratedRadial",
     "moderated_radial",
-    "full_wavefunction",
     "correction_via_quadrature",
 ]
 
@@ -211,17 +210,26 @@ def moderating_u(a: float, state: QuantumState, delta: float, r):
 
 @dataclass(frozen=True)
 class ModeratedRadial:
-    """Moderated wavefunction chi(r) * u(r), renormalized to unit norm."""
+    """Moderated wavefunction chi(r) * u(r), renormalized to unit norm.
+
+    Evaluated as ``norm * r^(l+1) L(2 beta r) exp(g(r) - g_peak)`` with the
+    one exponent g = -beta r + c2 r^2 + c3 r^3 of chi * u, shifted by its
+    peak on [0, r_max], so that it stays in range where u alone overflows.
+    """
 
     chi: CoulombRadial
     delta: float
     norm: float
+    c2: float
+    c3: float
+    g_peak: float
 
     def __call__(self, r):
-        raw = np.asarray(self.chi(r)) * np.asarray(
-            moderating_u(self.chi.a, self.chi.state, self.delta, r)
-        )
-        val = self.norm * raw
+        chi = self.chi
+        r = np.asarray(r, dtype=float)
+        g = ((self.c3 * r + self.c2) * r - chi.beta) * r - self.g_peak
+        val = self.norm * r ** (chi.state.l + 1) * laguerre_eval(chi._laguerre, 2.0 * chi.beta * r)
+        val = val * np.exp(g)
         return val if val.ndim else float(val)
 
 
@@ -230,7 +238,8 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
 
     Only defined in the perturbative regime 3 N^2 delta < 4 A; past that
     point the moderating exponent grows with r and the product chi * u is
-    not normalizable.
+    not normalizable.  Close to that edge the exponent may still be rising
+    at r_max; the function is normalized on [0, r_max] all the same.
     """
     big_n = state.big_n
     if 3.0 * big_n**2 * delta >= 4.0 * system.a:
@@ -239,19 +248,17 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
             f"N={big_n}, A={system.a} (needs 3 N^2 delta < 4 A)"
         )
     chi = coulomb_chi(system, state)
-
-    def density(r):
-        return (chi(r) * moderating_u(system.a, state, delta, r)) ** 2
-
-    nrm2, err = quad(density, 0.0, chi.r_max, **_QUAD_OPTS)
+    c2, c3 = _exponent_coefficients(system.a, state, delta)
+    # g'(r) = -beta + 2 c2 r + 3 c3 r^2: the peak is at an end or at a root
+    roots = np.roots([3.0 * c3, 2.0 * c2, -chi.beta])
+    inside = [x.real for x in roots if x.imag == 0 and 0 < x.real < chi.r_max]
+    g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
+    # chi's norm keeps the trial integrand O(1) whenever u stays near 1
+    trial = ModeratedRadial(chi=chi, delta=delta, norm=chi.norm, c2=c2, c3=c3, g_peak=g_peak)
+    nrm2, err = quad(lambda r: trial(r) ** 2, 0.0, chi.r_max, **_QUAD_OPTS)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
-    return ModeratedRadial(chi=chi, delta=delta, norm=1.0 / math.sqrt(nrm2))
-
-
-def full_wavefunction(system: AtomicSystem, state: QuantumState, delta: float, r) -> float:
-    """Moderated wavefunction value at ``r`` (see :func:`moderated_radial`)."""
-    return moderated_radial(system, state, delta)(r)
+    return replace(trial, norm=chi.norm / math.sqrt(nrm2))
 
 
 def correction_via_quadrature(system: AtomicSystem, state: QuantumState,

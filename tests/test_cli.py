@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -258,15 +259,24 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
+def run_level_json(command):
+    proc = subprocess.run(
+        [*command, "level", "--z", "3", "--n", "0", "--l", "0", "--format", "json"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["rows"][0]["total_kev"] == pytest.approx(-0.05405687, rel=1e-4)
+    return proc
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         exe = shutil.which("yukawa-atom")
         if exe is None:
             pytest.skip("console script not on PATH")
-        proc = subprocess.run(
-            [exe, "level", "--z", "3", "--n", "0", "--l", "0", "--format", "json"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0
-        payload = json.loads(proc.stdout)
-        assert payload["rows"][0]["total_kev"] == pytest.approx(-0.05405687, rel=1e-4)
+        run_level_json([exe])
+
+    def test_python_dash_m(self):
+        proc = run_level_json([sys.executable, "-m", "yukawa_atom"])
+        assert "RuntimeWarning" not in proc.stderr

@@ -16,13 +16,14 @@ from yukawa_atom import (
     AtomicSystem,
     LaguerreSpec,
     QuantumState,
+    ScreeningModel,
     correction_via_quadrature,
     coulomb_chi,
     first_order_shift,
-    full_wavefunction,
     laguerre_eval,
     moderated_radial,
     moderating_u,
+    screening_delta,
     second_order_shift,
     superpotential_w1,
     superpotential_w2,
@@ -195,6 +196,22 @@ class TestModeratingU:
         assert np.max(np.abs(u - 1.0)) < 1e-6
 
 
+def gauss_legendre_norm(psi):
+    """Integral of psi^2 over [0, r_max] by composite 24-point Gauss-Legendre."""
+    edges = np.linspace(0.0, psi.chi.r_max, 257)
+    x, w = np.polynomial.legendre.leggauss(24)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return float(np.sum(half[:, None] * w * psi(mid[:, None] + half[:, None] * x) ** 2))
+
+
+#: States with 3 N^2 delta / 4A in (0.92, 1) under the Fermi-Amaldi delta:
+#: every one where u alone overflows inside [0, r_max], and a few more.
+NEAR_DOMAIN_EDGE = [
+    (z, n, l) for z in range(3, 85) for n in range(3) for l in range(3)
+    if 0.92 < 3 * (n + l + 1) ** 2 * screening_delta(z, ScreeningModel()) / (4 * z) < 1
+]
+
+
 class TestFullWavefunction:
     def test_zero_screening_equals_chi(self):
         system, state = AtomicSystem(3), QuantumState(0, 0)
@@ -208,13 +225,13 @@ class TestFullWavefunction:
         system, state = AtomicSystem(3), QuantumState(0, 0)
         delta = 1.07862956797
         psi = moderated_radial(system, state, delta)
-        edges = np.linspace(0.0, psi.chi.r_max, 65)
-        x, w = np.polynomial.legendre.leggauss(24)
-        total = 0.0
-        for a_e, b_e in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a_e + b_e), 0.5 * (b_e - a_e)
-            total += half * np.sum(w * psi(mid + half * x) ** 2)
-        assert total == pytest.approx(1.0, abs=1e-8)
+        assert gauss_legendre_norm(psi) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("z, n, l", NEAR_DOMAIN_EDGE)
+    def test_unit_norm_near_domain_edge(self, z, n, l):
+        delta = screening_delta(z, ScreeningModel())
+        psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
+        assert gauss_legendre_norm(psi) == pytest.approx(1.0, abs=1e-8)
 
     def test_small_r_leading_power(self):
         system, state = AtomicSystem(3), QuantumState(0, 0)
@@ -222,11 +239,6 @@ class TestFullWavefunction:
         psi = moderated_radial(system, state, delta)
         # psi ~ r^(l+1) = r as r -> 0
         assert psi(1e-4) / psi(5e-5) == pytest.approx(2.0, rel=1e-3)
-
-    def test_function_form_matches_factory(self):
-        system, state, delta = AtomicSystem(3), QuantumState(0, 0), 0.9
-        direct = full_wavefunction(system, state, delta, 1.3)
-        assert direct == pytest.approx(moderated_radial(system, state, delta)(1.3), rel=1e-14)
 
     def test_growing_moderating_factor_rejected(self):
         # 3 N^2 delta >= 4 A: non-normalizable trial function
