@@ -1,8 +1,8 @@
-"""Pure-Python Numerov sweep, the fallback for ``_numerov_ext``.
+"""Pure-Python Numerov sweep, the eigensolver's node counter.
 
-Keeps the floating-point operations identical to the compiled kernel so the
-two backends count nodes bit-identically and the bisection follows the same
-path.
+The outward solution is rescaled by ``RESCALE_FACTOR`` whenever it passes
+``RESCALE_LIMIT``, which keeps deep trial energies inside the float range
+without changing any sign.
 """
 
 RESCALE_LIMIT = 1e250
@@ -31,7 +31,6 @@ def count_nodes_sweep(w, energy, h, u0, u1):
             nodes += 1
         sprev = 1.0 if uc > 0.0 else -1.0
 
-    # Same elementwise expression as the compiled kernel evaluates pointwise.
     t = h2_12 * (w - 2.0 * energy)
     t = t.tolist()
     tm = t[0]

@@ -5,21 +5,20 @@ V_eff = -(A/r) exp(-delta r) + l(l+1)/(2 r^2) by outward Numerov integration
 on a uniform grid.  The node count of the outward solution is a
 non-decreasing step function of the trial energy that jumps from n to n+1
 exactly at the n-th eigenvalue, so bisection on the node count isolates the
-eigenvalue rigorously.  Grid convergence is established by Richardson
-step-halving until two successive grids agree.
+eigenvalue rigorously.  The grid is step-halved until two successive grids
+agree within ``GRID_TOL``; Numerov being fourth order, the error left on the
+finer grid is estimated as a fifteenth of their difference.
 
-The sweep itself is the hot loop; it runs in the compiled kernel
-(``_numerov_ext``) when available and otherwise in the bit-identical
-pure-Python fallback.  Set ``YUKAWA_PURE_PYTHON=1`` to force the fallback.
+The sweep itself is the hot loop; it runs in ``_numerov_py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _numerov_py
 from .perturbation import (
     AtomicSystem,
     QuantumState,
@@ -38,7 +37,6 @@ __all__ = [
     "solve_bound_state",
     "breakdown_report",
     "numerov_backend",
-    "HAVE_COMPILED_KERNEL",
 ]
 
 #: Bisection width at which an eigenvalue counts as isolated on one grid.
@@ -51,27 +49,9 @@ MAX_REFINEMENTS = 8
 MAX_BRACKET_WIDENINGS = 3
 
 
-def _select_kernel():
-    if os.environ.get("YUKAWA_PURE_PYTHON", "") not in ("", "0"):
-        from . import _numerov_py
-
-        return _numerov_py, False
-    try:
-        from . import _numerov_ext
-
-        return _numerov_ext, True
-    except ImportError:
-        from . import _numerov_py
-
-        return _numerov_py, False
-
-
-_KERNEL, HAVE_COMPILED_KERNEL = _select_kernel()
-
-
 def numerov_backend() -> str:
-    """Name of the active sweep kernel ('compiled' or 'pure-python')."""
-    return "compiled" if HAVE_COMPILED_KERNEL else "pure-python"
+    """Name of the Numerov sweep backend, always 'pure-python' (``_numerov_py``)."""
+    return "pure-python"
 
 
 class NoBoundState(RuntimeError):
@@ -169,7 +149,7 @@ class _Sweeper:
     """Node counter for one (potential, grid) pair at varying trial energy."""
 
     def __init__(self, system: AtomicSystem, delta: float, state: QuantumState,
-                 grid: RadialGrid, kernel):
+                 grid: RadialGrid):
         r = np.linspace(grid.r_min, grid.r_max, grid.points)
         self.h = r[1] - r[0]
         self.l = state.l
@@ -180,12 +160,11 @@ class _Sweeper:
         # energy-independent part of f = 2(V_eff - E)
         l = state.l
         self.w = l * (l + 1) / (r * r) - 2.0 * system.a * np.exp(-delta * r) / r
-        self.kernel = kernel
 
     def nodes(self, energy: float) -> int:
         u0 = _series_start(self.a, self.delta, self.l, energy, self.r0)
         u1 = _series_start(self.a, self.delta, self.l, energy, self.r1)
-        count, _ = self.kernel.count_nodes_sweep(self.w, energy, self.h, u0, u1)
+        count, _ = _numerov_py.count_nodes_sweep(self.w, energy, self.h, u0, u1)
         return count
 
 
@@ -202,10 +181,10 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     return lo, hi
 
 
-def _solve_on_grid(system, delta, state, grid, kernel,
+def _solve_on_grid(system, delta, state, grid,
                    bracket: tuple[float, float] | None = None) -> tuple[float, int]:
     """Eigenvalue and node count on one grid; raises NoBoundState."""
-    sweep = _Sweeper(system, delta, state, grid, kernel)
+    sweep = _Sweeper(system, delta, state, grid)
     n = state.n
     hi = -1e-12
 
@@ -235,7 +214,7 @@ def _solve_on_grid(system, delta, state, grid, kernel,
 
 
 def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
-                      grid: RadialGrid | None = None, kernel=None) -> OracleResult:
+                      grid: RadialGrid | None = None) -> OracleResult:
     """Bound-state energy by node-counting bisection plus grid refinement.
 
     Bisection isolates the eigenvalue to ``ENERGY_TOL`` on each grid; the
@@ -246,12 +225,10 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     """
     if delta < 0:
         raise ValueError(f"screening parameter must be non-negative, got {delta}")
-    if kernel is None:
-        kernel = _KERNEL
     if grid is None:
         grid = RadialGrid.for_state(system, state)
 
-    energy, nodes = _solve_on_grid(system, delta, state, grid, kernel)
+    energy, nodes = _solve_on_grid(system, delta, state, grid)
     prev_energy = energy
     prev_diff = None
     for level in range(1, MAX_REFINEMENTS + 1):
@@ -261,7 +238,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         pad = max(1e-4 * abs(prev_energy), 1e-4) if prev_diff is None \
             else max(4.0 * prev_diff, 1e-9)
         bracket = (prev_energy - pad, prev_energy + pad)
-        energy, nodes = _solve_on_grid(system, delta, state, grid, kernel, bracket)
+        energy, nodes = _solve_on_grid(system, delta, state, grid, bracket)
         diff = abs(energy - prev_energy)
         if diff < GRID_TOL:
             if nodes != state.n:

@@ -1,5 +1,6 @@
-"""Eigensolver tests: hydrogenic exactness, node counting, screening
-behaviour, kernel parity, and cross-validation against the closed forms."""
+"""Eigensolver tests: hydrogenic exactness, node counting, the Numerov
+sweep's contract, screening behaviour, and cross-validation against the
+closed forms."""
 
 import numpy as np
 import pytest
@@ -22,11 +23,6 @@ from yukawa_atom import _numerov_py
 from yukawa_atom.wavefunctions import _exponent_coefficients
 
 FA = ScreeningModel()
-
-try:
-    from yukawa_atom import _numerov_ext
-except ImportError:
-    _numerov_ext = None
 
 
 def _all_states_up_to(big_n_max):
@@ -133,27 +129,28 @@ class TestRadialGrid:
         assert g.halved().points == 40001
 
 
-class TestKernelParity:
-    @pytest.mark.skipif(_numerov_ext is None, reason="compiled kernel unavailable")
-    def test_node_counts_and_tail_identical(self):
-        r = np.linspace(1e-6, 40.0, 4001)
-        w = 2.0 / (r * r) - 6.0 * np.exp(-0.5 * r) / r
+class TestNumerovSweep:
+    def test_node_count_steps_at_hydrogen_levels(self):
+        # A = 1, l = 0, delta = 0: the k-th level is -1/(2 (k+1)^2)
+        r = np.linspace(1e-6, 200.0, 20001)
+        w = -2.0 / r
         h = r[1] - r[0]
-        for energy in (-4.0, -1.2, -0.33, -0.01):
-            ext = _numerov_ext.count_nodes_sweep(w, energy, h, r[0] ** 2, r[1] ** 2)
-            pure = _numerov_py.count_nodes_sweep(w, energy, h, r[0] ** 2, r[1] ** 2)
-            assert ext[0] == pure[0]
-            assert ext[1] == pytest.approx(pure[1], rel=1e-12)
+        u0, u1 = r[0] * (1.0 - r[0]), r[1] * (1.0 - r[1])
 
-    @pytest.mark.skipif(_numerov_ext is None, reason="compiled kernel unavailable")
-    def test_solver_identical_across_backends(self):
-        system, state = AtomicSystem(3), QuantumState(1, 0)
-        delta = 0.5
-        grid = RadialGrid(r_min=1e-6, r_max=60.0, points=4001)
-        compiled = solve_bound_state(system, delta, state, grid=grid, kernel=_numerov_ext)
-        pure = solve_bound_state(system, delta, state, grid=grid, kernel=_numerov_py)
-        assert compiled.energy == pure.energy
-        assert compiled.nodes_found == pure.nodes_found
+        def sweep(energy):
+            return _numerov_py.count_nodes_sweep(w, energy, h, u0, u1)
+
+        for k in range(4):
+            level = -0.5 / (k + 1) ** 2
+            assert sweep(1.001 * level)[0] == k
+            assert sweep(0.999 * level)[0] == k + 1
+
+        # unrescaled, the solution would grow as exp(sqrt(-2E) r) past the float range
+        deep = -50.0
+        assert np.sqrt(-2.0 * deep) * r[-1] > np.log(np.finfo(float).max)
+        nodes, tail = sweep(deep)
+        assert nodes == 0
+        assert np.isfinite(tail)
 
 
 class TestBreakdownReport:
