@@ -4,10 +4,16 @@ Solves chi'' = 2 (V_eff - E) chi with the exact (un-expanded) potential
 V_eff = -(A/r) exp(-delta r) + l(l+1)/(2 r^2) by outward Numerov integration
 on a uniform grid.  The node count of the outward solution is a
 non-decreasing step function of the trial energy that jumps from n to n+1
-exactly at the n-th eigenvalue, so bisection on the node count isolates the
-eigenvalue rigorously.  The grid is step-halved until two successive grids
-agree within ``GRID_TOL``; Numerov being fourth order, the error left on the
-finer grid is estimated as a fifteenth of their difference.
+exactly at the n-th eigenvalue, so bisection on the node count brackets the
+eigenvalue rigorously: once the bracket ends have n and n+1 nodes, the
+sweep's last value has opposite signs there and one zero between them, and
+Brent's method on that value finds the eigenvalue in a few sweeps.  The grid
+is step-halved until two successive grids agree within ``GRID_TOL``;
+Numerov being fourth order, the error left on the finer grid is estimated as
+a fifteenth of their difference.
+
+The default box holds 30 decay lengths of the level, sized from the upper
+bound E0 + A delta on its energy (see :meth:`RadialGrid.for_state`).
 
 The sweep itself is the hot loop; it runs in ``_numerov_py``.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import _numerov_py
 from .perturbation import (
@@ -39,7 +46,7 @@ __all__ = [
     "numerov_backend",
 ]
 
-#: Bisection width at which an eigenvalue counts as isolated on one grid.
+#: Width at which an eigenvalue counts as isolated on one grid.
 ENERGY_TOL = 1e-10
 #: Agreement between successive grids that marks the result converged.
 GRID_TOL = 1e-8
@@ -81,12 +88,21 @@ class RadialGrid:
             raise ValueError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
 
     @classmethod
-    def for_state(cls, system: AtomicSystem, state: QuantumState,
+    def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
                   points: int = 20001, r_min: float = 1e-6) -> "RadialGrid":
-        """Default box 30 N^2 / A Bohr, floored at 20 to avoid degenerate
-        boxes for strongly bound states."""
-        big_n = state.big_n
-        r_max = max(20.0, 30.0 * big_n * big_n / system.a)
+        """Default box: 30 decay lengths of the level.
+
+        Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E_up = E0 + A delta
+        bounds the level from above, and when E_up < 0 the box
+        30 / sqrt(-2 E_up) holds at least 30 decay lengths of it.  A level
+        the bound cannot show to be bound gets max(20, 30 N^2 / A) Bohr.
+        """
+        e_up = coulomb_energy(system.a, state) + system.a * delta
+        if e_up < 0.0:
+            r_max = 30.0 / (-2.0 * e_up) ** 0.5
+        else:
+            big_n = state.big_n
+            r_max = max(20.0, 30.0 * big_n * big_n / system.a)
         return cls(r_min=r_min, r_max=r_max, points=points)
 
     def halved(self) -> "RadialGrid":
@@ -146,7 +162,8 @@ def _series_start(a: float, delta: float, l: int, energy: float, r: float) -> fl
 
 
 class _Sweeper:
-    """Node counter for one (potential, grid) pair at varying trial energy."""
+    """Node count and last value of the outward solution for one (potential,
+    grid) pair at varying trial energy; each energy is swept once."""
 
     def __init__(self, system: AtomicSystem, delta: float, state: QuantumState,
                  grid: RadialGrid):
@@ -160,25 +177,41 @@ class _Sweeper:
         # energy-independent part of f = 2(V_eff - E)
         l = state.l
         self.w = l * (l + 1) / (r * r) - 2.0 * system.a * np.exp(-delta * r) / r
+        self._swept: dict[float, tuple[int, float]] = {}
+
+    def _sweep(self, energy: float) -> tuple[int, float]:
+        if energy not in self._swept:
+            u0 = _series_start(self.a, self.delta, self.l, energy, self.r0)
+            u1 = _series_start(self.a, self.delta, self.l, energy, self.r1)
+            self._swept[energy] = _numerov_py.count_nodes_sweep(self.w, energy, self.h, u0, u1)
+        return self._swept[energy]
 
     def nodes(self, energy: float) -> int:
-        u0 = _series_start(self.a, self.delta, self.l, energy, self.r0)
-        u1 = _series_start(self.a, self.delta, self.l, energy, self.r1)
-        count, _ = _numerov_py.count_nodes_sweep(self.w, energy, self.h, u0, u1)
-        return count
+        return self._sweep(energy)[0]
+
+    def tail(self, energy: float) -> float:
+        return self._sweep(energy)[1]
 
 
-def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[float, float]:
-    """Shrink [lo, hi] onto the node-count transition n -> n+1."""
-    while hi - lo > ENERGY_TOL:
+def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[float, int]:
+    """Eigenvalue in [lo, hi] at the node-count transition n -> n+1, and its
+    node count.
+
+    Bisects on the node count until the ends have exactly n and n+1 nodes.
+    The sweep's last value has its first value's sign times (-1)^count, so
+    it then has opposite signs at lo and hi, and Brent's method on it finds
+    the eigenvalue.  Rescaling in the sweep keeps signs, so it only slows
+    Brent towards bisection.
+    """
+    while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at floating-point resolution
-            break
+        if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:
+            return mid, sweep.nodes(lo)
         if sweep.nodes(mid) >= n + 1:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return brentq(sweep.tail, lo, hi, xtol=ENERGY_TOL), n
 
 
 def _solve_on_grid(system, delta, state, grid,
@@ -192,8 +225,7 @@ def _solve_on_grid(system, delta, state, grid,
         lo_b, hi_b = bracket
         hi_b = min(hi_b, hi)
         if sweep.nodes(lo_b) <= n and sweep.nodes(hi_b) >= n + 1:
-            lo, hi = _bisect_eigenvalue(sweep, n, lo_b, hi_b)
-            return 0.5 * (lo + hi), sweep.nodes(lo)
+            return _bisect_eigenvalue(sweep, n, lo_b, hi_b)
         # stale bracket (grid shift moved the eigenvalue); fall through
 
     lo = 1.5 * coulomb_energy(system.a, state)
@@ -209,24 +241,26 @@ def _solve_on_grid(system, delta, state, grid,
         raise NoBoundState(
             f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
         )
-    lo, hi = _bisect_eigenvalue(sweep, n, lo, hi)
-    return 0.5 * (lo + hi), sweep.nodes(lo)
+    return _bisect_eigenvalue(sweep, n, lo, hi)
 
 
 def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
                       grid: RadialGrid | None = None) -> OracleResult:
-    """Bound-state energy by node-counting bisection plus grid refinement.
+    """Bound-state energy by node-count bracketing, Brent's method on the
+    sweep's last value, and grid refinement.
 
-    Bisection isolates the eigenvalue to ``ENERGY_TOL`` on each grid; the
-    grid is then step-halved until successive energies differ by less than
+    On each grid, bisection on the node count brackets the eigenvalue and
+    Brent's method isolates it to ``ENERGY_TOL``; the grid is then
+    step-halved until successive energies differ by less than
     ``GRID_TOL`` Hartree.  Raises :class:`NoBoundState` if the level does
     not exist below zero and :class:`NonConvergence` (carrying the best
-    estimate) if refinement stalls.
+    estimate) if refinement stalls.  The default grid is
+    :meth:`RadialGrid.for_state`'s box for ``delta``.
     """
     if delta < 0:
         raise ValueError(f"screening parameter must be non-negative, got {delta}")
     if grid is None:
-        grid = RadialGrid.for_state(system, state)
+        grid = RadialGrid.for_state(system, state, delta)
 
     energy, nodes = _solve_on_grid(system, delta, state, grid)
     prev_energy = energy

@@ -1,6 +1,6 @@
 """Eigensolver tests: hydrogenic exactness, node counting, the Numerov
-sweep's contract, screening behaviour, and cross-validation against the
-closed forms."""
+sweep's contract, the default box, the root search and its work, screening
+behaviour, and cross-validation against the closed forms."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from yukawa_atom import (
     RadialGrid,
     ScreeningModel,
     breakdown_report,
+    coulomb_energy,
     moderated_radial,
     screening_delta,
     solve_bound_state,
@@ -94,7 +95,9 @@ class TestOracleBasics:
             solve_bound_state(AtomicSystem(1), -0.1, QuantumState(0, 0))
 
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
+        # Z=29 1s converges on its first halving; a zero tolerance still stalls
         monkeypatch.setattr(oracle_mod, "MAX_REFINEMENTS", 1)
+        monkeypatch.setattr(oracle_mod, "GRID_TOL", 0.0)
         with pytest.raises(NonConvergence) as excinfo:
             solve_bound_state(AtomicSystem(29), screening_delta(29, FA), QuantumState(0, 0))
         best = excinfo.value.result
@@ -104,13 +107,32 @@ class TestOracleBasics:
 
 
 class TestRadialGrid:
-    def test_default_box_scales_with_state(self):
-        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(1, 1))
-        assert g.r_max == pytest.approx(30.0 * 9.0)
+    def test_default_box_holds_thirty_decay_lengths(self):
+        # delta = 0: E_up is the exact level -1/18, so r_max = 30 * 3
+        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(1, 1), 0.0)
+        assert g.r_max == pytest.approx(90.0)
 
-    def test_default_box_floor(self):
-        g = RadialGrid.for_state(AtomicSystem(84), QuantumState(0, 0))
-        assert g.r_max == 20.0
+    def test_default_box_from_screened_upper_bound(self):
+        system, state = AtomicSystem(84), QuantumState(0, 0)
+        delta = screening_delta(84, FA)
+        e_up = coulomb_energy(system.a, state) + system.a * delta
+        g = RadialGrid.for_state(system, state, delta)
+        assert g.r_max == pytest.approx(30.0 / np.sqrt(-2.0 * e_up))
+
+    def test_default_box_when_bound_unproven(self):
+        # E0 + A delta > 0: the box stays max(20, 30 N^2 / A)
+        z5_2s = RadialGrid.for_state(AtomicSystem(5), QuantumState(1, 0), screening_delta(5, FA))
+        z9_2p = RadialGrid.for_state(AtomicSystem(9), QuantumState(0, 1), screening_delta(9, FA))
+        assert z5_2s.r_max == pytest.approx(24.0)
+        assert z9_2p.r_max == 20.0
+
+    @pytest.mark.parametrize("z", [14, 29, 54, 84])
+    def test_default_box_covers_solved_k_shell(self, z):
+        system, state = AtomicSystem(z), QuantumState(0, 0)
+        delta = screening_delta(z, FA)
+        energy = solve_bound_state(system, delta, state).energy
+        r_max = RadialGrid.for_state(system, state, delta).r_max
+        assert r_max * np.sqrt(-2.0 * energy) >= 30.0
 
     def test_rejects_even_points(self):
         with pytest.raises(ValueError):
@@ -151,6 +173,49 @@ class TestNumerovSweep:
         nodes, tail = sweep(deep)
         assert nodes == 0
         assert np.isfinite(tail)
+
+
+class TestRootSearch:
+    @pytest.mark.parametrize("z, delta", [(1, 0.0), (29, screening_delta(29, FA))],
+                             ids=["h_1s", "z29_1s"])
+    def test_k_shell_work(self, monkeypatch, z, delta):
+        work = {"sweeps": 0, "points": 0}
+        sweep = _numerov_py.count_nodes_sweep
+
+        def counted(w, *args):
+            work["sweeps"] += 1
+            work["points"] += len(w)
+            return sweep(w, *args)
+
+        monkeypatch.setattr(_numerov_py, "count_nodes_sweep", counted)
+        res = solve_bound_state(AtomicSystem(z), delta, QuantumState(0, 0))
+        assert res.grid_converged
+        assert work["sweeps"] <= 35
+        assert work["points"] <= 1_000_000
+
+    @pytest.mark.parametrize("z, n, delta, r_max", [
+        (1, 1, 0.0, 60.0),
+        # sqrt(-2E) r_max ~ 1600: the sweep rescales its tail
+        (84, 0, screening_delta(84, FA), 20.0),
+    ], ids=["h_2s", "z84_1s_rescaled"])
+    def test_brent_matches_node_count_bisection(self, z, n, delta, r_max):
+        system, state = AtomicSystem(z), QuantumState(n, 0)
+        grid = RadialGrid(r_max=r_max, points=20001)
+        energy, nodes = oracle_mod._solve_on_grid(system, delta, state, grid)
+        assert nodes == n
+
+        sweep = oracle_mod._Sweeper(system, delta, state, grid)
+        lo, hi = 2.0 * coulomb_energy(system.a, state), -1e-12
+        assert sweep.nodes(lo) <= n and sweep.nodes(hi) >= n + 1
+        while hi - lo > 0.1 * oracle_mod.ENERGY_TOL:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if sweep.nodes(mid) >= n + 1:
+                hi = mid
+            else:
+                lo = mid
+        assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
 
 
 class TestBreakdownReport:
