@@ -12,8 +12,10 @@ is step-halved until two successive grids agree within ``GRID_TOL``;
 Numerov being fourth order, the error left on the finer grid is estimated as
 a fifteenth of their difference.
 
-The default box holds 30 decay lengths of the level, sized from the upper
-bound E0 + A delta on its energy (see :meth:`RadialGrid.for_state`).
+The default box reaches 30 decay lengths past a bound on the level's outer
+turning point, both taken from the upper bound E0 + A delta on its energy,
+and is never wider than max(20, 30 N^2/A) Bohr (see
+:meth:`RadialGrid.for_state`).
 
 The sweep itself is the hot loop; it runs in ``_numerov_py``.
 """
@@ -90,19 +92,20 @@ class RadialGrid:
     @classmethod
     def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
                   points: int = 20001, r_min: float = 1e-6) -> "RadialGrid":
-        """Default box: 30 decay lengths of the level.
+        """Default box: 30 decay lengths of the level past its turning point,
+        and never wider than max(20, 30 N^2 / A) Bohr.
 
         Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E_up = E0 + A delta
-        bounds the level from above, and when E_up < 0 the box
-        30 / sqrt(-2 E_up) holds at least 30 decay lengths of it.  A level
-        the bound cannot show to be bound gets max(20, 30 N^2 / A) Bohr.
+        bounds the level from above.  Since V_eff >= -A/r, the outer turning
+        point lies below A / (-E_up) when E_up < 0, and 30 / sqrt(-2 E_up)
+        is at least 30 decay lengths of the level.  A level the bound cannot
+        show to be bound gets the cap.
         """
+        big_n = state.big_n
+        r_max = max(20.0, 30.0 * big_n * big_n / system.a)
         e_up = coulomb_energy(system.a, state) + system.a * delta
         if e_up < 0.0:
-            r_max = 30.0 / (-2.0 * e_up) ** 0.5
-        else:
-            big_n = state.big_n
-            r_max = max(20.0, 30.0 * big_n * big_n / system.a)
+            r_max = min(r_max, system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
         return cls(r_min=r_min, r_max=r_max, points=points)
 
     def halved(self) -> "RadialGrid":

@@ -108,31 +108,35 @@ class TestOracleBasics:
 
 class TestRadialGrid:
     def test_default_box_holds_thirty_decay_lengths(self):
-        # delta = 0: E_up is the exact level -1/18, so r_max = 30 * 3
+        # delta = 0: E_up is the exact level -1/18, so the box is the
+        # turning-point bound 18 plus 30 * 3 Bohr
         g = RadialGrid.for_state(AtomicSystem(1), QuantumState(1, 1), 0.0)
-        assert g.r_max == pytest.approx(90.0)
+        assert g.r_max == pytest.approx(108.0)
 
     def test_default_box_from_screened_upper_bound(self):
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
         e_up = coulomb_energy(system.a, state) + system.a * delta
         g = RadialGrid.for_state(system, state, delta)
-        assert g.r_max == pytest.approx(30.0 / np.sqrt(-2.0 * e_up))
+        assert g.r_max == pytest.approx(system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
+
+    def test_default_box_past_turning_point_at_high_n(self):
+        # H N=14 s: outer turning point 2 N^2, decay length N
+        big_n = 14
+        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(big_n - 1, 0), 0.0)
+        assert g.r_max >= 2.0 * big_n**2 + 30.0 * big_n - 1e-9
+
+    def test_default_box_capped_near_threshold(self):
+        # E_up = -1e-7: 30 / sqrt(-2 E_up) alone would be 67000 Bohr
+        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(0, 0), 0.4999999)
+        assert g.r_max == 30.0
 
     def test_default_box_when_bound_unproven(self):
-        # E0 + A delta > 0: the box stays max(20, 30 N^2 / A)
+        # E0 + A delta > 0: the box is the cap max(20, 30 N^2 / A)
         z5_2s = RadialGrid.for_state(AtomicSystem(5), QuantumState(1, 0), screening_delta(5, FA))
         z9_2p = RadialGrid.for_state(AtomicSystem(9), QuantumState(0, 1), screening_delta(9, FA))
         assert z5_2s.r_max == pytest.approx(24.0)
         assert z9_2p.r_max == 20.0
-
-    @pytest.mark.parametrize("z", [14, 29, 54, 84])
-    def test_default_box_covers_solved_k_shell(self, z):
-        system, state = AtomicSystem(z), QuantumState(0, 0)
-        delta = screening_delta(z, FA)
-        energy = solve_bound_state(system, delta, state).energy
-        r_max = RadialGrid.for_state(system, state, delta).r_max
-        assert r_max * np.sqrt(-2.0 * energy) >= 30.0
 
     def test_rejects_even_points(self):
         with pytest.raises(ValueError):
@@ -173,6 +177,17 @@ class TestNumerovSweep:
         nodes, tail = sweep(deep)
         assert nodes == 0
         assert np.isfinite(tail)
+
+    def test_rounding_floor_below_grid_tol(self):
+        # Z=84 1s: fourth order leaves ~3e-11 Ha between these two grids, so
+        # a larger change is rounding; it must stay well below GRID_TOL
+        system, state = AtomicSystem(84), QuantumState(0, 0)
+        delta = screening_delta(84, FA)
+        grid = RadialGrid.for_state(system, state, delta, points=40001)
+        bracket = (-3183.5114, -3183.5113)
+        e1, _ = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
+        e2, _ = oracle_mod._solve_on_grid(system, delta, state, grid.halved(), bracket)
+        assert abs(e2 - e1) < 0.1 * oracle_mod.GRID_TOL
 
 
 class TestRootSearch:
