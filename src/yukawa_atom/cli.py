@@ -228,7 +228,8 @@ def cmd_verify(args, parser) -> int:
             "perturbative_kev": to_kev(b.total, cfg.units),
             "oracle_hartree": None, "oracle_kev": None,
             "abs_diff_hartree": None, "rel_diff": None,
-            "nodes": None, "grid_points": None, "flag": "",
+            "nodes": None, "grid_points": None, "estimated_error_hartree": None,
+            "flag": "",
         }
         try:
             res = solve_bound_state(system, delta, st)
@@ -237,6 +238,7 @@ def cmd_verify(args, parser) -> int:
             return row
         except NonConvergence as exc:
             row["oracle_hartree"] = exc.result.energy
+            row["estimated_error_hartree"] = exc.result.estimated_error
             row["flag"] = "NON_CONVERGENCE"
             return row
         row["oracle_hartree"] = res.energy
@@ -245,6 +247,7 @@ def cmd_verify(args, parser) -> int:
         row["rel_diff"] = row["abs_diff_hartree"] / abs(res.energy)
         row["nodes"] = res.nodes_found
         row["grid_points"] = res.grid_points
+        row["estimated_error_hartree"] = res.estimated_error
         if row["rel_diff"] > BREAKDOWN_REL_THRESHOLD or b.series_suspect:
             row["flag"] = "BREAKDOWN"
         return row
@@ -253,7 +256,7 @@ def cmd_verify(args, parser) -> int:
     failures = sum(row["flag"] == "NON_CONVERGENCE" for row in rows)
     columns = ["z", "n", "l", "order", "perturbative_hartree", "oracle_hartree",
                "perturbative_kev", "oracle_kev", "abs_diff_hartree", "rel_diff",
-               "nodes", "grid_points", "flag"]
+               "nodes", "grid_points", "estimated_error_hartree", "flag"]
     _render(rows, columns, cfg.output_format)
     if failures:
         print(f"error: {failures} oracle run(s) did not converge", file=sys.stderr)

@@ -17,7 +17,8 @@ turning point, both taken from the upper bound E0 + A delta on its energy,
 and is never wider than max(20, 30 N^2/A) Bohr (see
 :meth:`RadialGrid.for_state`).
 
-The sweep itself is the hot loop; it runs in ``_numerov_py``.
+The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
+triangular solve per trial energy.
 """
 
 from __future__ import annotations
@@ -59,7 +60,12 @@ MAX_BRACKET_WIDENINGS = 3
 
 
 def numerov_backend() -> str:
-    """Name of the Numerov sweep backend, always 'pure-python' (``_numerov_py``)."""
+    """Name of the Numerov sweep backend, always 'pure-python'.
+
+    The sweep is a numpy and LAPACK solve in ``_numerov_py``, with nothing
+    compiled by the package.  The name stays 'pure-python' because the
+    benchmark's tracer maps it to that module to find the sweep it times.
+    """
     return "pure-python"
 
 

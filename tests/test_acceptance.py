@@ -141,9 +141,10 @@ def test_criterion_5_oracle_hydrogenic_exactness():
             assert res.nodes_found == n
             count += 1
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-7
+    ok = worst < 1e-7 and elapsed < 10.0
     _report(5, ok, f"{count} hydrogenic levels, worst rel diff {worst:.2e}", elapsed)
     assert worst < 1e-7
+    assert elapsed < 10.0
 
 
 def test_criterion_6_oracle_vs_perturbation_k_shell():

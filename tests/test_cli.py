@@ -153,6 +153,7 @@ class TestVerify:
         assert code == 0
         row = parse_csv(out)[0]
         assert float(row["rel_diff"]) < 1e-7
+        assert 0.0 < float(row["estimated_error_hartree"]) <= 1e-9
         assert row["flag"] == ""
 
     def test_k_shell_z29(self, capsys):

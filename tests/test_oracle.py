@@ -2,6 +2,8 @@
 sweep's contract, the default box, the root search and its work, screening
 behaviour, and cross-validation against the closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -155,7 +157,57 @@ class TestRadialGrid:
         assert g.halved().points == 40001
 
 
+def _scalar_sweep(w, energy, h, u0, u1):
+    """The summed-form sweep as a per-point loop: the kernel's reference."""
+    t = (h * h / 12.0 * (w - 2.0 * energy)).tolist()
+    signs = [u < 0.0 for u in (u0, u1) if u != 0.0]
+    u = u1
+    y = (1.0 - t[1]) * u1
+    d = y - (1.0 - t[0]) * u0
+    for i in range(1, len(t) - 1):
+        d += 12.0 * t[i] * u
+        y += d
+        u = y / (1.0 - t[i + 1])
+        if abs(u) > _numerov_py.RESCALE_LIMIT:
+            u, y, d = (v * _numerov_py.RESCALE_FACTOR for v in (u, y, d))
+        if u != 0.0:
+            signs.append(u < 0.0)
+    return sum(a != b for a, b in zip(signs, signs[1:])), u
+
+
+def _hydrogen_sweep_args(l):
+    """Hydrogen's w for angular momentum l on 200 Bohr, with the series start."""
+    r = np.linspace(1e-6, 200.0, 20001)
+    w = l * (l + 1) / (r * r) - 2.0 / r
+    u0, u1 = (x ** (l + 1) * (1.0 - x / (l + 1)) for x in r[:2])
+    return w, r[1] - r[0], u0, u1
+
+
 class TestNumerovSweep:
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_matches_scalar_loop(self, l):
+        w, h, u0, u1 = _hydrogen_sweep_args(l)
+        # either side of the first two levels, and deep enough to rescale
+        levels = [-0.5 / (k + l + 1) ** 2 for k in range(2)]
+        energies = [f * e for e in levels for f in (1.001, 0.999)] + [-50.0]
+        for energy in energies:
+            nodes, tail = _numerov_py.count_nodes_sweep(w, energy, h, u0, u1)
+            ref_nodes, ref_tail = _scalar_sweep(w, energy, h, u0, u1)
+            assert nodes == ref_nodes
+            assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
+
+    def test_rescaling_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in range(3):
+                w, h, u0, u1 = _hydrogen_sweep_args(l)
+                assert _numerov_py.count_nodes_sweep(w, -50.0, h, u0, u1)[0] == 0
+            # Z=84 1s in 20 Bohr: sqrt(-2E) r_max ~ 1600, so sweeps near the level rescale
+            system, state = AtomicSystem(84), QuantumState(0, 0)
+            grid = RadialGrid(r_max=20.0, points=20001)
+            _, nodes = oracle_mod._solve_on_grid(system, screening_delta(84, FA), state, grid)
+            assert nodes == 0
+
     def test_node_count_steps_at_hydrogen_levels(self):
         # A = 1, l = 0, delta = 0: the k-th level is -1/(2 (k+1)^2)
         r = np.linspace(1e-6, 200.0, 20001)
