@@ -19,10 +19,12 @@ The outward solution is rescaled by ``RESCALE_FACTOR`` at the first point
 where it passes ``RESCALE_LIMIT``, and the rest of the grid is solved again
 from there; this keeps deep trial energies inside the float range without
 changing any sign.
+
+``dtbtrs`` is imported on the first sweep, so importing this module loads
+numpy alone.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 RESCALE_LIMIT = 1e250
 RESCALE_FACTOR = 1e-250
@@ -31,6 +33,8 @@ RESCALE_FACTOR = 1e-250
 def _summed_solve(g, y_first, d_before):
     """(y_0 .. y_{m-1}, d_0 .. d_{m-2}) of d_i = d_{i-1} + g_i y_i,
     y_{i+1} = y_i + d_i from y_0 = ``y_first`` and d_{-1} = ``d_before``."""
+    from scipy.linalg.lapack import dtbtrs
+
     size = 2 * len(g) - 1
     # Fortran order, so that f2py passes it uncopied.  Row 0 is the unit
     # diagonal, which diag="U" leaves unread.  Row 2 is -1 everywhere:

@@ -237,17 +237,16 @@ def cmd_verify(args, parser) -> int:
             row["flag"] = "NO_BOUND_STATE"
             return row
         except NonConvergence as exc:
-            row["oracle_hartree"] = exc.result.energy
-            row["estimated_error_hartree"] = exc.result.estimated_error
-            row["flag"] = "NON_CONVERGENCE"
-            return row
+            res, row["flag"] = exc.result, "NON_CONVERGENCE"
         row["oracle_hartree"] = res.energy
         row["oracle_kev"] = to_kev(res.energy, cfg.units)
-        row["abs_diff_hartree"] = abs(b.total - res.energy)
-        row["rel_diff"] = row["abs_diff_hartree"] / abs(res.energy)
         row["nodes"] = res.nodes_found
         row["grid_points"] = res.grid_points
         row["estimated_error_hartree"] = res.estimated_error
+        if row["flag"]:
+            return row
+        row["abs_diff_hartree"] = abs(b.total - res.energy)
+        row["rel_diff"] = row["abs_diff_hartree"] / abs(res.energy)
         if row["rel_diff"] > BREAKDOWN_REL_THRESHOLD or b.series_suspect:
             row["flag"] = "BREAKDOWN"
         return row

@@ -18,7 +18,9 @@ and is never wider than max(20, 30 N^2/A) Bohr (see
 :meth:`RadialGrid.for_state`).
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
-triangular solve per trial energy.
+triangular solve per trial energy.  scipy's ``brentq`` and the sweep's
+``dtbtrs`` are imported by the first solve, not with this module, so the
+closed-form commands never load ``scipy.optimize`` or ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _numerov_py
 from .perturbation import (
@@ -212,6 +213,8 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     the eigenvalue.  Rescaling in the sweep keeps signs, so it only slows
     Brent towards bisection.
     """
+    from scipy.optimize import brentq
+
     while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1:
         mid = 0.5 * (lo + hi)
         if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:

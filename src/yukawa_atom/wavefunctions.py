@@ -14,6 +14,10 @@ closed forms in :mod:`yukawa_atom.perturbation`.  Superpotentials here carry
 the sqrt(2m)/hbar rescaling (slope -N delta^2 / 2 at first order), so the
 squared first-order term enters the second-order integrand as W1^2/2 while
 the third-order integrand takes the plain product W1*W2.
+
+Every integral goes through ``_quad``, which imports ``scipy.integrate`` on
+its first call and looks ``quad`` up there on every call, so a wrapper put
+in its place sees every integral while it stays there.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .perturbation import AtomicSystem, QuantumState
 
@@ -46,6 +49,13 @@ __all__ = [
 R_MAX_SCALE = 40.0
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-13)
+
+
+def _quad(f, a, b):
+    """``scipy.integrate.quad`` with ``_QUAD_OPTS``, looked up at call time."""
+    import scipy.integrate
+
+    return scipy.integrate.quad(f, a, b, **_QUAD_OPTS)
 
 
 class QuadratureError(RuntimeError):
@@ -143,10 +153,10 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
             / scale
         ) ** 2
 
-    main, main_err = quad(density, 0.0, r_max, **_QUAD_OPTS)
+    main, main_err = _quad(density, 0.0, r_max)
     if main <= 0 or main_err > max(1e-11, 1e-9 * main):
         raise QuadratureError("normalization integral did not converge", main, main_err)
-    tail, _ = quad(density, r_max, np.inf, **_QUAD_OPTS)
+    tail, _ = _quad(density, r_max, np.inf)
     if tail > 1e-12 * main:
         raise QuadratureError("truncated tail is not negligible", tail, tail / main)
     return CoulombRadial(
@@ -215,6 +225,8 @@ class ModeratedRadial:
     Evaluated as ``norm * r^(l+1) L(2 beta r) exp(g(r) - g_peak)`` with the
     one exponent g = -beta r + c2 r^2 + c3 r^3 of chi * u, shifted by its
     peak on [0, r_max], so that it stays in range where u alone overflows.
+    ``rising_at_r_max`` is true when g still rises at r_max, so that the
+    unit norm on [0, r_max] belongs to a function that has not decayed there.
     """
 
     chi: CoulombRadial
@@ -223,6 +235,7 @@ class ModeratedRadial:
     c2: float
     c3: float
     g_peak: float
+    rising_at_r_max: bool
 
     def __call__(self, r):
         chi = self.chi
@@ -239,7 +252,8 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     Only defined in the perturbative regime 3 N^2 delta < 4 A; past that
     point the moderating exponent grows with r and the product chi * u is
     not normalizable.  Close to that edge the exponent may still be rising
-    at r_max; the function is normalized on [0, r_max] all the same.
+    at r_max; the function is normalized on [0, r_max] all the same, and
+    flagged by ``rising_at_r_max``.
     """
     big_n = state.big_n
     if 3.0 * big_n**2 * delta >= 4.0 * system.a:
@@ -253,9 +267,11 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     roots = np.roots([3.0 * c3, 2.0 * c2, -chi.beta])
     inside = [x.real for x in roots if x.imag == 0 and 0 < x.real < chi.r_max]
     g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
+    rising = (3.0 * c3 * chi.r_max + 2.0 * c2) * chi.r_max - chi.beta > 0.0
     # chi's norm keeps the trial integrand O(1) whenever u stays near 1
-    trial = ModeratedRadial(chi=chi, delta=delta, norm=chi.norm, c2=c2, c3=c3, g_peak=g_peak)
-    nrm2, err = quad(lambda r: trial(r) ** 2, 0.0, chi.r_max, **_QUAD_OPTS)
+    trial = ModeratedRadial(chi=chi, delta=delta, norm=chi.norm, c2=c2, c3=c3,
+                            g_peak=g_peak, rising_at_r_max=rising)
+    nrm2, err = _quad(lambda r: trial(r) ** 2, 0.0, chi.r_max)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
     return replace(trial, norm=chi.norm / math.sqrt(nrm2))
@@ -293,7 +309,7 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
         def integrand(r):
             return chi(r) ** 2 * (-a * d**4 * r**3 / 24.0 - w1(r) * w2(r))
 
-    value, err = quad(integrand, 0.0, chi.r_max, **_QUAD_OPTS)
+    value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):
         raise QuadratureError(f"order-{order} correction did not converge", value, err)
     return value

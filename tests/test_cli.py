@@ -193,6 +193,23 @@ class TestVerify:
             main(["verify", "--z", "3", "--state", "x"])
         assert excinfo.value.code == 2
 
+    def test_nonconvergence_row_carries_best_estimate(self, capsys, monkeypatch):
+        # Z=29 1s converges on its first halving; a zero tolerance still stalls
+        from yukawa_atom import oracle
+        from yukawa_atom.perturbation import to_kev
+
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 1)
+        monkeypatch.setattr(oracle, "GRID_TOL", 0.0)
+        code, out, err = run_cli(capsys, "verify", "--z", "29", "--format", "json")
+        assert code == 3
+        assert "did not converge" in err
+        row = json.loads(out)["rows"][0]
+        assert row["flag"] == "NON_CONVERGENCE"
+        assert row["oracle_kev"] == pytest.approx(to_kev(row["oracle_hartree"]), rel=1e-8)
+        assert row["nodes"] == 0
+        assert row["grid_points"] > 0
+        assert row["estimated_error_hartree"] > 0.0
+
     def test_zero_delta0_forces_coulomb(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--z", "7", "--delta0", "0",
                                "--format", "csv")
@@ -281,3 +298,30 @@ class TestConsoleScript:
     def test_python_dash_m(self):
         proc = run_level_json([sys.executable, "-m", "yukawa_atom"])
         assert "RuntimeWarning" not in proc.stderr
+
+
+#: Run in a fresh process: the closed-form commands, then what they loaded.
+IMPORT_FOOTPRINT = """
+import contextlib, io, json, sys
+import yukawa_atom
+from yukawa_atom.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["level", "--z", "29", "--n", "0", "--l", "0"]),
+             main(["table", "--shell", "E00", "--z", "3..84"]),
+             main(["compare", "--shell", "E00"])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_closed_form_commands_load_no_scipy():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    modules = set(result["modules"])
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & modules
+    # every layer is imported eagerly, so a tracer finds it in sys.modules
+    layers = {f"yukawa_atom.{name}" for name in
+              ("cli", "oracle", "wavefunctions", "_numerov_py", "perturbation", "refdata")}
+    assert layers <= modules

@@ -211,6 +211,15 @@ NEAR_DOMAIN_EDGE = [
     if 0.92 < 3 * (n + l + 1) ** 2 * screening_delta(z, ScreeningModel()) / (4 * z) < 1
 ]
 
+#: The near-edge states whose moderating exponent still rises at r_max:
+#: every one has 3 N^2 delta / 4A >= 0.95.
+RISING_AT_R_MAX = {
+    (4, 0, 1), (4, 1, 0),
+    (16, 0, 2), (16, 1, 1), (16, 2, 0), (17, 0, 2), (17, 1, 1), (17, 2, 0),
+    (40, 1, 2), (40, 2, 1), (41, 1, 2), (41, 2, 1), (42, 1, 2), (42, 2, 1),
+    (78, 2, 2), (79, 2, 2), (80, 2, 2), (81, 2, 2), (82, 2, 2), (83, 2, 2), (84, 2, 2),
+}
+
 
 class TestFullWavefunction:
     def test_zero_screening_equals_chi(self):
@@ -232,6 +241,17 @@ class TestFullWavefunction:
         delta = screening_delta(z, ScreeningModel())
         psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
         assert gauss_legendre_norm(psi) == pytest.approx(1.0, abs=1e-8)
+        assert psi.rising_at_r_max == ((z, n, l) in RISING_AT_R_MAX)
+
+    def test_rising_states_all_near_domain_edge(self):
+        assert len(NEAR_DOMAIN_EDGE) == 28
+        assert RISING_AT_R_MAX <= set(NEAR_DOMAIN_EDGE)
+
+    @pytest.mark.parametrize("z, n, l", [(29, 0, 0), (84, 0, 1), (3, 0, 0), (54, 1, 0)])
+    def test_not_rising_far_from_domain_edge(self, z, n, l):
+        delta = screening_delta(z, ScreeningModel())
+        psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
+        assert not psi.rising_at_r_max
 
     def test_small_r_leading_power(self):
         system, state = AtomicSystem(3), QuantumState(0, 0)
@@ -318,3 +338,25 @@ class TestCorrectionViaQuadrature:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             correction_via_quadrature(AtomicSystem(1), QuantumState(0, 0), 0.1, 4)
+
+    def test_quad_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper swapped into scipy.integrate sees every quadrature while
+        # it is in place, and none after it is undone
+        import scipy.integrate
+
+        original = scipy.integrate.quad
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        system, state = AtomicSystem(29), QuantumState(0, 0)
+        delta = screening_delta(29, ScreeningModel())
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.integrate, "quad", counting)
+            correction_via_quadrature(system, state, delta, 2)
+        # chi's norm on [0, r_max] and its tail, then the correction
+        assert len(calls) == 3
+        correction_via_quadrature(system, state, delta, 2)
+        assert len(calls) == 3
