@@ -15,9 +15,11 @@ the sqrt(2m)/hbar rescaling (slope -N delta^2 / 2 at first order), so the
 squared first-order term enters the second-order integrand as W1^2/2 while
 the third-order integrand takes the plain product W1*W2.
 
-Every integral goes through ``_quad``, which imports ``scipy.integrate`` on
-its first call and looks ``quad`` up there on every call, so a wrapper put
-in its place sees every integral while it stays there.
+Every integrand handed to ``quad`` is a closure on plain Python floats and
+``math.exp``, built on ``_float_radial``; the public ``__call__`` methods stay
+vectorised on numpy.  Every integral goes through ``_quad``, which imports
+``scipy.integrate`` on its first call and looks ``quad`` up there on every
+call, so a wrapper put in its place sees every integral while it stays there.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ class LaguerreSpec:
         return math.comb(self.n + self.k, self.n)
 
 
+def _laguerre_recurrence(n: int, k: int, x):
+    """L_n^(k)(x) by the three-term recurrence from L_-1 = 0 and L_0 = 1,
+    on a float or an ndarray alike (1.0 for n = 0 whatever x is)."""
+    prev, cur = 0.0, 1.0
+    for j in range(1, n + 1):
+        prev, cur = cur, ((2.0 * j - 1.0 + k - x) * cur - (j - 1.0 + k) * prev) / j
+    return cur
+
+
 def laguerre_eval(spec: LaguerreSpec, x):
     """Associated Laguerre polynomial by the stable three-term recurrence.
 
@@ -90,14 +101,8 @@ def laguerre_eval(spec: LaguerreSpec, x):
     sum_m (-1)^m (n+k)! / ((n-m)! (m+k)! m!) x^m.
     """
     x = np.asarray(x, dtype=float)
-    n, k = spec.n, spec.k
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + k - x
-    for j in range(2, n + 1):
-        prev, cur = cur, ((2.0 * j - 1.0 + k - x) * cur - (j - 1.0 + k) * prev) / j
-    return cur if cur.ndim else float(cur)
+    val = np.ones_like(x) * _laguerre_recurrence(spec.n, spec.k, x)
+    return val if val.ndim else float(val)
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,27 @@ class CoulombRadial:
         return val if val.ndim else float(val)
 
     def __call__(self, r):
-        val = self.norm * np.asarray(self.unnormalized(r))
-        return val if val.ndim else float(val)
+        return self.norm * self.unnormalized(r)
+
+
+def _float_radial(chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
+                  shift: float = 0.0):
+    """Closure r -> norm r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - shift) on a float r,
+    with g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``.
+
+    With the defaults it is ``norm`` times chi's unnormalized form; with a
+    moderated state's c2, c3 and g_peak it is that state.  The integrands
+    handed to ``quad`` are built on it: ``quad`` evaluates them one float at
+    a time, and on 0-d arrays numpy's per-call overhead costs several times
+    the arithmetic.
+    """
+    p, n, k, beta, exp = chi.state.l + 1, chi._laguerre.n, chi._laguerre.k, chi.beta, math.exp
+
+    def f(r):
+        g = ((c3 * r + c2) * r - beta) * r - shift
+        return norm * r ** p * _laguerre_recurrence(n, k, 2.0 * beta * r) * exp(g)
+
+    return f
 
 
 def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
@@ -145,13 +169,12 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
         * 2.0 * big_n
     )
 
+    chi = CoulombRadial(a=system.a, state=state, beta=beta, norm=1.0 / scale,
+                        r_max=r_max, _laguerre=spec)
+    radial = _float_radial(chi, chi.norm)
+
     def density(r):
-        return (
-            r ** (l + 1)
-            * math.exp(-beta * r)
-            * laguerre_eval(spec, 2.0 * beta * r)
-            / scale
-        ) ** 2
+        return radial(r) ** 2
 
     main, main_err = _quad(density, 0.0, r_max)
     if main <= 0 or main_err > max(1e-11, 1e-9 * main):
@@ -159,10 +182,7 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
     tail, _ = _quad(density, r_max, np.inf)
     if tail > 1e-12 * main:
         raise QuadratureError("truncated tail is not negligible", tail, tail / main)
-    return CoulombRadial(
-        a=system.a, state=state, beta=beta, norm=1.0 / (scale * math.sqrt(main)),
-        r_max=r_max, _laguerre=spec,
-    )
+    return replace(chi, norm=1.0 / (scale * math.sqrt(main)))
 
 
 @dataclass(frozen=True)
@@ -269,12 +289,12 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
     rising = (3.0 * c3 * chi.r_max + 2.0 * c2) * chi.r_max - chi.beta > 0.0
     # chi's norm keeps the trial integrand O(1) whenever u stays near 1
-    trial = ModeratedRadial(chi=chi, delta=delta, norm=chi.norm, c2=c2, c3=c3,
-                            g_peak=g_peak, rising_at_r_max=rising)
+    trial = _float_radial(chi, chi.norm, c2, c3, g_peak)
     nrm2, err = _quad(lambda r: trial(r) ** 2, 0.0, chi.r_max)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
-    return replace(trial, norm=chi.norm / math.sqrt(nrm2))
+    return ModeratedRadial(chi=chi, delta=delta, norm=chi.norm / math.sqrt(nrm2), c2=c2, c3=c3,
+                           g_peak=g_peak, rising_at_r_max=rising)
 
 
 def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
@@ -292,22 +312,26 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     chi = coulomb_chi(system, state)
+    radial = _float_radial(chi, chi.norm)
     a, d = system.a, delta
 
     if order == 1:
         def integrand(r):
-            return chi(r) ** 2 * (-a * d * d * r / 2.0)
+            return radial(r) ** 2 * (-a * d * d * r / 2.0)
     elif order == 2:
-        w1 = superpotential_w1(state, delta)
+        # W1(r) = s r, written out with SuperpotentialPoly's arithmetic to
+        # save a method call per evaluation
+        s = superpotential_w1(state, delta).coefficients[1]
 
         def integrand(r):
-            return chi(r) ** 2 * (a * d**3 * r * r / 6.0 - 0.5 * w1(r) ** 2)
+            return radial(r) ** 2 * (a * d**3 * r * r / 6.0 - 0.5 * (s * r) ** 2)
     else:
-        w1 = superpotential_w1(state, delta)
-        w2 = superpotential_w2(a, state, delta)
+        # likewise W1(r) = s r and W2(r) = (k2 r + k1) r
+        s = superpotential_w1(state, delta).coefficients[1]
+        _, k1, k2 = superpotential_w2(a, state, delta).coefficients
 
         def integrand(r):
-            return chi(r) ** 2 * (-a * d**4 * r**3 / 24.0 - w1(r) * w2(r))
+            return radial(r) ** 2 * (-a * d**4 * r**3 / 24.0 - (s * r) * ((k2 * r + k1) * r))
 
     value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):

@@ -29,6 +29,7 @@ from yukawa_atom import (
     superpotential_w2,
     third_order_shift,
 )
+from yukawa_atom.wavefunctions import _QUAD_OPTS, _float_radial
 
 
 def laguerre_explicit(n, k, x):
@@ -42,6 +43,40 @@ def laguerre_explicit(n, k, x):
         )
         total += coeff * xf**m
     return float(total)
+
+
+def coulomb_moments(n, l, a):
+    """Exact <r>, <r^2>, <r^3> of the Coulomb state (n, l) at integer coupling a.
+
+    With x = 2 beta r, chi^2 is x^(2l+2) e^-x L(x)^2 up to a constant, where
+    L = sum_j c_j x^j with c_j = (-1)^j C(n+k, n-j) / j! and k = 2l+1, and
+    int_0^inf x^m e^-x dx = m!.
+    """
+    k = 2 * l + 1
+    c = [Fraction((-1) ** j * math.comb(n + k, n - j), math.factorial(j)) for j in range(n + 1)]
+
+    def integral(m):
+        return sum(ci * cj * math.factorial(2 * l + 2 + m + i + j)
+                   for i, ci in enumerate(c) for j, cj in enumerate(c))
+
+    unit = Fraction(n + l + 1, 2 * a)  # 1 / (2 beta)
+    return tuple(integral(m) / integral(0) * unit**m for m in (1, 2, 3))
+
+
+def correction_from_moments(a, delta, n, l, order):
+    """The order-1..3 correction integrands' expectations, from the moments:
+    -A d^2 r / 2, A d^3 r^2 / 6 - W1^2 / 2 and -A d^4 r^3 / 24 - W1 W2, with
+    W1 = s r, s = -N d^2 / 2, W2 = k N (N+1) r + k A r^2 and
+    k = -N (3 N^2 d - 4A) d^3 / (24 A^2)."""
+    big_n, d = n + l + 1, delta
+    r1, r2, r3 = (float(m) for m in coulomb_moments(n, l, a))
+    s = -big_n * d * d / 2.0
+    k = -big_n * (3.0 * big_n**2 * d - 4.0 * a) * d**3 / (24.0 * a * a)
+    return {
+        1: -a * d * d / 2.0 * r1,
+        2: (a * d**3 / 6.0 - 0.5 * s * s) * r2,
+        3: -a * d**4 / 24.0 * r3 - s * k * big_n * (big_n + 1.0) * r2 - s * k * a * r3,
+    }[order]
 
 
 class TestLaguerre:
@@ -117,6 +152,27 @@ class TestCoulombChi:
             chi = coulomb_chi(AtomicSystem(3), QuantumState(0, l))
             ratio = chi(1e-4) / chi(5e-5)
             assert ratio == pytest.approx(2.0 ** (l + 1), rel=1e-3)
+
+
+class TestFloatEvaluator:
+    @pytest.mark.parametrize("z", [1, 3, 29, 84])
+    def test_float_evaluator_matches_numpy_call(self, z):
+        # the quadrature integrands and the public vectorised __call__ are
+        # two evaluations of one function; they must not drift apart
+        delta = screening_delta(z, ScreeningModel())
+        for n in range(3):
+            for l in range(3):
+                chi = coulomb_chi(AtomicSystem(z), QuantumState(n, l))
+                pairs = [(chi, _float_radial(chi, chi.norm))]
+                if 3 * (n + l + 1) ** 2 * delta < 4 * z:
+                    psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
+                    pairs.append((psi, _float_radial(chi, psi.norm, psi.c2, psi.c3, psi.g_peak)))
+                r = np.linspace(0.0, chi.r_max, 50)
+                for vectorised, scalar in pairs:
+                    want = vectorised(r)
+                    got = np.array([scalar(float(x)) for x in r])
+                    peak = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-13 * peak, (z, n, l, vectorised)
 
 
 class TestSuperpotentials:
@@ -335,6 +391,20 @@ class TestCorrectionViaQuadrature:
         rel = abs(got - closed) / abs(closed)
         assert rel > 0.1
 
+    def test_exact_moments_of_hydrogen_2s(self):
+        assert coulomb_moments(1, 0, 1) == (6, 42, 330)
+
+    @pytest.mark.parametrize("n, l", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    @pytest.mark.parametrize("z", [3, 29, 84])
+    def test_all_orders_match_exact_moments(self, z, n, l):
+        # the defining integrals, excited states and order 3 included, to
+        # the benchmark's quadrature tolerance
+        delta = screening_delta(z, ScreeningModel())
+        for order in (1, 2, 3):
+            got = correction_via_quadrature(AtomicSystem(z), QuantumState(n, l), delta, order)
+            want = correction_from_moments(z, delta, n, l, order)
+            assert got == pytest.approx(want, rel=1e-10), order
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             correction_via_quadrature(AtomicSystem(1), QuantumState(0, 0), 0.1, 4)
@@ -360,3 +430,29 @@ class TestCorrectionViaQuadrature:
         assert len(calls) == 3
         correction_via_quadrature(system, state, delta, 2)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("order", [1, 2, 3, "moderated"])
+    def test_three_quad_calls_with_fixed_options(self, monkeypatch, order):
+        # chi's norm on [0, r_max], its tail past r_max, then the correction
+        # or the moderated norm; a faster integrand must not drop any of them
+        import scipy.integrate
+
+        original = scipy.integrate.quad
+        calls = []
+
+        def counting(f, a, b, **kwargs):
+            calls.append((a, b, kwargs))
+            return original(f, a, b, **kwargs)
+
+        system, state = AtomicSystem(29), QuantumState(1, 1)
+        delta = screening_delta(29, ScreeningModel())
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.integrate, "quad", counting)
+            if order == "moderated":
+                moderated_radial(system, state, delta)
+            else:
+                correction_via_quadrature(system, state, delta, order)
+        r_max = coulomb_chi(system, state).r_max
+        assert calls == [
+            (0.0, r_max, _QUAD_OPTS), (r_max, np.inf, _QUAD_OPTS), (0.0, r_max, _QUAD_OPTS),
+        ]
