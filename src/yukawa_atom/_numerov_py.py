@@ -55,9 +55,6 @@ def count_nodes_sweep(w, energy, h, u0, u1):
     grid of spacing ``h``.
     """
     n = len(w)
-    if n < 3:
-        return 0, u1
-
     t = h * h / 12.0 * (w - 2.0 * energy)
     c = 1.0 - t
     g = 12.0 * t / c

@@ -202,8 +202,6 @@ def cmd_level(args, parser) -> int:
 
 
 def cmd_table(args, parser) -> int:
-    if args.shell not in SHELL_QUANTUM_NUMBERS:
-        parser.error(f"unknown shell {args.shell!r}; choose from {sorted(SHELL_QUANTUM_NUMBERS)}")
     cfg = _config(args)
     n, l = SHELL_QUANTUM_NUMBERS[args.shell]
     state = QuantumState(n, l)
@@ -264,8 +262,6 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    if args.shell not in SHELL_QUANTUM_NUMBERS:
-        parser.error(f"unknown shell {args.shell!r}; choose from {sorted(SHELL_QUANTUM_NUMBERS)}")
     cfg = _config(args)
     source = ReferenceSource(args.source)
     try:
@@ -281,12 +277,7 @@ def cmd_compare(args, parser) -> int:
                        and r.source == source})
     if args.z:
         z_values = _parse_z_spec(args.z, args.shell, parser)
-    computed = [
-        (z, args.shell, to_kev(
-            energy_breakdown(float(z), state, screening_delta(z, cfg.model), cfg.order).total,
-            cfg.units))
-        for z in z_values
-    ]
+    computed = [(z, args.shell, _breakdown_row(z, state, cfg)["total_kev"]) for z in z_values]
     try:
         report = compare_datasets(dataset, computed, source)
     except MissingReference as exc:
@@ -338,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.set_defaults(func=cmd_level)
 
     p_table = subs.add_parser("table", help="energies of one shell over many Z")
-    p_table.add_argument("--shell", required=True, help="E00, E01, E10 or E11")
+    p_table.add_argument("--shell", required=True, choices=sorted(SHELL_QUANTUM_NUMBERS))
     p_table.add_argument("--z", default="paper",
                          help="Z list: ints, 'a..b', 'paper', 'a..b:paper', comma separated")
     _add_config_flags(p_table)
@@ -353,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_cmp = subs.add_parser("compare", help="regenerated energies vs a reference CSV")
-    p_cmp.add_argument("--shell", required=True, help="E00, E01 or E10 (E11 has no table)")
+    p_cmp.add_argument("--shell", required=True, choices=sorted(SHELL_QUANTUM_NUMBERS),
+                       help="E11 has no bundled table")
     p_cmp.add_argument("--z", default=None, help="restrict to these Z values")
     p_cmp.add_argument("--reference", default=None, help="reference CSV path (default: bundled)")
     p_cmp.add_argument("--tolerance", type=float, default=1e-4,

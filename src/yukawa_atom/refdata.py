@@ -76,6 +76,9 @@ class SignViolation(ValueError):
 class MissingReference(KeyError):
     """A computed key has no counterpart in the reference dataset."""
 
+    # KeyError's own __str__ is the repr of its argument, quotes and all
+    __str__ = Exception.__str__
+
 
 class ReferenceSource(Enum):
     EWA = "ewa"

@@ -15,9 +15,11 @@ the sqrt(2m)/hbar rescaling (slope -N delta^2 / 2 at first order), so the
 squared first-order term enters the second-order integrand as W1^2/2 while
 the third-order integrand takes the plain product W1*W2.
 
-Every integrand handed to ``quad`` is a closure on plain Python floats and
-``math.exp``, built on ``_float_radial``; the public ``__call__`` methods stay
-vectorised on numpy.  Every integral goes through ``_quad``, which imports
+One private evaluator, ``_radial``, computes chi and chi * u for every
+caller: the integrands handed to ``quad`` run it one Python float at a time
+with ``math.exp``, the public ``__call__`` methods on arrays with ``np.exp``.
+The three correction orders share one integrand, chi^2 times a cubic in r.
+Every integral goes through ``_quad``, which imports
 ``scipy.integrate`` on its first call and looks ``quad`` up there on every
 call, so a wrapper put in its place sees every integral while it stays there.
 """
@@ -94,15 +96,20 @@ def _laguerre_recurrence(n: int, k: int, x):
     return cur
 
 
+def _on_floats(f, x):
+    """``f`` of ``x`` as a float ndarray: a Python float back for a scalar
+    ``x``, an ndarray of its shape otherwise."""
+    val = f(np.asarray(x, dtype=float))
+    return val if val.ndim else float(val)
+
+
 def laguerre_eval(spec: LaguerreSpec, x):
     """Associated Laguerre polynomial by the stable three-term recurrence.
 
     Accepts scalars or ndarrays.  Equivalent to the explicit alternating sum
     sum_m (-1)^m (n+k)! / ((n-m)! (m+k)! m!) x^m.
     """
-    x = np.asarray(x, dtype=float)
-    val = np.ones_like(x) * _laguerre_recurrence(spec.n, spec.k, x)
-    return val if val.ndim else float(val)
+    return _on_floats(lambda t: np.ones_like(t) * _laguerre_recurrence(spec.n, spec.k, t), x)
 
 
 @dataclass(frozen=True)
@@ -120,31 +127,22 @@ class CoulombRadial:
     r_max: float
     _laguerre: LaguerreSpec = field(repr=False)
 
-    def unnormalized(self, r):
-        r = np.asarray(r, dtype=float)
-        val = (
-            r ** (self.state.l + 1)
-            * np.exp(-self.beta * r)
-            * laguerre_eval(self._laguerre, 2.0 * self.beta * r)
-        )
-        return val if val.ndim else float(val)
-
     def __call__(self, r):
-        return self.norm * self.unnormalized(r)
+        return _on_floats(_radial(np.exp, self, self.norm), r)
 
 
-def _float_radial(chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
-                  shift: float = 0.0):
-    """Closure r -> norm r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - shift) on a float r,
-    with g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``.
+def _radial(exp, chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
+            shift: float = 0.0):
+    """Closure r -> norm r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - shift), with
+    g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``.
 
-    With the defaults it is ``norm`` times chi's unnormalized form; with a
-    moderated state's c2, c3 and g_peak it is that state.  The integrands
-    handed to ``quad`` are built on it: ``quad`` evaluates them one float at
-    a time, and on 0-d arrays numpy's per-call overhead costs several times
-    the arithmetic.
+    With the defaults it is chi scaled to ``norm``; with a moderated state's
+    c2, c3 and g_peak it is that state.  ``exp`` fits the caller's input:
+    ``math.exp`` for the floats ``quad`` passes one at a time, where numpy's
+    per-call overhead costs several times the arithmetic, and ``np.exp`` for
+    arrays.
     """
-    p, n, k, beta, exp = chi.state.l + 1, chi._laguerre.n, chi._laguerre.k, chi.beta, math.exp
+    p, n, k, beta = chi.state.l + 1, chi._laguerre.n, chi._laguerre.k, chi.beta
 
     def f(r):
         g = ((c3 * r + c2) * r - beta) * r - shift
@@ -171,7 +169,7 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
 
     chi = CoulombRadial(a=system.a, state=state, beta=beta, norm=1.0 / scale,
                         r_max=r_max, _laguerre=spec)
-    radial = _float_radial(chi, chi.norm)
+    radial = _radial(math.exp, chi, chi.norm)
 
     def density(r):
         return radial(r) ** 2
@@ -233,9 +231,7 @@ def _exponent_coefficients(a: float, state: QuantumState, delta: float) -> tuple
 def moderating_u(a: float, state: QuantumState, delta: float, r):
     """Moderating factor exp(-int_0^r (W1 + W2) dx), normalized to u(0) = 1."""
     c2, c3 = _exponent_coefficients(a, state, delta)
-    r = np.asarray(r, dtype=float)
-    val = np.exp((c2 + c3 * r) * r * r)
-    return val if val.ndim else float(val)
+    return _on_floats(lambda t: np.exp((c2 + c3 * t) * t * t), r)
 
 
 @dataclass(frozen=True)
@@ -258,12 +254,7 @@ class ModeratedRadial:
     rising_at_r_max: bool
 
     def __call__(self, r):
-        chi = self.chi
-        r = np.asarray(r, dtype=float)
-        g = ((self.c3 * r + self.c2) * r - chi.beta) * r - self.g_peak
-        val = self.norm * r ** (chi.state.l + 1) * laguerre_eval(chi._laguerre, 2.0 * chi.beta * r)
-        val = val * np.exp(g)
-        return val if val.ndim else float(val)
+        return _on_floats(_radial(np.exp, self.chi, self.norm, self.c2, self.c3, self.g_peak), r)
 
 
 def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) -> ModeratedRadial:
@@ -289,7 +280,7 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
     rising = (3.0 * c3 * chi.r_max + 2.0 * c2) * chi.r_max - chi.beta > 0.0
     # chi's norm keeps the trial integrand O(1) whenever u stays near 1
-    trial = _float_radial(chi, chi.norm, c2, c3, g_peak)
+    trial = _radial(math.exp, chi, chi.norm, c2, c3, g_peak)
     nrm2, err = _quad(lambda r: trial(r) ** 2, 0.0, chi.r_max)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
@@ -312,26 +303,20 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     chi = coulomb_chi(system, state)
-    radial = _float_radial(chi, chi.norm)
+    radial = _radial(math.exp, chi, chi.norm)
     a, d = system.a, delta
+    # every order's weight is r (w1 + w2 r + w3 r^2), with W1(r) = s r and
+    # W2(r) = (k2 r + k1) r
+    s = superpotential_w1(state, delta).coefficients[1]
+    _, k1, k2 = superpotential_w2(a, state, delta).coefficients
+    w1, w2, w3 = {
+        1: (-a * d * d / 2.0, 0.0, 0.0),
+        2: (0.0, a * d**3 / 6.0 - s * s / 2.0, 0.0),
+        3: (0.0, -s * k1, -a * d**4 / 24.0 - s * k2),
+    }[order]
 
-    if order == 1:
-        def integrand(r):
-            return radial(r) ** 2 * (-a * d * d * r / 2.0)
-    elif order == 2:
-        # W1(r) = s r, written out with SuperpotentialPoly's arithmetic to
-        # save a method call per evaluation
-        s = superpotential_w1(state, delta).coefficients[1]
-
-        def integrand(r):
-            return radial(r) ** 2 * (a * d**3 * r * r / 6.0 - 0.5 * (s * r) ** 2)
-    else:
-        # likewise W1(r) = s r and W2(r) = (k2 r + k1) r
-        s = superpotential_w1(state, delta).coefficients[1]
-        _, k1, k2 = superpotential_w2(a, state, delta).coefficients
-
-        def integrand(r):
-            return radial(r) ** 2 * (-a * d**4 * r**3 / 24.0 - (s * r) * ((k2 * r + k1) * r))
+    def integrand(r):
+        return radial(r) ** 2 * ((w3 * r + w2) * r + w1) * r
 
     value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):

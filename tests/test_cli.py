@@ -104,6 +104,14 @@ class TestTable:
             main(["table", "--shell", "E00", "--z", "abc"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("spec, message", [("3..x", "bad Z range '3..x'"),
+                                               (",", "empty Z list")])
+    def test_bad_range_and_empty_list_exit_2(self, capsys, spec, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "--shell", "E00", "--z", spec])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_nonphysical_z_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "--shell", "E00", "--z", "0"])
@@ -240,6 +248,15 @@ class TestCompare:
     def test_e11_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--shell", "E11")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--shell", "E00", "--z", "2"], "no reference row for z=2, shell=E00, source=present_work"),
+        (["--shell", "E11"], "no reference table is bundled for shell 'E11'"),
+    ])
+    def test_missing_reference_message_unquoted(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "compare", *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--shell", "E01", "--format", "json")

@@ -29,7 +29,7 @@ from yukawa_atom import (
     superpotential_w2,
     third_order_shift,
 )
-from yukawa_atom.wavefunctions import _QUAD_OPTS, _float_radial
+from yukawa_atom.wavefunctions import _QUAD_OPTS, _radial
 
 
 def laguerre_explicit(n, k, x):
@@ -157,22 +157,55 @@ class TestCoulombChi:
 class TestFloatEvaluator:
     @pytest.mark.parametrize("z", [1, 3, 29, 84])
     def test_float_evaluator_matches_numpy_call(self, z):
-        # the quadrature integrands and the public vectorised __call__ are
-        # two evaluations of one function; they must not drift apart
+        # one evaluator serves the quadrature integrands, one float at a time
+        # with math.exp, and the vectorised __call__, on arrays with np.exp;
+        # the two kinds of input must give the same function
         delta = screening_delta(z, ScreeningModel())
         for n in range(3):
             for l in range(3):
                 chi = coulomb_chi(AtomicSystem(z), QuantumState(n, l))
-                pairs = [(chi, _float_radial(chi, chi.norm))]
+                pairs = [(chi, _radial(math.exp, chi, chi.norm))]
                 if 3 * (n + l + 1) ** 2 * delta < 4 * z:
                     psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
-                    pairs.append((psi, _float_radial(chi, psi.norm, psi.c2, psi.c3, psi.g_peak)))
+                    pairs.append((psi, _radial(math.exp, chi, psi.norm, psi.c2, psi.c3,
+                                                  psi.g_peak)))
                 r = np.linspace(0.0, chi.r_max, 50)
                 for vectorised, scalar in pairs:
                     want = vectorised(r)
                     got = np.array([scalar(float(x)) for x in r])
                     peak = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-13 * peak, (z, n, l, vectorised)
+
+
+_DELTA_29 = screening_delta(29, ScreeningModel())
+PUBLIC_EVALUATORS = {
+    "laguerre_eval": lambda r: laguerre_eval(LaguerreSpec(2, 3), r),
+    "moderating_u": lambda r: moderating_u(29.0, QuantumState(1, 1), _DELTA_29, r),
+    "CoulombRadial": lambda r: coulomb_chi(AtomicSystem(29), QuantumState(1, 1))(r),
+    "ModeratedRadial": lambda r: moderated_radial(AtomicSystem(29), QuantumState(1, 1),
+                                                  _DELTA_29)(r),
+}
+
+
+class TestScalarOrArray:
+    """Every public evaluator gives a Python float for a scalar and an
+    ndarray of the input's shape, matching the scalar calls, for an array."""
+
+    @pytest.mark.parametrize("name", PUBLIC_EVALUATORS)
+    @pytest.mark.parametrize("scalar", [1, 0.25, np.array(0.25), np.float64(2.0)])
+    def test_scalar_gives_python_float(self, name, scalar):
+        value = PUBLIC_EVALUATORS[name](scalar)
+        assert type(value) is float
+        assert value == PUBLIC_EVALUATORS[name](float(scalar))
+
+    @pytest.mark.parametrize("name", PUBLIC_EVALUATORS)
+    def test_array_gives_ndarray_of_its_shape(self, name):
+        r = np.linspace(0.0, 1.5, 12).reshape(3, 4)
+        values = PUBLIC_EVALUATORS[name](r)
+        assert isinstance(values, np.ndarray)
+        assert values.shape == r.shape
+        scalars = np.array([PUBLIC_EVALUATORS[name](float(x)) for x in r.ravel()])
+        np.testing.assert_allclose(values.ravel(), scalars, rtol=1e-15, atol=0.0)
 
 
 class TestSuperpotentials:
