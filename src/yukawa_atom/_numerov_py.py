@@ -20,9 +20,17 @@ where it passes ``RESCALE_LIMIT``, and the rest of the grid is solved again
 from there; this keeps deep trial energies inside the float range without
 changing any sign.
 
+The band matrix's -1 entries do not depend on the sweep, so the band and the
+right-hand side are kept between sweeps, one pair per thread, grown to the
+largest grid that thread has swept; a sweep writes only -g_i into the band
+and zeroes the right-hand side.  Results are bit-identical to allocating
+both afresh.
+
 ``dtbtrs`` is imported on the first sweep, so importing this module loads
 numpy alone.
 """
+
+import threading
 
 import numpy as np
 
@@ -30,21 +38,38 @@ RESCALE_LIMIT = 1e250
 RESCALE_FACTOR = 1e-250
 
 
-def _summed_solve(g, y_first, d_before):
+#: Each thread's band matrix and right-hand side (see :func:`_workspace`).
+_buffers = threading.local()
+
+
+def _workspace(size):
+    """The band matrix and right-hand side of a ``size``-unknown system.
+
+    Fortran order, so that f2py passes the band uncopied.  Row 0 is the unit
+    diagonal, which diag="U" leaves unread.  Row 2 is -1 everywhere:
+    -d_{i-1} in row d_i and -y_i in row y_{i+1}.  Row 1 holds -g_i in row d_i
+    (its even slots, which each sweep writes) and -1, for -d_i, in row
+    y_{i+1}.  The -1 entries are written once, when the buffers grow.  A
+    solve from grid point k uses the columns from 2k on, which are still
+    Fortran-contiguous.
+    """
+    band = getattr(_buffers, "band", None)
+    if band is None or band.shape[1] < size:
+        _buffers.band = band = np.full((3, size), -1.0, order="F")
+        _buffers.rhs = np.empty(size)
+    return band[:, :size], _buffers.rhs[:size]
+
+
+def _summed_solve(band, rhs, y_first, d_before):
     """(y_0 .. y_{m-1}, d_0 .. d_{m-2}) of d_i = d_{i-1} + g_i y_i,
-    y_{i+1} = y_i + d_i from y_0 = ``y_first`` and d_{-1} = ``d_before``."""
+    y_{i+1} = y_i + d_i from y_0 = ``y_first`` and d_{-1} = ``d_before``,
+    with -g_i in the even slots of ``band``'s row 1.  The solution
+    overwrites ``rhs``."""
     from scipy.linalg.lapack import dtbtrs
 
-    size = 2 * len(g) - 1
-    # Fortran order, so that f2py passes it uncopied.  Row 0 is the unit
-    # diagonal, which diag="U" leaves unread.  Row 2 is -1 everywhere:
-    # -d_{i-1} in row d_i and -y_i in row y_{i+1}.  Row 1 holds -g_i y_i in
-    # row d_i and -d_i in row y_{i+1}.
-    ab = np.full((3, size), -1.0, order="F")
-    np.negative(g, out=ab[1, 0::2])
-    b = np.zeros(size)
-    b[0], b[1] = y_first, d_before
-    x, _ = dtbtrs(ab, b, uplo="L", diag="U", overwrite_b=1)
+    rhs[:] = 0.0
+    rhs[0], rhs[1] = y_first, d_before
+    x, _ = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
     return x[0::2], x[1::2]
 
 
@@ -57,7 +82,10 @@ def count_nodes_sweep(w, energy, h, u0, u1):
     n = len(w)
     t = h * h / 12.0 * (w - 2.0 * energy)
     c = 1.0 - t
-    g = 12.0 * t / c
+    band, rhs = _workspace(2 * n - 1)
+    # -g_i, computed contiguously and then copied: strided arithmetic is
+    # slower.  (-12 t) / c rounds exactly as -(12 t / c) does.
+    band[1, 0::2] = -12.0 * t / c
     u = np.empty(n)
     u[0], u[1] = u0, u1
     start, y, d = 1, c[1] * u1, c[1] * u1 - c[0] * u0
@@ -65,7 +93,7 @@ def count_nodes_sweep(w, energy, h, u0, u1):
     # values are discarded and solved again from the rescaled point.
     with np.errstate(over="ignore", invalid="ignore"):
         while start < n - 1:
-            ys, ds = _summed_solve(g[start:], y, d)
+            ys, ds = _summed_solve(band[:, 2 * start:], rhs[2 * start:], y, d)
             tail = u[start + 1:]
             np.divide(ys[1:], c[start + 1:], out=tail)
             over = np.flatnonzero(np.abs(tail) > RESCALE_LIMIT)

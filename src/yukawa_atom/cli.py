@@ -226,7 +226,8 @@ def cmd_verify(args, parser) -> int:
             "perturbative_kev": to_kev(b.total, cfg.units),
             "oracle_hartree": None, "oracle_kev": None,
             "abs_diff_hartree": None, "rel_diff": None,
-            "nodes": None, "grid_points": None, "estimated_error_hartree": None,
+            "nodes": None, "grid_points": None, "sweeps": None,
+            "estimated_error_hartree": None,
             "flag": "",
         }
         try:
@@ -240,6 +241,7 @@ def cmd_verify(args, parser) -> int:
         row["oracle_kev"] = to_kev(res.energy, cfg.units)
         row["nodes"] = res.nodes_found
         row["grid_points"] = res.grid_points
+        row["sweeps"] = res.sweeps
         row["estimated_error_hartree"] = res.estimated_error
         if row["flag"]:
             return row
@@ -253,7 +255,7 @@ def cmd_verify(args, parser) -> int:
     failures = sum(row["flag"] == "NON_CONVERGENCE" for row in rows)
     columns = ["z", "n", "l", "order", "perturbative_hartree", "oracle_hartree",
                "perturbative_kev", "oracle_kev", "abs_diff_hartree", "rel_diff",
-               "nodes", "grid_points", "estimated_error_hartree", "flag"]
+               "nodes", "grid_points", "sweeps", "estimated_error_hartree", "flag"]
     _render(rows, columns, cfg.output_format)
     if failures:
         print(f"error: {failures} oracle run(s) did not converge", file=sys.stderr)

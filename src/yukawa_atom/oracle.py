@@ -12,15 +12,21 @@ is step-halved until two successive grids agree within ``GRID_TOL``;
 Numerov being fourth order, the error left on the finer grid is estimated as
 a fifteenth of their difference.
 
+The first grid's bracket is seeded from the paper's third-order closed form
+and each finer grid's from the previous eigenvalue.  Node counts check every
+bracket end, so a poor seed costs sweeps but cannot change which level is
+found (see :func:`solve_bound_state`).
+
 The default box reaches 30 decay lengths past a bound on the level's outer
 turning point, both taken from the upper bound E0 + A delta on its energy,
 and is never wider than max(20, 30 N^2/A) Bohr (see
 :meth:`RadialGrid.for_state`).
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
-triangular solve per trial energy.  scipy's ``brentq`` and the sweep's
-``dtbtrs`` are imported by the first solve, not with this module, so the
-closed-form commands never load ``scipy.optimize`` or ``scipy.linalg``.
+triangular solve per trial energy, on a band matrix kept between sweeps.
+scipy's ``brentq`` and the sweep's ``dtbtrs`` are imported by the first
+solve, not with this module, so the closed-form commands never load
+``scipy.optimize`` or ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .perturbation import (
     QuantumState,
     ScreeningModel,
     coulomb_energy,
+    energy_breakdown,
     screening_delta,
     total_energy,
 )
@@ -58,6 +65,8 @@ GRID_TOL = 1e-8
 MAX_REFINEMENTS = 8
 #: Geometric widenings of the lower bracket edge before NoBoundState.
 MAX_BRACKET_WIDENINGS = 3
+#: Highest trial energy: a level must lie below it to count as bound.
+_E_TOP = -1e-12
 
 
 def numerov_backend() -> str:
@@ -126,6 +135,8 @@ class OracleResult:
     grid_converged: bool
     estimated_error: float
     grid_points: int
+    #: Trial energies swept, over every grid.
+    sweeps: int = 0
 
 
 @dataclass(frozen=True)
@@ -207,16 +218,18 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     """Eigenvalue in [lo, hi] at the node-count transition n -> n+1, and its
     node count.
 
-    Bisects on the node count until the ends have exactly n and n+1 nodes.
-    The sweep's last value has its first value's sign times (-1)^count, so
-    it then has opposite signs at lo and hi, and Brent's method on it finds
-    the eigenvalue.  Rescaling in the sweep keeps signs, so it only slows
-    Brent towards bisection.
+    Bisects on the node count until the ends have exactly n and n+1 nodes
+    and lo >= 2 hi, taking the geometric midpoint -sqrt(lo hi) while
+    lo < 2 hi, so that a bracket spanning decades towards E -> 0 shrinks by
+    decades.  The sweep's last value has its first value's sign times
+    (-1)^count, so it then has opposite signs at lo and hi, and Brent's
+    method on it finds the eigenvalue.  Rescaling in the sweep keeps signs,
+    so it only slows Brent towards bisection.
     """
     from scipy.optimize import brentq
 
-    while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1:
-        mid = 0.5 * (lo + hi)
+    while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1 or lo < 2.0 * hi:
+        mid = -np.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
         if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:
             return mid, sweep.nodes(lo)
         if sweep.nodes(mid) >= n + 1:
@@ -226,34 +239,63 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     return brentq(sweep.tail, lo, hi, xtol=ENERGY_TOL), n
 
 
-def _solve_on_grid(system, delta, state, grid,
-                   bracket: tuple[float, float] | None = None) -> tuple[float, int]:
-    """Eigenvalue and node count on one grid; raises NoBoundState."""
+def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
+                   tally: list[int] | None = None) -> tuple[float, int]:
+    """Eigenvalue and node count on one grid; raises NoBoundState.
+
+    Each end of ``bracket`` that its node count proves is kept: an end with
+    at most n nodes lies below the level and becomes ``lo``, an end with
+    n+1 or more lies above it and becomes ``hi``.  An end still unproven
+    is searched for as without a bracket: ``lo`` by widening down from
+    1.5 E0, ``hi`` at -1e-12, where too few nodes mean no bound level.
+    The number of trial energies swept is appended to ``tally``.
+    """
     sweep = _Sweeper(system, delta, state, grid)
     n = state.n
-    hi = -1e-12
+    lo = hi = None
+    for end in bracket or ():
+        end = min(end, _E_TOP)
+        if sweep.nodes(end) <= n:
+            lo = end if lo is None else max(lo, end)
+        else:
+            hi = end if hi is None else min(hi, end)
 
-    if bracket is not None:
-        lo_b, hi_b = bracket
-        hi_b = min(hi_b, hi)
-        if sweep.nodes(lo_b) <= n and sweep.nodes(hi_b) >= n + 1:
-            return _bisect_eigenvalue(sweep, n, lo_b, hi_b)
-        # stale bracket (grid shift moved the eigenvalue); fall through
+    if lo is None:
+        lo = 1.5 * coulomb_energy(system.a, state)
+        for _ in range(MAX_BRACKET_WIDENINGS + 1):
+            if sweep.nodes(lo) <= n:
+                break
+            lo *= 4.0
+        else:
+            raise NoBoundState(
+                f"no bracket below the n={n} level for A={system.a}, delta={delta}"
+            )
+    if hi is None:
+        hi = _E_TOP
+        if sweep.nodes(hi) < n + 1:
+            raise NoBoundState(
+                f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
+            )
+    energy, nodes = _bisect_eigenvalue(sweep, n, lo, hi)
+    if tally is not None:
+        tally.append(len(sweep._swept))
+    return energy, nodes
 
-    lo = 1.5 * coulomb_energy(system.a, state)
-    for _ in range(MAX_BRACKET_WIDENINGS + 1):
-        if sweep.nodes(lo) <= n:
-            break
-        lo *= 4.0
-    else:
-        raise NoBoundState(
-            f"no bracket below the n={n} level for A={system.a}, delta={delta}"
-        )
-    if sweep.nodes(hi) < n + 1:
-        raise NoBoundState(
-            f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
-        )
-    return _bisect_eigenvalue(sweep, n, lo, hi)
+
+def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState):
+    """First-grid bracket around the closed-form third-order total, or None.
+
+    The half-width is max(4 |E3|, 1e-6 |total|), clipped into
+    [1.5 E0, -1e-12]: unclipped, a divergent series would send the sweep to
+    deep energies where it rescales again and again.  No bracket is
+    seeded when the total lies outside (1.5 E0, 0).
+    """
+    b = energy_breakdown(system.a, state, delta, 3)
+    floor = 1.5 * b.e0
+    if not floor < b.total < 0.0:
+        return None
+    pad = max(4.0 * abs(b.e3), 1e-6 * abs(b.total))
+    return max(b.total - pad, floor), min(b.total + pad, _E_TOP)
 
 
 def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
@@ -261,36 +303,51 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     """Bound-state energy by node-count bracketing, Brent's method on the
     sweep's last value, and grid refinement.
 
-    On each grid, bisection on the node count brackets the eigenvalue and
-    Brent's method isolates it to ``ENERGY_TOL``; the grid is then
-    step-halved until successive energies differ by less than
-    ``GRID_TOL`` Hartree.  Raises :class:`NoBoundState` if the level does
-    not exist below zero and :class:`NonConvergence` (carrying the best
-    estimate) if refinement stalls.  The default grid is
-    :meth:`RadialGrid.for_state`'s box for ``delta``.
+    The first grid's bracket is the closed-form third-order total padded by
+    max(4 |E3|, 1e-6 |total|) and clipped into [1.5 E0, -1e-12] (none when
+    the total lies outside (1.5 E0, 0)); each finer grid's is the previous
+    energy padded by 1e-6 of it, then by four times the last grid shift.
+    On each grid, node counts validate the bracket ends: an end with at
+    most n nodes is kept as the lower end and one with n+1 or more as the
+    upper end, and a missing end is searched for as with no bracket.  Bisection,
+    geometric while the ends differ by more than a factor of two so that
+    levels near E = 0 take a few sweeps per decade, leaves ends with n and
+    n+1 nodes, and Brent's method isolates the eigenvalue to
+    ``ENERGY_TOL``.  The grid is step-halved
+    until successive energies differ by less than ``GRID_TOL`` Hartree.
+    Raises :class:`NoBoundState` if the level does not exist below zero and
+    :class:`NonConvergence` (carrying the best estimate) if refinement
+    stalls.  The default grid is :meth:`RadialGrid.for_state`'s box for
+    ``delta``.  The result's ``sweeps`` counts the trial energies swept on
+    every grid.
     """
     if delta < 0:
         raise ValueError(f"screening parameter must be non-negative, got {delta}")
     if grid is None:
         grid = RadialGrid.for_state(system, state, delta)
 
-    energy, nodes = _solve_on_grid(system, delta, state, grid)
+    tally: list[int] = []
+    energy, nodes = _solve_on_grid(system, delta, state, grid,
+                                   _seed_bracket(system, delta, state), tally)
     prev_energy = energy
     prev_diff = None
     for level in range(1, MAX_REFINEMENTS + 1):
         grid = grid.halved()
         # Reuse the previous level's energy, padded by the observed grid
         # shift, as the bracket; _solve_on_grid revalidates node counts.
-        pad = max(1e-4 * abs(prev_energy), 1e-4) if prev_diff is None \
+        # Over Z = 1..84 with n, l <= 2 the first halving moves one bound
+        # level by more than the first pad (Z=54 3p, by 2.2e-6 of its
+        # energy); its stale bracket still proves one end.
+        pad = max(1e-6 * abs(prev_energy), 1e-9) if prev_diff is None \
             else max(4.0 * prev_diff, 1e-9)
         bracket = (prev_energy - pad, prev_energy + pad)
-        energy, nodes = _solve_on_grid(system, delta, state, grid, bracket)
+        energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally)
         diff = abs(energy - prev_energy)
         if diff < GRID_TOL:
             if nodes != state.n:
                 raise NonConvergence(
                     f"converged energy has {nodes} nodes, expected {state.n}",
-                    OracleResult(energy, nodes, False, diff, grid.points),
+                    OracleResult(energy, nodes, False, diff, grid.points, sum(tally)),
                 )
             # Numerov is 4th order: the remaining error is ~diff/15.
             return OracleResult(
@@ -299,6 +356,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
                 grid_converged=True,
                 estimated_error=max(diff / 15.0, ENERGY_TOL),
                 grid_points=grid.points,
+                sweeps=sum(tally),
             )
         prev_energy = energy
         prev_diff = diff
@@ -306,7 +364,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
         f"(last change {last:.3e} Hartree)",
-        OracleResult(prev_energy, nodes, False, last, grid.points),
+        OracleResult(prev_energy, nodes, False, last, grid.points, sum(tally)),
     )
 
 

@@ -196,6 +196,14 @@ class TestVerify:
             (14, 0, 0), (14, 0, 1), (29, 0, 0), (29, 0, 1)
         ]
 
+    def test_rows_carry_sweeps(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--z", "29", "--state", "0,0",
+                               "--state", "0,2", "--format", "csv")
+        assert code == 0
+        bound, unbound = parse_csv(out)
+        assert 0 < int(bound["sweeps"]) <= 16
+        assert unbound["flag"] == "NO_BOUND_STATE" and unbound["sweeps"] == ""
+
     def test_bad_state_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--z", "3", "--state", "x"])

@@ -2,6 +2,8 @@
 sweep's contract, the default box, the root search and its work, screening
 behaviour, and cross-validation against the closed forms."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -183,6 +185,41 @@ def _hydrogen_sweep_args(l):
     return w, r[1] - r[0], u0, u1
 
 
+def _fresh_buffer_sweep(w, energy, h, u0, u1):
+    """The sweep with its band matrix and right-hand side allocated afresh
+    for every solve: the reference the kernel's reused buffers must match
+    bit for bit."""
+    from scipy.linalg.lapack import dtbtrs
+
+    n = len(w)
+    t = h * h / 12.0 * (w - 2.0 * energy)
+    c = 1.0 - t
+    g = 12.0 * t / c
+    u = np.empty(n)
+    u[0], u[1] = u0, u1
+    start, y, d = 1, c[1] * u1, c[1] * u1 - c[0] * u0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < n - 1:
+            size = 2 * (n - start) - 1
+            ab = np.full((3, size), -1.0, order="F")
+            np.negative(g[start:], out=ab[1, 0::2])
+            b = np.zeros(size)
+            b[0], b[1] = y, d
+            x, _ = dtbtrs(ab, b, uplo="L", diag="U", overwrite_b=1)
+            ys, ds = x[0::2], x[1::2]
+            tail = u[start + 1:]
+            np.divide(ys[1:], c[start + 1:], out=tail)
+            over = np.flatnonzero(np.abs(tail) > _numerov_py.RESCALE_LIMIT)
+            if not over.size:
+                break
+            j = over[0] + 1
+            start = start + j
+            y, d = ys[j] * _numerov_py.RESCALE_FACTOR, ds[j - 1] * _numerov_py.RESCALE_FACTOR
+            u[start] *= _numerov_py.RESCALE_FACTOR
+    signs = np.signbit(u[u != 0.0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1])), float(u[-1])
+
+
 class TestNumerovSweep:
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_matches_scalar_loop(self, l):
@@ -195,6 +232,56 @@ class TestNumerovSweep:
             ref_nodes, ref_tail = _scalar_sweep(w, energy, h, u0, u1)
             assert nodes == ref_nodes
             assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
+
+    def test_reused_buffers_bit_identical(self, monkeypatch):
+        # a smaller grid after a larger one solves in a slice of the larger
+        # grid's buffers; Z=84 1s in 20 Bohr rescales near its level
+        solves = []
+        solve = _numerov_py._summed_solve
+        monkeypatch.setattr(_numerov_py, "_summed_solve",
+                            lambda *args: solves.append(1) or solve(*args))
+        system, state = AtomicSystem(84), QuantumState(0, 0)
+        delta = screening_delta(84, FA)
+        level = -3183.5114
+        energies = (1.001 * level, level, 0.999 * level, 0.5 * level, 4.0 * level)
+        for points in (20001, 40001, 20001):
+            sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid(r_max=20.0, points=points))
+            for energy in energies:
+                u0, u1 = (oracle_mod._series_start(system.a, delta, 0, energy, r)
+                          for r in (sweep.r0, sweep.r1))
+                args = (sweep.w, energy, sweep.h, u0, u1)
+                assert _numerov_py.count_nodes_sweep(*args) == _fresh_buffer_sweep(*args)
+        assert len(solves) > 3 * len(energies)  # some sweeps rescaled and solved again
+
+    def test_concurrent_threads_bit_identical(self):
+        # each thread keeps its own buffers, so threads sweeping grids of
+        # different sizes at once cannot write into one another's band
+        cases = []
+        for points, l in ((20001, 0), (40001, 1), (30001, 2), (20001, 1)):
+            r = np.linspace(1e-6, 200.0, points)
+            w = l * (l + 1) / (r * r) - 2.0 / r
+            for energy in (-0.5 / (l + 1) ** 2, -50.0):
+                cases.append((w, energy, r[1] - r[0], r[0] ** (l + 1), r[1] ** (l + 1)))
+        expected = [_fresh_buffer_sweep(*args) for args in cases]
+        results = {}
+
+        def worker(k):
+            order = cases[k:] + cases[:k]
+            results[k] = [_numerov_py.count_nodes_sweep(*args) for _ in range(3) for args in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert results[k] == 3 * (expected[k:] + expected[:k])
 
     def test_rescaling_raises_no_warning(self):
         with warnings.catch_warnings():
@@ -242,23 +329,62 @@ class TestNumerovSweep:
         assert abs(e2 - e1) < 0.1 * oracle_mod.GRID_TOL
 
 
+def _count_sweeps(monkeypatch):
+    """Count the kernel's sweeps and swept points from here on."""
+    work = {"sweeps": 0, "points": 0}
+    sweep = _numerov_py.count_nodes_sweep
+
+    def counted(w, *args):
+        work["sweeps"] += 1
+        work["points"] += len(w)
+        return sweep(w, *args)
+
+    monkeypatch.setattr(_numerov_py, "count_nodes_sweep", counted)
+    return work
+
+
 class TestRootSearch:
     @pytest.mark.parametrize("z, delta", [(1, 0.0), (29, screening_delta(29, FA))],
                              ids=["h_1s", "z29_1s"])
     def test_k_shell_work(self, monkeypatch, z, delta):
-        work = {"sweeps": 0, "points": 0}
-        sweep = _numerov_py.count_nodes_sweep
-
-        def counted(w, *args):
-            work["sweeps"] += 1
-            work["points"] += len(w)
-            return sweep(w, *args)
-
-        monkeypatch.setattr(_numerov_py, "count_nodes_sweep", counted)
+        # seeded from the closed form: 8 sweeps (240k points) for H 1s and
+        # 11 (320k) for Z=29 1s over the 20001- and 40001-point grids
+        work = _count_sweeps(monkeypatch)
         res = solve_bound_state(AtomicSystem(z), delta, QuantumState(0, 0))
         assert res.grid_converged
-        assert work["sweeps"] <= 35
-        assert work["points"] <= 1_000_000
+        assert work["sweeps"] <= 16
+        assert work["points"] <= 500_000
+
+    def test_near_critical_work(self, monkeypatch):
+        # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps Brent
+        # from crowding towards E = 0 (18 sweeps, against 32 unseeded with
+        # plain bisection)
+        work = _count_sweeps(monkeypatch)
+        res = solve_bound_state(AtomicSystem(5), screening_delta(5, FA), QuantumState(1, 0))
+        assert res.nodes_found == 1
+        assert work["sweeps"] <= 24
+
+    @pytest.mark.parametrize("z, n, l", [(4, 1, 0), (2, 0, 2)], ids=["z4_2s", "z2_3d"])
+    def test_unbound_level_found_in_few_sweeps(self, monkeypatch, z, n, l):
+        # the seeded bracket is clipped to [1.5 E0, -1e-12], so no sweep
+        # goes to the deep energies where the outward solution rescales
+        work = _count_sweeps(monkeypatch)
+        with pytest.raises(NoBoundState):
+            solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
+        assert work["sweeps"] <= 4
+
+    def test_result_counts_every_sweep(self, monkeypatch):
+        work = _count_sweeps(monkeypatch)
+        res = solve_bound_state(AtomicSystem(29), screening_delta(29, FA), QuantumState(1, 0))
+        assert res.sweeps == work["sweeps"] > 0
+
+    def test_nonconvergence_result_counts_every_sweep(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "MAX_REFINEMENTS", 1)
+        monkeypatch.setattr(oracle_mod, "GRID_TOL", 0.0)
+        work = _count_sweeps(monkeypatch)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_bound_state(AtomicSystem(29), screening_delta(29, FA), QuantumState(0, 0))
+        assert excinfo.value.result.sweeps == work["sweeps"] > 0
 
     @pytest.mark.parametrize("z, n, delta, r_max", [
         (1, 1, 0.0, 60.0),
@@ -283,6 +409,43 @@ class TestRootSearch:
             else:
                 lo = mid
         assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
+
+
+#: (label, bracket) for a level at energy e, its lower neighbour at e_below
+#: and its upper one at e_above (same l, n - 1 and n + 1 nodes).
+_BRACKETS = {
+    "stale_above": lambda e, e_below, e_above: (0.999 * e, 0.998 * e),
+    "stale_below": lambda e, e_below, e_above: (1.002 * e, 1.001 * e),
+    "lo_valid_level_past_hi": lambda e, e_below, e_above: (1.001 * e, (1.0 + 1e-7) * e),
+    "hi_valid_level_past_lo": lambda e, e_below, e_above: ((1.0 - 1e-7) * e, 0.999 * e),
+    "centred_on_n_minus_1": lambda e, e_below, e_above: (1.000001 * e_below, 0.999999 * e_below),
+    "centred_on_n_plus_1": lambda e, e_below, e_above: (1.000001 * e_above, 0.999999 * e_above),
+}
+
+
+class TestStaleBracket:
+    """A bracket whose ends miss the level still gives the unseeded
+    eigenvalue: the ends that node counts prove are kept, the rest searched."""
+
+    @pytest.mark.parametrize("label", list(_BRACKETS))
+    @pytest.mark.parametrize("z, n, delta, r_max", [
+        (1, 1, 0.0, 60.0),
+        (29, 1, screening_delta(29, FA), 20.0),
+    ], ids=["h_2s", "z29_2s"])
+    def test_matches_unseeded_eigenvalue(self, z, n, delta, r_max, label):
+        system, grid = AtomicSystem(z), RadialGrid(r_max=r_max, points=20001)
+
+        def solve(k, bracket=None):
+            return oracle_mod._solve_on_grid(system, delta, QuantumState(k, 0), grid, bracket)
+
+        energy, nodes = solve(n)
+        bracket = _BRACKETS[label](energy, solve(n - 1)[0], solve(n + 1)[0])
+        sweep = oracle_mod._Sweeper(system, delta, QuantumState(n, 0), grid)
+        counts = [sweep.nodes(end) for end in bracket]
+        assert counts[0] > n or counts[1] <= n  # the bracket is stale
+        seeded_energy, seeded_nodes = solve(n, bracket)
+        assert seeded_nodes == nodes == n
+        assert abs(seeded_energy - energy) <= 2.0 * oracle_mod.ENERGY_TOL
 
 
 class TestBreakdownReport:
