@@ -12,10 +12,14 @@ is step-halved until two successive grids agree within ``GRID_TOL``;
 Numerov being fourth order, the error left on the finer grid is estimated as
 a fifteenth of their difference.
 
-The first grid's bracket is seeded from the paper's third-order closed form
-and each finer grid's from the previous eigenvalue.  Node counts check every
-bracket end, so a poor seed costs sweeps but cannot change which level is
-found (see :func:`solve_bound_state`).
+Every grid starts from the bracket [1.5 E0, -1e-12], with E0 the hydrogenic
+level -A^2/(2 N^2).  Since V = -(A/r) exp(-delta r) is never below -A/r, the
+comparison theorem puts every screened level above E0, so 1.5 E0 is a proven
+lower end that the search never widens.  The first grid's bracket is
+narrowed by a seed from the paper's third-order closed form, and each finer
+grid's by the previous eigenvalue.  The bracket's ends are swept from the top
+and each is kept only where its node count proves it, so a poor seed costs
+sweeps but cannot change which level is found (see :func:`solve_bound_state`).
 
 The default box reaches 30 decay lengths past a bound on the level's outer
 turning point, both taken from the upper bound E0 + A delta on its energy,
@@ -63,8 +67,6 @@ ENERGY_TOL = 1e-10
 GRID_TOL = 1e-8
 #: Step-halving refinements before giving up.
 MAX_REFINEMENTS = 8
-#: Geometric widenings of the lower bracket edge before NoBoundState.
-MAX_BRACKET_WIDENINGS = 3
 #: Highest trial energy: a level must lie below it to count as bound.
 _E_TOP = -1e-12
 
@@ -107,7 +109,7 @@ class RadialGrid:
 
     @classmethod
     def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
-                  points: int = 20001, r_min: float = 1e-6) -> "RadialGrid":
+                  points: int = 20001) -> "RadialGrid":
         """Default box: 30 decay lengths of the level past its turning point,
         and never wider than max(20, 30 N^2 / A) Bohr.
 
@@ -122,7 +124,7 @@ class RadialGrid:
         e_up = coulomb_energy(system.a, state) + system.a * delta
         if e_up < 0.0:
             r_max = min(r_max, system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
-        return cls(r_min=r_min, r_max=r_max, points=points)
+        return cls(r_max=r_max, points=points)
 
     def halved(self) -> "RadialGrid":
         return replace(self, points=2 * (self.points - 1) + 1)
@@ -243,39 +245,27 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
                    tally: list[int] | None = None) -> tuple[float, int]:
     """Eigenvalue and node count on one grid; raises NoBoundState.
 
-    Each end of ``bracket`` that its node count proves is kept: an end with
-    at most n nodes lies below the level and becomes ``lo``, an end with
-    n+1 or more lies above it and becomes ``hi``.  An end still unproven
-    is searched for as without a bracket: ``lo`` by widening down from
-    1.5 E0, ``hi`` at -1e-12, where too few nodes mean no bound level.
-    The number of trial energies swept is appended to ``tally``.
+    The search starts from lo = 1.5 E0, below the level by the comparison
+    theorem (V >= -A/r puts every level above E0), and hi = -1e-12.  The
+    ends of ``bracket`` are swept from the top: an end with n+1 or more
+    nodes lies above the level and becomes ``hi``, and the first end with
+    at most n nodes lies below it and becomes ``lo``, so the end below that
+    is never swept.  Too few nodes at ``hi`` mean no bound level, which is
+    found before any sweep at the lower end.  The number of trial energies
+    swept is appended to ``tally``.
     """
     sweep = _Sweeper(system, delta, state, grid)
     n = state.n
-    lo = hi = None
-    for end in bracket or ():
-        end = min(end, _E_TOP)
+    lo, hi = 1.5 * coulomb_energy(system.a, state), _E_TOP
+    for end in sorted((min(end, _E_TOP) for end in bracket or ()), reverse=True):
         if sweep.nodes(end) <= n:
-            lo = end if lo is None else max(lo, end)
-        else:
-            hi = end if hi is None else min(hi, end)
-
-    if lo is None:
-        lo = 1.5 * coulomb_energy(system.a, state)
-        for _ in range(MAX_BRACKET_WIDENINGS + 1):
-            if sweep.nodes(lo) <= n:
-                break
-            lo *= 4.0
-        else:
-            raise NoBoundState(
-                f"no bracket below the n={n} level for A={system.a}, delta={delta}"
-            )
-    if hi is None:
-        hi = _E_TOP
-        if sweep.nodes(hi) < n + 1:
-            raise NoBoundState(
-                f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
-            )
+            lo = end
+            break
+        hi = end
+    if sweep.nodes(hi) < n + 1:
+        raise NoBoundState(
+            f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
+        )
     energy, nodes = _bisect_eigenvalue(sweep, n, lo, hi)
     if tally is not None:
         tally.append(len(sweep._swept))
@@ -303,23 +293,25 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     """Bound-state energy by node-count bracketing, Brent's method on the
     sweep's last value, and grid refinement.
 
-    The first grid's bracket is the closed-form third-order total padded by
-    max(4 |E3|, 1e-6 |total|) and clipped into [1.5 E0, -1e-12] (none when
-    the total lies outside (1.5 E0, 0)); each finer grid's is the previous
-    energy padded by 1e-6 of it, then by four times the last grid shift.
-    On each grid, node counts validate the bracket ends: an end with at
-    most n nodes is kept as the lower end and one with n+1 or more as the
-    upper end, and a missing end is searched for as with no bracket.  Bisection,
+    Every grid's search starts from [1.5 E0, -1e-12]: the comparison theorem
+    (V >= -A/r) puts the level above E0, and a level must lie below -1e-12
+    to count as bound.  The first grid's bracket is the closed-form
+    third-order total padded by max(4 |E3|, 1e-6 |total|) and clipped into
+    that range (none when the total lies outside (1.5 E0, 0)); each finer
+    grid's is the previous energy padded by 1e-6 of it, then by four times
+    the last grid shift.  The bracket ends are swept from the top: an end
+    with n+1 or more nodes becomes the upper end, and the first with at
+    most n nodes the lower end, so the end below it is never swept.  Too
+    few nodes at the upper end raise :class:`NoBoundState`.  Bisection,
     geometric while the ends differ by more than a factor of two so that
     levels near E = 0 take a few sweeps per decade, leaves ends with n and
     n+1 nodes, and Brent's method isolates the eigenvalue to
-    ``ENERGY_TOL``.  The grid is step-halved
-    until successive energies differ by less than ``GRID_TOL`` Hartree.
-    Raises :class:`NoBoundState` if the level does not exist below zero and
-    :class:`NonConvergence` (carrying the best estimate) if refinement
-    stalls.  The default grid is :meth:`RadialGrid.for_state`'s box for
-    ``delta``.  The result's ``sweeps`` counts the trial energies swept on
-    every grid.
+    ``ENERGY_TOL``.  The grid is step-halved until successive energies
+    differ by less than ``GRID_TOL`` Hartree, and the converged energy's
+    node count is checked against n.  Raises :class:`NonConvergence`
+    (carrying the best estimate) if refinement stalls or that check fails.
+    The default grid is :meth:`RadialGrid.for_state`'s box for ``delta``.
+    The result's ``sweeps`` counts the trial energies swept on every grid.
     """
     if delta < 0:
         raise ValueError(f"screening parameter must be non-negative, got {delta}")
@@ -327,22 +319,14 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         grid = RadialGrid.for_state(system, state, delta)
 
     tally: list[int] = []
-    energy, nodes = _solve_on_grid(system, delta, state, grid,
-                                   _seed_bracket(system, delta, state), tally)
-    prev_energy = energy
-    prev_diff = None
-    for level in range(1, MAX_REFINEMENTS + 1):
-        grid = grid.halved()
-        # Reuse the previous level's energy, padded by the observed grid
-        # shift, as the bracket; _solve_on_grid revalidates node counts.
-        # Over Z = 1..84 with n, l <= 2 the first halving moves one bound
-        # level by more than the first pad (Z=54 3p, by 2.2e-6 of its
-        # energy); its stale bracket still proves one end.
-        pad = max(1e-6 * abs(prev_energy), 1e-9) if prev_diff is None \
-            else max(4.0 * prev_diff, 1e-9)
-        bracket = (prev_energy - pad, prev_energy + pad)
+    bracket = _seed_bracket(system, delta, state)
+    energy = None
+    for level in range(MAX_REFINEMENTS + 1):
+        if level:
+            grid = grid.halved()
+        prev_energy = energy
         energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally)
-        diff = abs(energy - prev_energy)
+        diff = float("inf") if prev_energy is None else abs(energy - prev_energy)
         if diff < GRID_TOL:
             if nodes != state.n:
                 raise NonConvergence(
@@ -358,13 +342,17 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
                 grid_points=grid.points,
                 sweeps=sum(tally),
             )
-        prev_energy = energy
-        prev_diff = diff
-    last = prev_diff if prev_diff is not None else float("inf")
+        # The next grid's bracket is this energy padded by the observed grid
+        # shift; _solve_on_grid revalidates node counts.  Over Z = 1..84
+        # with n, l <= 2 the first halving moves one bound level by more
+        # than the first pad (Z=54 3p, by 2.2e-6 of its energy); its stale
+        # bracket still proves one end.
+        pad = max(1e-6 * abs(energy), 1e-9) if prev_energy is None else max(4.0 * diff, 1e-9)
+        bracket = (energy - pad, energy + pad)
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
-        f"(last change {last:.3e} Hartree)",
-        OracleResult(prev_energy, nodes, False, last, grid.points, sum(tally)),
+        f"(last change {diff:.3e} Hartree)",
+        OracleResult(energy, nodes, False, diff, grid.points, sum(tally)),
     )
 
 

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,10 +304,19 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
+def child_env():
+    """This environment with the repository's ``src`` first on PYTHONPATH, so
+    a fresh interpreter imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_level_json(command):
     proc = subprocess.run(
         [*command, "level", "--z", "3", "--n", "0", "--l", "0", "--format", "json"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -340,7 +351,7 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 
 def test_closed_form_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]

@@ -364,14 +364,54 @@ class TestRootSearch:
         assert res.nodes_found == 1
         assert work["sweeps"] <= 24
 
-    @pytest.mark.parametrize("z, n, l", [(4, 1, 0), (2, 0, 2)], ids=["z4_2s", "z2_3d"])
-    def test_unbound_level_found_in_few_sweeps(self, monkeypatch, z, n, l):
-        # the seeded bracket is clipped to [1.5 E0, -1e-12], so no sweep
-        # goes to the deep energies where the outward solution rescales
+    @pytest.mark.parametrize("z, n, l, seeded", [
+        (4, 1, 0, False),
+        (2, 0, 2, False),
+        # third-order total in (1.5 E0, 0): the seed's top end is swept
+        # first, and for Z=7 2p it lies below -1e-12
+        (4, 0, 1, True),
+        (7, 0, 1, True),
+    ], ids=["z4_2s", "z2_3d", "z4_2p_seeded", "z7_2p_seeded"])
+    def test_unbound_level_found_in_few_sweeps(self, monkeypatch, z, n, l, seeded):
+        # -1e-12 is swept before the lower end, so no sweep goes to the
+        # deep energies where the outward solution rescales
+        system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+        assert (oracle_mod._seed_bracket(system, delta, state) is not None) == seeded
         work = _count_sweeps(monkeypatch)
         with pytest.raises(NoBoundState):
-            solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
-        assert work["sweeps"] <= 4
+            solve_bound_state(system, delta, state)
+        assert work["sweeps"] <= 2
+
+    @pytest.mark.parametrize("z, n, l", [
+        (1, 0, 0), (84, 0, 0), (84, 0, 2),
+        # capped boxes of max(20, 30 N^2 / A) Bohr
+        (5, 1, 0), (18, 2, 0), (54, 2, 1),
+    ], ids=["h_1s", "z84_1s", "z84_3d", "z5_2s", "z18_3s", "z54_3p"])
+    def test_lower_end_below_level(self, z, n, l):
+        # V >= -A/r puts every level above E0 (comparison theorem), so the
+        # search never widens its lower end 1.5 E0; the sweep agrees
+        system, state = AtomicSystem(z), QuantumState(n, l)
+        delta = screening_delta(z, FA)
+        sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid.for_state(system, state, delta))
+        assert sweep.nodes(1.5 * coulomb_energy(system.a, state)) <= state.n
+
+    def test_node_mismatch_raises_nonconvergence(self, monkeypatch):
+        # a converged energy whose node count is not n is reported, not returned
+        bisect = oracle_mod._bisect_eigenvalue
+
+        def off_by_one(sweep, n, lo, hi):
+            return bisect(sweep, n, lo, hi)[0], n + 1
+
+        monkeypatch.setattr(oracle_mod, "_bisect_eigenvalue", off_by_one)
+        work = _count_sweeps(monkeypatch)
+        state = QuantumState(1, 0)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_bound_state(AtomicSystem(29), screening_delta(29, FA), state)
+        best = excinfo.value.result
+        assert not best.grid_converged
+        assert best.estimated_error < oracle_mod.GRID_TOL  # converged, then rejected
+        assert best.nodes_found == state.n + 1
+        assert best.sweeps == work["sweeps"] > 0
 
     def test_result_counts_every_sweep(self, monkeypatch):
         work = _count_sweeps(monkeypatch)
