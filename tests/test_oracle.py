@@ -99,15 +99,20 @@ class TestOracleBasics:
             solve_bound_state(AtomicSystem(1), -0.1, QuantumState(0, 0))
 
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
-        # Z=29 1s converges on its first halving; a zero tolerance still stalls
+        # one halving and a zero tolerance stall Z=29 1s after two grids; the
+        # single extrapolation is carried, with its own correction as its error
         monkeypatch.setattr(oracle_mod, "MAX_REFINEMENTS", 1)
         monkeypatch.setattr(oracle_mod, "GRID_TOL", 0.0)
+        energies = _record_grid_energies(monkeypatch)
         with pytest.raises(NonConvergence) as excinfo:
             solve_bound_state(AtomicSystem(29), screening_delta(29, FA), QuantumState(0, 0))
         best = excinfo.value.result
         assert not best.grid_converged
         assert best.energy == pytest.approx(-341.3048, abs=1e-2)
-        assert best.estimated_error > 0.0
+        (x1,) = _extrapolations(energies)
+        assert best.energy == x1
+        assert best.estimated_error == abs(x1 - energies[-1])
+        assert 0.0 < best.estimated_error < 1e-6
 
 
 class TestRadialGrid:
@@ -347,18 +352,18 @@ class TestRootSearch:
     @pytest.mark.parametrize("z, delta", [(1, 0.0), (29, screening_delta(29, FA))],
                              ids=["h_1s", "z29_1s"])
     def test_k_shell_work(self, monkeypatch, z, delta):
-        # seeded from the closed form: 8 sweeps (240k points) for H 1s and
-        # 11 (320k) for Z=29 1s over the 20001- and 40001-point grids
+        # seeded from the closed form: 13 sweeps (120k points) for H 1s and
+        # 15 (128k) for Z=29 1s over the 4001-, 8001- and 16001-point grids
         work = _count_sweeps(monkeypatch)
         res = solve_bound_state(AtomicSystem(z), delta, QuantumState(0, 0))
         assert res.grid_converged
         assert work["sweeps"] <= 16
-        assert work["points"] <= 500_000
+        assert work["points"] <= 200_000
 
     def test_near_critical_work(self, monkeypatch):
         # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps Brent
-        # from crowding towards E = 0 (18 sweeps, against 32 unseeded with
-        # plain bisection)
+        # from crowding towards E = 0 (22 sweeps over three grids, against
+        # 32 unseeded with plain bisection)
         work = _count_sweeps(monkeypatch)
         res = solve_bound_state(AtomicSystem(5), screening_delta(5, FA), QuantumState(1, 0))
         assert res.nodes_found == 1
@@ -449,6 +454,58 @@ class TestRootSearch:
             else:
                 lo = mid
         assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
+
+
+def _record_grid_energies(monkeypatch):
+    """Record the eigenvalue of every grid solve from here on."""
+    energies = []
+    solve = oracle_mod._solve_on_grid
+
+    def recorded(*args, **kwargs):
+        energy, nodes = solve(*args, **kwargs)
+        energies.append(energy)
+        return energy, nodes
+
+    monkeypatch.setattr(oracle_mod, "_solve_on_grid", recorded)
+    return energies
+
+
+def _extrapolations(energies):
+    """X_k = E_k + (E_k - E_{k-1}) / 15 for each grid k >= 1."""
+    return [e + (e - prev) / 15.0 for prev, e in zip(energies, energies[1:])]
+
+
+class TestRichardsonExtrapolation:
+    @pytest.mark.parametrize("z, n, l", [
+        (84, 0, 0), (24, 1, 0), (73, 2, 0), (29, 0, 1), (54, 2, 1),
+    ], ids=["z84_1s", "z24_2s", "z73_3s", "z29_2p", "z54_3p"])
+    def test_matches_fine_grid(self, z, n, l):
+        # the raw eigenvalue on 256001 points, 64 times finer than the first
+        # grid; it is itself about 1e-10 Ha off at Z=73 3s.  Unextrapolated,
+        # the 40001-point value misses it by 3.5e-10 at Z=24 2s and the
+        # 160001-point one by 5.6e-10 at Z=73 3s.
+        system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+        res = solve_bound_state(system, delta, state)
+        fine_grid = RadialGrid.for_state(system, state, delta, points=256001)
+        bracket = (res.energy - 1e-7, res.energy + 1e-7)
+        fine, nodes = oracle_mod._solve_on_grid(system, delta, state, fine_grid, bracket)
+        assert nodes == n
+        assert abs(res.energy - fine) <= 2e-10
+
+    @pytest.mark.parametrize("z, n, l", [(73, 2, 0), (54, 2, 1)], ids=["z73_3s", "z54_3p"])
+    def test_result_is_the_extrapolation(self, monkeypatch, z, n, l):
+        # refinement stops at the first pair of successive extrapolations
+        # within GRID_TOL; both levels' agreement lies above ENERGY_TOL
+        energies = _record_grid_energies(monkeypatch)
+        res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
+        x = _extrapolations(energies)
+        changes = [abs(b - a) for a, b in zip(x, x[1:])]
+        assert len(energies) >= 3
+        assert res.grid_points == 4000 * 2 ** (len(energies) - 1) + 1
+        assert res.energy == x[-1]
+        assert res.estimated_error == changes[-1] > oracle_mod.ENERGY_TOL
+        assert all(c >= oracle_mod.GRID_TOL for c in changes[:-1])
+        assert changes[-1] < oracle_mod.GRID_TOL
 
 
 #: (label, bracket) for a level at energy e, its lower neighbour at e_below
