@@ -19,9 +19,11 @@ level -A^2/(2 N^2).  Since V = -(A/r) exp(-delta r) is never below -A/r, the
 comparison theorem puts every screened level above E0, so 1.5 E0 is a proven
 lower end that the search never widens.  The first grid's bracket is
 narrowed by a seed from the paper's third-order closed form, and each finer
-grid's by the previous eigenvalue.  The bracket's ends are swept from the top
-and each is kept only where its node count proves it, so a poor seed costs
-sweeps but cannot change which level is found (see :func:`solve_bound_state`).
+grid's by the previous eigenvalue, moved from the third grid on by the
+sixteenth of the last grid shift that Numerov's h^4 error predicts.  The
+bracket's ends are swept from the top and each is kept only where its node
+count proves it, so a poor seed costs sweeps but cannot change which level is
+found (see :func:`solve_bound_state`).
 
 The default box reaches 30 decay lengths past a bound on the level's outer
 turning point, both taken from the upper bound E0 + A delta on its energy,
@@ -269,6 +271,10 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
             f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
         )
     energy, nodes = _bisect_eigenvalue(sweep, n, lo, hi)
+    # scipy's brentq holds the callable it is given in a reference cycle, so
+    # the sweeper outlives this call until the cyclic collector runs: drop
+    # its potential, the one array it keeps.
+    del sweep.w
     if tally is not None:
         tally.append(len(sweep._swept))
     return energy, nodes
@@ -300,8 +306,10 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     to count as bound.  The first grid's bracket is the closed-form
     third-order total padded by max(4 |E3|, 1e-6 |total|) and clipped into
     that range (none when the total lies outside (1.5 E0, 0)); each finer
-    grid's is the previous energy padded by 5e-5 of it, then by four times
-    the last grid shift.  The bracket ends are swept from the top: an end
+    grid's is the previous energy padded by 5e-5 of it after the first grid;
+    after each later grid it is that grid's energy plus a sixteenth of its
+    shift from the coarser grid (Numerov's next shift), padded by a quarter
+    of that shift.  The bracket ends are swept from the top: an end
     with n+1 or more nodes becomes the upper end, and the first with at
     most n nodes the lower end, so the end below it is never swept.  Too
     few nodes at the upper end raise :class:`NoBoundState`.  Bisection,
@@ -336,12 +344,13 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally)
         if not level:
             extrap, error = energy, float("inf")
-            pad = max(5e-5 * abs(energy), 1e-9)
+            centre, pad = energy, max(5e-5 * abs(energy), 1e-9)
         else:
             # Numerov is 4th order: the finer grid's error is about a
             # fifteenth of the shift, which the extrapolation removes.  The
             # first extrapolation has only its own correction as its error.
-            prev_extrap, extrap = extrap, energy + (energy - prev_energy) / 15.0
+            shift = energy - prev_energy
+            prev_extrap, extrap = extrap, energy + shift / 15.0
             error = abs(extrap - (energy if level == 1 else prev_extrap))
             if level > 1 and error < GRID_TOL:
                 result = OracleResult(extrap, nodes, nodes == state.n,
@@ -350,15 +359,18 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
                     raise NonConvergence(
                         f"converged energy has {nodes} nodes, expected {state.n}", result)
                 return result
-            pad = max(4.0 * abs(energy - prev_energy), 1e-9)
-        # The next grid's bracket is this energy padded by the observed grid
-        # shift; _solve_on_grid revalidates node counts.  Over Z = 1..84
-        # with n, l <= 2 the first halving moves 32 of the 472 bound levels
-        # by more than the first pad (Z=54 3p the most, by 1.4e-3 of its
-        # energy); their stale brackets still prove one end.  First pads of
-        # 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 12534, 11783, 11326, 11402
-        # and 11961 sweeps over the bound levels, with the same outcomes.
-        bracket = (energy - pad, energy + pad)
+            # the next halving shifts the energy by about a sixteenth of this one
+            centre, pad = energy + shift / 16.0, max(abs(shift) / 4.0, 1e-9)
+        # _solve_on_grid revalidates the bracket's node counts.  Over
+        # Z = 1..84 with n, l <= 2 the first halving moves 32 of the 472
+        # bound levels by more than the first pad (Z=54 3p the most, by
+        # 1.4e-3 of its energy); their stale brackets still prove one end.
+        # First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 12534, 11783,
+        # 11326, 11402 and 11961 sweeps over the bound levels, with the same
+        # outcomes.  Later shifts shrink by a median 0.0625 per halving: over
+        # the same levels each of the 587 grids after the second lands within
+        # 0.025 pads of its predicted energy.
+        bracket = (centre - pad, centre + pad)
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
         f"(last change {error:.3e} Hartree)",

@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process via main(argv))."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from yukawa_atom import ScreeningModel, cli, screening_delta
 from yukawa_atom.cli import RunConfig, main
 
 
@@ -154,6 +156,66 @@ class TestDeterminism:
         total = parse_csv(out)[0]["total_hartree"]
         assert total == f"{float(total):.9g}"
         assert total.startswith("-1.9865085")
+
+
+class TestReusedParser:
+    """``main`` parses every command with one parser per process."""
+
+    def test_append_does_not_leak(self, capsys):
+        run_cli(capsys, "verify", "--z", "1", "--state", "1,0", "--state", "0,1",
+                "--format", "csv")
+        code, out, _ = run_cli(capsys, "verify", "--z", "1", "--format", "csv")
+        assert code == 0
+        assert [(r["n"], r["l"]) for r in parse_csv(out)] == [("0", "0")]
+
+    def test_option_falls_back_to_default(self, capsys):
+        argv = ("level", "--z", "29", "--n", "0", "--l", "0", "--format", "csv")
+        _, out, _ = run_cli(capsys, *argv, "--delta0", "0")
+        assert float(parse_csv(out)[0]["delta"]) == 0.0
+        _, out, _ = run_cli(capsys, *argv)
+        delta = screening_delta(29, ScreeningModel(delta0=0.98))
+        assert parse_csv(out)[0]["delta"] == f"{delta:.9g}"
+
+    def test_usage_error_leaves_next_command_unchanged(self, capsys):
+        argv = ("table", "--shell", "E00", "--z", "5..9", "--format", "csv")
+        _, before, _ = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", "--shell", "E00", "--z", "5..x"])
+        assert excinfo.value.code == 2
+        assert "bad Z range '5..x'" in capsys.readouterr().err
+        code, after, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert after == before
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        argv = ["level", "--z", "3", "--n", "0", "--l", "0"]
+        run_cli(capsys, *argv)
+        calls = []
+
+        def stub(args, parser):
+            calls.append((args, parser))
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_level", stub)
+        assert main(argv) == 7
+        (args, parser), = calls
+        assert isinstance(parser, argparse.ArgumentParser)
+        assert args.command == "level"
+        # the parsed namespace, and so the cached parser, holds no handler
+        assert not any(callable(value) for value in vars(args).values())
+
+    def test_one_parser_for_many_commands(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(3):
+            run_cli(capsys, "level", "--z", "3", "--n", "0", "--l", "0")
+        assert len(built) <= 1
 
 
 class TestVerify:

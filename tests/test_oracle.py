@@ -2,6 +2,7 @@
 sweep's contract, the default box, the root search and its work, screening
 behaviour, and cross-validation against the closed forms."""
 
+import gc
 import sys
 import threading
 import warnings
@@ -98,12 +99,24 @@ class TestOracleBasics:
         with pytest.raises(ValueError):
             solve_bound_state(AtomicSystem(1), -0.1, QuantumState(0, 0))
 
+    def test_solved_grids_keep_no_array(self):
+        # scipy's brentq holds its callable in a reference cycle, so each
+        # grid's sweeper outlives the solve until the cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            solve_bound_state(AtomicSystem(29), screening_delta(29, FA), QuantumState(1, 0))
+            left = [o for o in gc.get_objects() if isinstance(o, oracle_mod._Sweeper)]
+        finally:
+            gc.enable()
+        assert not any(isinstance(v, np.ndarray) for s in left for v in vars(s).values())
+
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         # one halving and a zero tolerance stall Z=29 1s after two grids; the
         # single extrapolation is carried, with its own correction as its error
         monkeypatch.setattr(oracle_mod, "MAX_REFINEMENTS", 1)
         monkeypatch.setattr(oracle_mod, "GRID_TOL", 0.0)
-        energies = _record_grid_energies(monkeypatch)
+        _, energies = _record_grid_solves(monkeypatch)
         with pytest.raises(NonConvergence) as excinfo:
             solve_bound_state(AtomicSystem(29), screening_delta(29, FA), QuantumState(0, 0))
         best = excinfo.value.result
@@ -456,18 +469,19 @@ class TestRootSearch:
         assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
 
 
-def _record_grid_energies(monkeypatch):
-    """Record the eigenvalue of every grid solve from here on."""
-    energies = []
+def _record_grid_solves(monkeypatch):
+    """Record the bracket and the eigenvalue of every grid solve from here on."""
+    brackets, energies = [], []
     solve = oracle_mod._solve_on_grid
 
-    def recorded(*args, **kwargs):
-        energy, nodes = solve(*args, **kwargs)
+    def recorded(system, delta, state, grid, bracket=None, tally=None):
+        energy, nodes = solve(system, delta, state, grid, bracket, tally)
+        brackets.append(bracket)
         energies.append(energy)
         return energy, nodes
 
     monkeypatch.setattr(oracle_mod, "_solve_on_grid", recorded)
-    return energies
+    return brackets, energies
 
 
 def _extrapolations(energies):
@@ -496,7 +510,7 @@ class TestRichardsonExtrapolation:
     def test_result_is_the_extrapolation(self, monkeypatch, z, n, l):
         # refinement stops at the first pair of successive extrapolations
         # within GRID_TOL; both levels' agreement lies above ENERGY_TOL
-        energies = _record_grid_energies(monkeypatch)
+        _, energies = _record_grid_solves(monkeypatch)
         res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
         x = _extrapolations(energies)
         changes = [abs(b - a) for a, b in zip(x, x[1:])]
@@ -506,6 +520,21 @@ class TestRichardsonExtrapolation:
         assert res.estimated_error == changes[-1] > oracle_mod.ENERGY_TOL
         assert all(c >= oracle_mod.GRID_TOL for c in changes[:-1])
         assert changes[-1] < oracle_mod.GRID_TOL
+
+    @pytest.mark.parametrize("z, n, l", [
+        (84, 0, 0), (24, 1, 0), (73, 2, 0), (29, 0, 1), (54, 2, 1),
+    ], ids=["z84_1s", "z24_2s", "z73_3s", "z29_2p", "z54_3p"])
+    def test_later_brackets_hold_the_eigenvalue(self, monkeypatch, z, n, l):
+        # from the third grid on, the bracket is centred on the predicted
+        # energy, a sixteenth of the last shift past the last eigenvalue, and
+        # padded by a quarter of that shift: narrower than the shift itself
+        brackets, energies = _record_grid_solves(monkeypatch)
+        solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
+        assert len(energies) >= 3
+        for k in range(2, len(energies)):
+            (lo, hi), shift = brackets[k], energies[k - 1] - energies[k - 2]
+            assert lo < energies[k] < hi
+            assert hi - lo <= max(abs(shift), 4e-9)
 
 
 #: (label, bracket) for a level at energy e, its lower neighbour at e_below
