@@ -3,111 +3,18 @@
 Third-order analytic shell binding energies, the radial wavefunction
 machinery behind them, a direct Numerov eigensolver for cross-validation,
 bundled reference tables, and a command-line front end.
+
+The package exports each layer module's ``__all__``.  ``cli`` is imported
+here too, so every layer is in ``sys.modules`` once the package is.
 """
 
-from .perturbation import (
-    AtomicSystem,
-    EnergyBreakdown,
-    QuantumState,
-    ScreeningLaw,
-    ScreeningModel,
-    UnitSystem,
-    coulomb_energy,
-    energy_breakdown,
-    first_order_shift,
-    screening_delta,
-    second_order_shift,
-    third_order_shift,
-    to_kev,
-    total_energy,
-)
-from .wavefunctions import (
-    CoulombRadial,
-    LaguerreSpec,
-    ModeratedRadial,
-    QuadratureError,
-    SuperpotentialPoly,
-    correction_via_quadrature,
-    coulomb_chi,
-    laguerre_eval,
-    moderated_radial,
-    moderating_u,
-    superpotential_w1,
-    superpotential_w2,
-)
-from .oracle import (
-    ComparisonRecord,
-    NoBoundState,
-    NonConvergence,
-    OracleResult,
-    RadialGrid,
-    breakdown_report,
-    numerov_backend,
-    solve_bound_state,
-)
-from .refdata import (
-    ComparisonReport,
-    DuplicateKey,
-    MissingReference,
-    ParseError,
-    ReferenceDataset,
-    ReferenceRow,
-    ReferenceSource,
-    SignViolation,
-    compare,
-    load_reference,
-    serialize_reference,
-)
-from .cli import RunConfig
+from . import cli, oracle, perturbation, refdata, wavefunctions
+from .perturbation import *
+from .wavefunctions import *
+from .oracle import *
+from .refdata import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicSystem",
-    "EnergyBreakdown",
-    "QuantumState",
-    "ScreeningLaw",
-    "ScreeningModel",
-    "UnitSystem",
-    "coulomb_energy",
-    "energy_breakdown",
-    "first_order_shift",
-    "screening_delta",
-    "second_order_shift",
-    "third_order_shift",
-    "to_kev",
-    "total_energy",
-    "CoulombRadial",
-    "LaguerreSpec",
-    "ModeratedRadial",
-    "QuadratureError",
-    "SuperpotentialPoly",
-    "correction_via_quadrature",
-    "coulomb_chi",
-    "laguerre_eval",
-    "moderated_radial",
-    "moderating_u",
-    "superpotential_w1",
-    "superpotential_w2",
-    "ComparisonRecord",
-    "NoBoundState",
-    "NonConvergence",
-    "OracleResult",
-    "RadialGrid",
-    "breakdown_report",
-    "numerov_backend",
-    "solve_bound_state",
-    "ComparisonReport",
-    "DuplicateKey",
-    "MissingReference",
-    "ParseError",
-    "ReferenceDataset",
-    "ReferenceRow",
-    "ReferenceSource",
-    "SignViolation",
-    "compare",
-    "load_reference",
-    "serialize_reference",
-    "RunConfig",
-    "__version__",
-]
+__all__ = [*perturbation.__all__, *wavefunctions.__all__, *oracle.__all__, *refdata.__all__,
+           "__version__"]

@@ -10,6 +10,11 @@ Exit codes: 0 ok, 1 comparison above tolerance, 2 usage or file errors,
 3 eigensolver non-convergence.  Floats print with 9 significant digits so
 identical invocations are byte-identical.
 
+The parser is the one place each option is defined.  The shared options
+take their defaults and choices from the library, and ``ScreeningModel``
+and ``UnitSystem`` check their values; ``main`` turns a ``ValueError``
+into a usage error (exit 2).
+
 ``main`` builds one parser per process, on its first call, and reuses it:
 building the tree costs about 1 ms, several times the parse and the
 closed-form work of a ``level`` command.  The parser holds no handler;
@@ -25,10 +30,10 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .oracle import NoBoundState, NonConvergence, solve_bound_state
 from .perturbation import (
+    HARTREE_EV,
     AtomicSystem,
     QuantumState,
     ScreeningLaw,
@@ -76,8 +81,8 @@ def _json_value(value):
     return value
 
 
-def _render(rows, columns, fmt, summary=None, stream=None):
-    stream = stream or sys.stdout
+def _render(rows, columns, fmt, summary=None):
+    stream = sys.stdout
     if fmt == "json":
         payload = {"rows": [{k: _json_value(r.get(k)) for k in columns} for r in rows]}
         if summary is not None:
@@ -144,47 +149,20 @@ def _parse_state(text: str, parser) -> QuantumState:
         parser.error(f"bad state {text!r}; expected 'n,l'")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared command configuration; ``model`` and ``units`` are built (and
-    validate ``delta0`` and ``hartree_to_ev``) once, here."""
-
-    delta0: float = 0.98
-    screening: ScreeningLaw = ScreeningLaw.FERMI_AMALDI
-    hartree_to_ev: float = 27.212
-    order: int = 3
-    output_format: str = "table"
-    model: ScreeningModel = field(init=False, repr=False)
-    units: UnitSystem = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "model",
-                           ScreeningModel(variant=self.screening, delta0=self.delta0))
-        object.__setattr__(self, "units", UnitSystem(hartree_to_ev=self.hartree_to_ev))
-        if self.order not in (0, 1, 2, 3):
-            raise ValueError(f"order must be in 0..3, got {self.order}")
-        if self.output_format not in ("table", "csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+def _model_and_units(args) -> tuple[ScreeningModel, UnitSystem]:
+    """The command's screening model and units; each validates its own values."""
+    return ScreeningModel(ScreeningLaw(args.screening), args.delta0), UnitSystem(args.hartree_ev)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        delta0=args.delta0,
-        screening=ScreeningLaw(args.screening),
-        hartree_to_ev=args.hartree_ev,
-        order=args.order,
-        output_format=args.format,
-    )
-
-
-def _breakdown_row(z: int, state: QuantumState, cfg: RunConfig) -> dict:
-    delta = screening_delta(z, cfg.model)
-    b = energy_breakdown(float(z), state, delta, cfg.order)
+def _breakdown_row(z: int, state: QuantumState, order: int, model: ScreeningModel,
+                   units: UnitSystem) -> dict:
+    delta = screening_delta(z, model)
+    b = energy_breakdown(float(z), state, delta, order)
     return {
         "z": z,
         "n": state.n,
         "l": state.l,
-        "order": cfg.order,
+        "order": order,
         "delta": delta,
         "e0_hartree": b.e0,
         "a_delta_hartree": b.shift_const,
@@ -192,7 +170,7 @@ def _breakdown_row(z: int, state: QuantumState, cfg: RunConfig) -> dict:
         "e2_hartree": b.e2,
         "e3_hartree": b.e3,
         "total_hartree": b.total,
-        "total_kev": to_kev(b.total, cfg.units),
+        "total_kev": to_kev(b.total, units),
         "flag": "SERIES_SUSPECT" if b.series_suspect else "",
     }
 
@@ -203,36 +181,37 @@ _BREAKDOWN_COLUMNS = ["z", "n", "l", "order", "delta", "e0_hartree", "a_delta_ha
 
 
 def cmd_level(args, parser) -> int:
-    cfg = _config(args)
+    model, units = _model_and_units(args)
     state = QuantumState(args.n, args.l)
-    row = _breakdown_row(args.z, state, cfg)
-    _render([row], _BREAKDOWN_COLUMNS, cfg.output_format)
+    row = _breakdown_row(args.z, state, args.order, model, units)
+    _render([row], _BREAKDOWN_COLUMNS, args.format)
     return 0
 
 
 def cmd_table(args, parser) -> int:
-    cfg = _config(args)
+    model, units = _model_and_units(args)
     n, l = SHELL_QUANTUM_NUMBERS[args.shell]
     state = QuantumState(n, l)
     z_list = _parse_z_spec(args.z, args.shell, parser)
-    rows = [{"shell": args.shell, **_breakdown_row(z, state, cfg)} for z in z_list]
-    _render(rows, ["shell"] + _BREAKDOWN_COLUMNS, cfg.output_format)
+    rows = [{"shell": args.shell, **_breakdown_row(z, state, args.order, model, units)}
+            for z in z_list]
+    _render(rows, ["shell"] + _BREAKDOWN_COLUMNS, args.format)
     return 0
 
 
 def cmd_verify(args, parser) -> int:
-    cfg = _config(args)
+    model, units = _model_and_units(args)
     states = [_parse_state(s, parser) for s in (args.state or ["0,0"])]
     z_list = _parse_z_spec(args.z, "E00", parser)
 
     def run(z, st):
         system = AtomicSystem(z)
-        delta = screening_delta(z, cfg.model)
-        b = energy_breakdown(system.a, st, delta, cfg.order)
+        delta = screening_delta(z, model)
+        b = energy_breakdown(system.a, st, delta, args.order)
         row = {
-            "z": z, "n": st.n, "l": st.l, "order": cfg.order,
+            "z": z, "n": st.n, "l": st.l, "order": args.order,
             "perturbative_hartree": b.total,
-            "perturbative_kev": to_kev(b.total, cfg.units),
+            "perturbative_kev": to_kev(b.total, units),
             "oracle_hartree": None, "oracle_kev": None,
             "abs_diff_hartree": None, "rel_diff": None,
             "nodes": None, "grid_points": None, "sweeps": None,
@@ -247,7 +226,7 @@ def cmd_verify(args, parser) -> int:
         except NonConvergence as exc:
             res, row["flag"] = exc.result, "NON_CONVERGENCE"
         row["oracle_hartree"] = res.energy
-        row["oracle_kev"] = to_kev(res.energy, cfg.units)
+        row["oracle_kev"] = to_kev(res.energy, units)
         row["nodes"] = res.nodes_found
         row["grid_points"] = res.grid_points
         row["sweeps"] = res.sweeps
@@ -265,7 +244,7 @@ def cmd_verify(args, parser) -> int:
     columns = ["z", "n", "l", "order", "perturbative_hartree", "oracle_hartree",
                "perturbative_kev", "oracle_kev", "abs_diff_hartree", "rel_diff",
                "nodes", "grid_points", "sweeps", "estimated_error_hartree", "flag"]
-    _render(rows, columns, cfg.output_format)
+    _render(rows, columns, args.format)
     if failures:
         print(f"error: {failures} oracle run(s) did not converge", file=sys.stderr)
         return 3
@@ -273,7 +252,7 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    cfg = _config(args)
+    model, units = _model_and_units(args)
     source = ReferenceSource(args.source)
     try:
         path = args.reference or bundled_reference_path(args.shell)
@@ -288,7 +267,8 @@ def cmd_compare(args, parser) -> int:
                        and r.source == source})
     if args.z:
         z_values = _parse_z_spec(args.z, args.shell, parser)
-    computed = [(z, args.shell, _breakdown_row(z, state, cfg)["total_kev"]) for z in z_values]
+    computed = [(z, args.shell, _breakdown_row(z, state, args.order, model, units)["total_kev"])
+                for z in z_values]
     try:
         report = compare_datasets(dataset, computed, source)
     except MissingReference as exc:
@@ -309,18 +289,19 @@ def cmd_compare(args, parser) -> int:
         "source": source.value,
     }
     _render(rows, ["z", "shell", "computed_kev", "reference_kev", "abs_diff_kev", "rel_diff"],
-            cfg.output_format, summary=summary)
+            args.format, summary=summary)
     return 0 if report.summary.max_rel_diff <= args.tolerance else 1
 
 
 def _add_config_flags(sub):
     sub.add_argument("--order", type=int, default=3, choices=(0, 1, 2, 3),
                      help="highest correction order to include")
-    sub.add_argument("--delta0", type=float, default=0.98,
+    sub.add_argument("--delta0", type=float, default=ScreeningModel.delta0,
                      help="screening strength coefficient (0 gives pure Coulomb)")
-    sub.add_argument("--screening", choices=("thomas_fermi", "fermi_amaldi"),
-                     default="fermi_amaldi", help="Z-dependence of the screening parameter")
-    sub.add_argument("--hartree-ev", type=float, default=27.212, dest="hartree_ev",
+    sub.add_argument("--screening", choices=[s.value for s in ScreeningLaw],
+                     default=ScreeningModel.variant.value,
+                     help="Z-dependence of the screening parameter")
+    sub.add_argument("--hartree-ev", type=float, default=HARTREE_EV, dest="hartree_ev",
                      help="eV per Hartree used for keV output")
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
 

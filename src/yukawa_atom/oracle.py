@@ -39,6 +39,7 @@ solve, not with this module, so the closed-form commands never load
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -329,8 +330,8 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     ``sweeps`` counts the trial energies swept on every grid, and its
     ``grid_points`` is the finest grid's size.
     """
-    if delta < 0:
-        raise ValueError(f"screening parameter must be non-negative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
     if grid is None:
         grid = RadialGrid.for_state(system, state, delta)
 

@@ -11,6 +11,7 @@ to keV only at output boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,8 +61,8 @@ class AtomicSystem:
             raise ValueError(f"atomic number must be >= 1, got {self.z}")
         if self.a is None:
             object.__setattr__(self, "a", float(self.z))
-        if self.a <= 0:
-            raise ValueError(f"coupling strength must be positive, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValueError(f"coupling strength must be finite and positive, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class ScreeningModel:
     delta0: float = 0.98
 
     def __post_init__(self):
-        if self.delta0 < 0:
-            raise ValueError(f"delta0 must be non-negative, got {self.delta0}")
+        if not (math.isfinite(self.delta0) and self.delta0 >= 0):
+            raise ValueError(f"delta0 must be finite and non-negative, got {self.delta0}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,9 @@ class UnitSystem:
     hartree_to_ev: float = HARTREE_EV
 
     def __post_init__(self):
-        if self.hartree_to_ev <= 0:
-            raise ValueError(f"hartree_to_ev must be positive, got {self.hartree_to_ev}")
+        if not (math.isfinite(self.hartree_to_ev) and self.hartree_to_ev > 0):
+            raise ValueError(
+                f"hartree_to_ev must be finite and positive, got {self.hartree_to_ev}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,8 @@ def screening_delta(z: int, model: ScreeningModel) -> float:
 
 def coulomb_energy(a: float, state: QuantumState) -> float:
     """Unscreened hydrogenic energy -A^2 / (2 N^2)."""
-    if a <= 0:
-        raise ValueError(f"coupling strength must be positive, got {a}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"coupling strength must be finite and positive, got {a}")
     big_n = state.big_n
     return -a * a / (2.0 * big_n * big_n)
 
@@ -196,8 +198,8 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
-    if delta < 0:
-        raise ValueError(f"screening parameter must be non-negative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
     e0 = coulomb_energy(a, state)
     shift_const = a * delta if order >= 1 else 0.0
     e1 = first_order_shift(state, delta) if order >= 1 else 0.0

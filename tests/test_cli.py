@@ -8,12 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from yukawa_atom import ScreeningModel, cli, screening_delta
-from yukawa_atom.cli import RunConfig, main
+from yukawa_atom import ScreeningLaw, ScreeningModel, UnitSystem, cli, screening_delta
+from yukawa_atom.cli import main
+from yukawa_atom.perturbation import HARTREE_EV
 
 
 def run_cli(capsys, *argv):
@@ -348,26 +350,55 @@ class TestCompare:
         assert [r["z"] for r in json.loads(out)["rows"]] == [3, 84]
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.delta0 == 0.98
-        assert cfg.hartree_to_ev == 27.212
-        assert cfg.order == 3
-        assert cfg.output_format == "table"
+LEVEL_ARGV = ("level", "--z", "3", "--n", "0", "--l", "0")
 
-    def test_zero_delta0_allowed_for_coulomb_path(self):
-        assert RunConfig(delta0=0.0).model.delta0 == 0.0
 
-    @pytest.mark.parametrize("kwargs", [
-        {"delta0": -0.1},
-        {"hartree_to_ev": 0.0},
-        {"order": 4},
-        {"output_format": "xml"},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(**kwargs)
+class TestSharedOptions:
+    """The parser defines each shared option once, with the library's defaults;
+    the library's classes check the values."""
+
+    def test_level_defaults_match_library(self):
+        args = cli.build_parser().parse_args(LEVEL_ARGV)
+        assert ScreeningModel(ScreeningLaw(args.screening), args.delta0) == ScreeningModel()
+        assert args.hartree_ev == HARTREE_EV
+        assert UnitSystem(args.hartree_ev) == UnitSystem()
+        assert (args.order, args.format) == (3, "table")
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--delta0", "-0.1"), "error: delta0 must be finite and non-negative, got -0.1"),
+        (("--hartree-ev", "0"), "error: hartree_to_ev must be finite and positive, got 0.0"),
+        (("--order", "4"), "argument --order: invalid choice: 4"),
+        (("--format", "xml"), "argument --format: invalid choice: 'xml'"),
+        (("--screening", "bogus"), "argument --screening: invalid choice: 'bogus'"),
+    ], ids=["delta0", "hartree-ev", "order", "format", "screening"])
+    def test_bad_value_exits_2(self, capsys, extra, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*LEVEL_ARGV, *extra])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
+
+    @pytest.mark.parametrize("argv, message", [
+        ((*LEVEL_ARGV, "--delta0", "nan"), "delta0 must be finite"),
+        ((*LEVEL_ARGV, "--delta0", "inf"), "delta0 must be finite"),
+        ((*LEVEL_ARGV, "--hartree-ev", "nan"), "hartree_to_ev must be finite"),
+        ((*LEVEL_ARGV, "--hartree-ev", "inf"), "hartree_to_ev must be finite"),
+        (("table", "--shell", "E00", "--delta0", "nan"), "delta0 must be finite"),
+        (("compare", "--shell", "E00", "--hartree-ev", "inf"), "hartree_to_ev must be finite"),
+        (("verify", "--z", "3", "--delta0", "inf"), "delta0 must be finite"),
+    ], ids=["level-delta0-nan", "level-delta0-inf", "level-hartree-ev-nan",
+            "level-hartree-ev-inf", "table-delta0-nan", "compare-hartree-ev-inf",
+            "verify-delta0-inf"])
+    def test_non_finite_value_exits_2(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as excinfo:
+                main(list(argv))
+        assert excinfo.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert message in out.err
 
 
 def child_env():

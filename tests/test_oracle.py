@@ -99,6 +99,11 @@ class TestOracleBasics:
         with pytest.raises(ValueError):
             solve_bound_state(AtomicSystem(1), -0.1, QuantumState(0, 0))
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="screening parameter must be finite"):
+            solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0))
+
     def test_solved_grids_keep_no_array(self):
         # scipy's brentq holds its callable in a reference cycle, so each
         # grid's sweeper outlives the solve until the cyclic collector runs

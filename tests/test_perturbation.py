@@ -293,3 +293,36 @@ class TestValidation:
     def test_breakdown_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             energy_breakdown(1.0, QuantumState(0, 0), -0.5)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN fails every ordered comparison, so each range check must also
+    require a finite value."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_screening_model(self, value):
+        with pytest.raises(ValueError, match="delta0 must be finite"):
+            ScreeningModel(delta0=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_unit_system(self, value):
+        with pytest.raises(ValueError, match="hartree_to_ev must be finite"):
+            UnitSystem(hartree_to_ev=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_atomic_system_coupling(self, value):
+        with pytest.raises(ValueError, match="coupling strength must be finite"):
+            AtomicSystem(3, a=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_coulomb_energy_coupling(self, value):
+        with pytest.raises(ValueError, match="coupling strength must be finite"):
+            coulomb_energy(value, QuantumState(0, 0))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_breakdown_delta(self, value):
+        with pytest.raises(ValueError, match="screening parameter must be finite"):
+            energy_breakdown(3.0, QuantumState(0, 0), value)
