@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .oracle import NoBoundState, NonConvergence, solve_bound_state
@@ -253,6 +254,8 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_compare(args, parser) -> int:
     model, units = _model_and_units(args)
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {args.tolerance}")
     source = ReferenceSource(args.source)
     try:
         path = args.reference or bundled_reference_path(args.shell)

@@ -7,12 +7,14 @@ non-decreasing step function of the trial energy that jumps from n to n+1
 exactly at the n-th eigenvalue, so bisection on the node count brackets the
 eigenvalue rigorously: once the bracket ends have n and n+1 nodes, the
 sweep's last value has opposite signs there and one zero between them, and
-Brent's method on that value finds the eigenvalue in a few sweeps.  The
-default first grid has 4001 points and is step-halved.  Numerov's eigenvalue
-error being O(h^4), each grid's eigenvalue plus a fifteenth of its shift from
-the coarser grid is a Richardson extrapolation to zero step; refinement stops
-once two successive extrapolations agree within ``GRID_TOL``, and their
-difference is the error estimate.
+Brent's method on that value finds the eigenvalue in a few sweeps.  Every
+grid runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the first has
+``FIRST_GRID_POINTS`` = 4001 points unless the caller passes a grid, and
+each refinement halves the step.  Numerov's eigenvalue error being O(h^4),
+each grid's eigenvalue plus a fifteenth of its shift from the coarser grid
+is a Richardson extrapolation to zero step; refinement stops once two
+successive extrapolations agree within ``GRID_TOL``, and their difference is
+the error estimate.
 
 Every grid starts from the bracket [1.5 E0, -1e-12], with E0 the hydrogenic
 level -A^2/(2 N^2).  Since V = -(A/r) exp(-delta r) is never below -A/r, the
@@ -25,10 +27,10 @@ bracket's ends are swept from the top and each is kept only where its node
 count proves it, so a poor seed costs sweeps but cannot change which level is
 found (see :func:`solve_bound_state`).
 
-The default box reaches 30 decay lengths past a bound on the level's outer
-turning point, both taken from the upper bound E0 + A delta on its energy,
-and is never wider than max(20, 30 N^2/A) Bohr (see
-:meth:`RadialGrid.for_state`).
+A solve given no grid uses a box that reaches 30 decay lengths past a
+bound on the level's outer turning point, both taken from the upper bound
+E0 + A delta on its energy, and is never wider than max(20, 30 N^2/A) Bohr
+(see :meth:`RadialGrid.for_state`).
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
 triangular solve per trial energy, on a band matrix kept between sweeps.
@@ -48,11 +50,8 @@ from . import _numerov_py
 from .perturbation import (
     AtomicSystem,
     QuantumState,
-    ScreeningModel,
     coulomb_energy,
     energy_breakdown,
-    screening_delta,
-    total_energy,
 )
 
 __all__ = [
@@ -60,9 +59,7 @@ __all__ = [
     "NonConvergence",
     "RadialGrid",
     "OracleResult",
-    "ComparisonRecord",
     "solve_bound_state",
-    "breakdown_report",
     "numerov_backend",
 ]
 
@@ -74,6 +71,10 @@ GRID_TOL = 1e-8
 MAX_REFINEMENTS = 8
 #: Highest trial energy: a level must lie below it to count as bound.
 _E_TOP = -1e-12
+#: Inner end of every radial grid, in Bohr.
+R_MIN = 1e-6
+#: Points of the first grid of a solve given no grid.
+FIRST_GRID_POINTS = 4001
 
 
 def numerov_backend() -> str:
@@ -100,23 +101,23 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid.  ``points`` must be odd and at least 1001."""
+    """Uniform radial grid on [``R_MIN``, ``r_max``].  ``r_max`` must be finite
+    and above ``R_MIN``; ``points`` must be odd and at least 1001."""
 
-    r_min: float = 1e-6
-    r_max: float = 20.0
-    points: int = 20001
+    r_max: float
+    points: int
 
     def __post_init__(self):
         if self.points < 1001 or self.points % 2 == 0:
             raise ValueError(f"points must be odd and >= 1001, got {self.points}")
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not R_MIN < self.r_max < math.inf:
+            raise ValueError(f"r_max must be finite and above {R_MIN}, got {self.r_max}")
 
     @classmethod
-    def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
-                  points: int = 4001) -> "RadialGrid":
-        """Default box: 30 decay lengths of the level past its turning point,
-        and never wider than max(20, 30 N^2 / A) Bohr.
+    def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float) -> "RadialGrid":
+        """First grid of a solve: ``FIRST_GRID_POINTS`` points on a box of 30
+        decay lengths of the level past its turning point, never wider than
+        max(20, 30 N^2 / A) Bohr.
 
         Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E_up = E0 + A delta
         bounds the level from above.  Since V_eff >= -A/r, the outer turning
@@ -129,7 +130,7 @@ class RadialGrid:
         e_up = coulomb_energy(system.a, state) + system.a * delta
         if e_up < 0.0:
             r_max = min(r_max, system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
-        return cls(r_max=r_max, points=points)
+        return cls(r_max, FIRST_GRID_POINTS)
 
     def halved(self) -> "RadialGrid":
         return replace(self, points=2 * (self.points - 1) + 1)
@@ -144,16 +145,6 @@ class OracleResult:
     grid_points: int
     #: Trial energies swept, over every grid.
     sweeps: int = 0
-
-
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Perturbative total paired with the direct eigenvalue, in Hartree."""
-
-    perturbative: float
-    oracle: float
-    abs_diff: float
-    rel_diff: float
 
 
 #: Frobenius series length for the boundary values at the first two points.
@@ -195,7 +186,7 @@ class _Sweeper:
 
     def __init__(self, system: AtomicSystem, delta: float, state: QuantumState,
                  grid: RadialGrid):
-        r = np.linspace(grid.r_min, grid.r_max, grid.points)
+        r = np.linspace(R_MIN, grid.r_max, grid.points)
         self.h = r[1] - r[0]
         self.l = state.l
         self.a = system.a
@@ -287,9 +278,12 @@ def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState):
     The half-width is max(4 |E3|, 1e-6 |total|), clipped into
     [1.5 E0, -1e-12]: unclipped, a divergent series would send the sweep to
     deep energies where it rescales again and again.  No bracket is
-    seeded when the total lies outside (1.5 E0, 0).
+    seeded when the total lies outside (1.5 E0, 0) or overflows.
     """
-    b = energy_breakdown(system.a, state, delta, 3)
+    try:
+        b = energy_breakdown(system.a, state, delta, 3)
+    except ValueError:
+        return None
     floor = 1.5 * b.e0
     if not floor < b.total < 0.0:
         return None
@@ -325,8 +319,9 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     node count is checked against n.  Raises :class:`NonConvergence`
     (carrying the latest X_k and its last change, or after a single halving
     X_1 and |X_1 - E_1|) if refinement stalls or that check fails.  The
-    default grid is :meth:`RadialGrid.for_state`'s box for ``delta`` at
-    4001 points; a grid passed in starts at its own size.  The result's
+    first grid is :meth:`RadialGrid.for_state`'s box for ``delta`` at
+    ``FIRST_GRID_POINTS`` points; a grid passed in starts at its own box and
+    size.  Every grid starts at ``R_MIN``.  The result's
     ``sweeps`` counts the trial energies swept on every grid, and its
     ``grid_points`` is the finest grid's size.
     """
@@ -376,20 +371,4 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
         f"(last change {error:.3e} Hartree)",
         OracleResult(extrap, nodes, False, error, grid.points, sum(tally)),
-    )
-
-
-def breakdown_report(system: AtomicSystem, model: ScreeningModel,
-                     state: QuantumState, order: int = 3,
-                     grid: RadialGrid | None = None) -> ComparisonRecord:
-    """Pair the perturbative total with the direct eigenvalue."""
-    delta = screening_delta(system.z, model)
-    perturbative = total_energy(system, model, state, order).total
-    oracle = solve_bound_state(system, delta, state, grid).energy
-    abs_diff = abs(perturbative - oracle)
-    return ComparisonRecord(
-        perturbative=perturbative,
-        oracle=oracle,
-        abs_diff=abs_diff,
-        rel_diff=abs_diff / abs(oracle),
     )

@@ -195,18 +195,27 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
 
     The constant A*delta term enters at order >= 1; corrections above
     ``order`` are zero.  Every term is degree-2 homogeneous in (A, delta).
+    Raises ``ValueError`` when a term or the total leaves the float range.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
-    e0 = coulomb_energy(a, state)
-    shift_const = a * delta if order >= 1 else 0.0
-    e1 = first_order_shift(state, delta) if order >= 1 else 0.0
-    e2 = second_order_shift(a, state, delta) if order >= 2 else 0.0
-    e3 = third_order_shift(a, state, delta) if order >= 3 else 0.0
-    return EnergyBreakdown(e0=e0, shift_const=shift_const, e1=e1, e2=e2, e3=e3,
-                           order_used=order)
+    try:
+        b = EnergyBreakdown(
+            e0=coulomb_energy(a, state),
+            shift_const=a * delta if order >= 1 else 0.0,
+            e1=first_order_shift(state, delta) if order >= 1 else 0.0,
+            e2=second_order_shift(a, state, delta) if order >= 2 else 0.0,
+            e3=third_order_shift(a, state, delta) if order >= 3 else 0.0,
+            order_used=order,
+        )
+    except OverflowError:
+        b = None
+    if b is None or not math.isfinite(b.total):
+        raise ValueError(f"screening parameter {delta} overflows the order-{order} energy "
+                         f"at A={a}")
+    return b
 
 
 def total_energy(system: AtomicSystem, model: ScreeningModel, state: QuantumState,
@@ -217,5 +226,10 @@ def total_energy(system: AtomicSystem, model: ScreeningModel, state: QuantumStat
 
 
 def to_kev(energy_hartree: float, units: UnitSystem = UnitSystem()) -> float:
-    """Convert Hartree to keV with the configured eV-per-Hartree constant."""
-    return energy_hartree * units.hartree_to_ev / 1000.0
+    """Convert Hartree to keV with the configured eV-per-Hartree constant;
+    raises ``ValueError`` when the result is not finite."""
+    kev = energy_hartree * units.hartree_to_ev / 1000.0
+    if not math.isfinite(kev):
+        raise ValueError(f"{energy_hartree} Hartree at {units.hartree_to_ev} eV per Hartree "
+                         f"is not a finite keV value")
+    return kev

@@ -27,7 +27,7 @@ call, so a wrapper put in its place sees every integral while it stays there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,12 +120,10 @@ class CoulombRadial:
     [0, r_max]; the truncated tail is checked to be negligible.
     """
 
-    a: float
     state: QuantumState
     beta: float
     norm: float
     r_max: float
-    _laguerre: LaguerreSpec = field(repr=False)
 
     def __call__(self, r):
         return _on_floats(_radial(np.exp, self, self.norm), r)
@@ -142,7 +140,8 @@ def _radial(exp, chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0
     per-call overhead costs several times the arithmetic, and ``np.exp`` for
     arrays.
     """
-    p, n, k, beta = chi.state.l + 1, chi._laguerre.n, chi._laguerre.k, chi.beta
+    state, beta = chi.state, chi.beta
+    p, n, k = state.l + 1, state.n, 2 * state.l + 1
 
     def f(r):
         g = ((c3 * r + c2) * r - beta) * r - shift
@@ -156,7 +155,6 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
     big_n = state.big_n
     n, l = state.n, state.l
     beta = system.a / big_n
-    spec = LaguerreSpec(n, 2 * l + 1)
     r_max = R_MAX_SCALE * big_n * big_n / system.a
 
     # Precondition the integrand to O(1) so the quadrature works in relative
@@ -167,8 +165,7 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
         * 2.0 * big_n
     )
 
-    chi = CoulombRadial(a=system.a, state=state, beta=beta, norm=1.0 / scale,
-                        r_max=r_max, _laguerre=spec)
+    chi = CoulombRadial(state=state, beta=beta, norm=1.0 / scale, r_max=r_max)
     radial = _radial(math.exp, chi, chi.norm)
 
     def density(r):

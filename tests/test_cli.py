@@ -387,9 +387,18 @@ class TestSharedOptions:
         (("table", "--shell", "E00", "--delta0", "nan"), "delta0 must be finite"),
         (("compare", "--shell", "E00", "--hartree-ev", "inf"), "hartree_to_ev must be finite"),
         (("verify", "--z", "3", "--delta0", "inf"), "delta0 must be finite"),
+        # delta**2 raises OverflowError; at 1.4e51 float products reach -inf
+        ((*LEVEL_ARGV, "--delta0", "1e200"), "overflows the order-3 energy"),
+        ((*LEVEL_ARGV, "--delta0", "1.4e51"), "overflows the order-3 energy"),
+        (("verify", "--z", "3", "--delta0", "1e200"), "overflows the order-3 energy"),
+        ((*LEVEL_ARGV, "--hartree-ev", "1e308", "--format", "csv"), "is not a finite keV value"),
+        (("compare", "--shell", "E00", "--tolerance", "nan"), "tolerance must be finite"),
+        (("compare", "--shell", "E00", "--tolerance", "-1"), "tolerance must be finite"),
     ], ids=["level-delta0-nan", "level-delta0-inf", "level-hartree-ev-nan",
             "level-hartree-ev-inf", "table-delta0-nan", "compare-hartree-ev-inf",
-            "verify-delta0-inf"])
+            "verify-delta0-inf", "level-delta0-1e200", "level-delta0-1.4e51",
+            "verify-delta0-1e200", "level-hartree-ev-1e308", "compare-tolerance-nan",
+            "compare-tolerance-negative"])
     def test_non_finite_value_exits_2(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -18,7 +18,6 @@ from yukawa_atom import (
     QuantumState,
     RadialGrid,
     ScreeningModel,
-    breakdown_report,
     coulomb_energy,
     moderated_radial,
     screening_delta,
@@ -80,7 +79,7 @@ class TestOracleBasics:
     def test_critical_screening_bracket(self):
         # the 1s level unbinds near delta ~ 1.19; a shallow level needs a
         # wide box to be representable
-        wide = RadialGrid(r_min=1e-6, r_max=160.0, points=32001)
+        wide = RadialGrid(r_max=160.0, points=32001)
         res = solve_bound_state(AtomicSystem(1), 1.1, QuantumState(0, 0), grid=wide)
         assert res.energy < 0.0
         assert res.nodes_found == 0
@@ -90,7 +89,7 @@ class TestOracleBasics:
     def test_excited_level_disappears_before_ground(self):
         # 2s unbinds around delta ~ 0.31 while 1s survives
         system = AtomicSystem(1)
-        wide = RadialGrid(r_min=1e-6, r_max=200.0, points=32001)
+        wide = RadialGrid(r_max=200.0, points=32001)
         assert solve_bound_state(system, 0.5, QuantumState(0, 0), grid=wide).energy < 0
         with pytest.raises(NoBoundState):
             solve_bound_state(system, 0.5, QuantumState(1, 0), grid=wide)
@@ -103,6 +102,14 @@ class TestOracleBasics:
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="screening parameter must be finite"):
             solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0))
+
+    def test_closed_form_overflow_leaves_solve_unseeded(self):
+        # the third-order total reaches -inf at this delta; the exact
+        # potential has no bound level
+        system, state = AtomicSystem(3), QuantumState(0, 0)
+        assert oracle_mod._seed_bracket(system, 1.5e51, state) is None
+        with pytest.raises(NoBoundState):
+            solve_bound_state(system, 1.5e51, state)
 
     def test_solved_grids_keep_no_array(self):
         # scipy's brentq holds its callable in a reference cycle, so each
@@ -167,18 +174,25 @@ class TestRadialGrid:
 
     def test_rejects_even_points(self):
         with pytest.raises(ValueError):
-            RadialGrid(points=20000)
+            RadialGrid(r_max=20.0, points=20000)
 
     def test_rejects_small_grids(self):
         with pytest.raises(ValueError):
-            RadialGrid(points=501)
+            RadialGrid(r_max=20.0, points=501)
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            RadialGrid(r_min=5.0, r_max=1.0)
+        with pytest.raises(ValueError, match="r_max must be finite and above"):
+            RadialGrid(r_max=oracle_mod.R_MIN, points=4001)
+
+    @pytest.mark.parametrize("r_max", [float("inf"), float("nan"), 1e-7])
+    def test_rejects_box_not_past_r_min(self, r_max):
+        # an infinite box would give a NaN step, a RuntimeWarning and a false
+        # NoBoundState for hydrogen 1s
+        with pytest.raises(ValueError, match="r_max must be finite and above"):
+            RadialGrid(r_max=r_max, points=4001)
 
     def test_halving_preserves_oddness(self):
-        g = RadialGrid()
+        g = RadialGrid(r_max=20.0, points=20001)
         assert g.halved().points == 40001
 
 
@@ -345,7 +359,7 @@ class TestNumerovSweep:
         # a larger change is rounding; it must stay well below GRID_TOL
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
-        grid = RadialGrid.for_state(system, state, delta, points=40001)
+        grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 40001)
         bracket = (-3183.5114, -3183.5113)
         e1, _ = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
         e2, _ = oracle_mod._solve_on_grid(system, delta, state, grid.halved(), bracket)
@@ -505,7 +519,7 @@ class TestRichardsonExtrapolation:
         # 160001-point one by 5.6e-10 at Z=73 3s.
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         res = solve_bound_state(system, delta, state)
-        fine_grid = RadialGrid.for_state(system, state, delta, points=256001)
+        fine_grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 256001)
         bracket = (res.energy - 1e-7, res.energy + 1e-7)
         fine, nodes = oracle_mod._solve_on_grid(system, delta, state, fine_grid, bracket)
         assert nodes == n
@@ -577,21 +591,6 @@ class TestStaleBracket:
         seeded_energy, seeded_nodes = solve(n, bracket)
         assert seeded_nodes == nodes == n
         assert abs(seeded_energy - energy) <= 2.0 * oracle_mod.ENERGY_TOL
-
-
-class TestBreakdownReport:
-    def test_k_shell_agreement(self):
-        rec = breakdown_report(AtomicSystem(29), FA, QuantumState(0, 0))
-        assert rec.rel_diff < 1e-3
-        assert rec.abs_diff == pytest.approx(abs(rec.perturbative - rec.oracle))
-
-    def test_l_shell_breakdown_detected(self):
-        rec = breakdown_report(AtomicSystem(9), FA, QuantumState(1, 0))
-        assert rec.rel_diff > 0.3
-
-    def test_coulomb_limit_agreement(self):
-        rec = breakdown_report(AtomicSystem(7), ScreeningModel(delta0=0.0), QuantumState(0, 0))
-        assert rec.rel_diff < 1e-7
 
 
 class TestMonotoneOrderConvergence:

@@ -5,6 +5,7 @@ high-precision arithmetic (mpmath, 25 digits) from the defining formulas.
 """
 
 import math
+import re
 
 import pytest
 
@@ -179,6 +180,10 @@ class TestToKev:
         with pytest.raises(ValueError):
             UnitSystem(hartree_to_ev=0.0)
 
+    def test_rejects_overflow(self):
+        with pytest.raises(ValueError, match="is not a finite keV value"):
+            to_kev(-4.0, UnitSystem(hartree_to_ev=1e308))
+
 
 class TestCoulombLimit:
     @pytest.mark.parametrize("a", [1.0, 3.0, 17.5])
@@ -326,3 +331,10 @@ class TestNonFiniteInputs:
     def test_breakdown_delta(self, value):
         with pytest.raises(ValueError, match="screening parameter must be finite"):
             energy_breakdown(3.0, QuantumState(0, 0), value)
+
+    @pytest.mark.parametrize("delta, order", [(1e200, 1), (1e200, 3), (1.5e51, 3)])
+    def test_breakdown_overflow(self, delta, order):
+        # 1e200 overflows delta**2 (OverflowError); 1.5e51 takes e3 to -inf
+        # through float products alone
+        with pytest.raises(ValueError, match=re.escape(f"screening parameter {delta} overflows")):
+            energy_breakdown(3.0, QuantumState(0, 0), delta, order)

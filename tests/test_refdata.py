@@ -161,6 +161,39 @@ class TestLoaderValidation:
         assert ds.rows[0].notes == ""
 
 
+_HEADER = "z,shell,n,l,source,energy_kev"
+_GOOD_ROW = "3,E00,0,0,present_work,-0.054"
+
+
+class TestMalformedLines:
+    """Each loader error carries the number of the offending line."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        (f"{_HEADER},comment\n{_GOOD_ROW}\n", 1, "unsupported extra columns ['comment']"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n4,E00,0,0,present_work\n", 3, "expected 6 fields, got 5"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n4,E00,0,0,present_work,-0.1,note\n", 3,
+         "expected 6 fields, got 7"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n4,E22,0,0,present_work,-0.1\n", 3,
+         "unknown shell label 'E22'"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n0,E00,0,0,present_work,-0.1\n", 3,
+         "atomic number must be positive, got 0"),
+    ], ids=["extra-column", "too-few-fields", "notes-without-header", "unknown-shell", "z-below-1"])
+    def test_reports_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_reference(path)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == f"line {line}: {message}"
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"{_HEADER}\n{_GOOD_ROW}\n  \n4,E00,0,0,present_work,-0.1\n",
+                        encoding="utf-8")
+        ds = load_reference(path)
+        assert [r.z for r in ds.rows] == [3, 4]
+
+
 class TestCompare:
     def test_identity_comparison(self, table2):
         computed = [
