@@ -82,13 +82,28 @@ def _json_value(value):
     return value
 
 
+# An indent sends ``json.dumps`` to Python's pure encoder, about three times
+# slower than the C encoder that a flat object with these separators gets;
+# _render lays the flat objects out as ``indent=2`` would, byte for byte.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+_SUMMARY_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _indented(flat: str, pad: str) -> str:
+    """An encoded flat object opened onto its own lines, closing at ``pad``."""
+    return flat if flat == "{}" else "{\n" + pad + "  " + flat[1:-1] + "\n" + pad + "}"
+
+
 def _render(rows, columns, fmt, summary=None):
     stream = sys.stdout
     if fmt == "json":
-        payload = {"rows": [{k: _json_value(r.get(k)) for k in columns} for r in rows]}
+        encoded = [_indented(_ROW_ENCODER.encode({k: _json_value(r.get(k)) for k in columns}),
+                             "    ") for r in rows]
+        text = '{\n  "rows": ' + ("[\n    " + ",\n    ".join(encoded) + "\n  ]" if rows else "[]")
         if summary is not None:
-            payload["summary"] = {k: _json_value(v) for k, v in summary.items()}
-        stream.write(json.dumps(payload, indent=2) + "\n")
+            flat = _SUMMARY_ENCODER.encode({k: _json_value(v) for k, v in summary.items()})
+            text += ',\n  "summary": ' + _indented(flat, "  ")
+        stream.write(text + "\n}\n")
         return
     if fmt == "csv":
         stream.write(",".join(columns) + "\n")

@@ -151,8 +151,10 @@ class OracleResult:
 _SERIES_TERMS = 6
 
 
-def _series_start(a: float, delta: float, l: int, energy: float, r: float) -> float:
-    """Regular solution near the origin, u = r^(l+1) sum_k c_k r^k.
+def _series_start(a: float, delta: float, l: int, energy: float, r0: float,
+                  r1: float) -> tuple[float, float]:
+    """Regular solution near the origin, u = r^(l+1) sum_k c_k r^k, at the
+    grid's first two points r0 and r1; the c_k are built once for both.
 
     The plain r^(l+1) start misses a relative A*r correction at the second
     grid point, which degrades the eigenvalue convergence to first order in
@@ -174,10 +176,13 @@ def _series_start(a: float, delta: float, l: int, energy: float, r: float) -> fl
             acc += v[j] * c[q - 2 - j]
         c.append(-acc / (q * (q + 2 * l + 1)))
 
-    poly = 0.0
-    for ck in reversed(c):
-        poly = poly * r + ck
-    return r ** (l + 1) * poly
+    def u(r):
+        poly = 0.0
+        for ck in reversed(c):
+            poly = poly * r + ck
+        return r ** (l + 1) * poly
+
+    return u(r0), u(r1)
 
 
 class _Sweeper:
@@ -200,8 +205,7 @@ class _Sweeper:
 
     def _sweep(self, energy: float) -> tuple[int, float]:
         if energy not in self._swept:
-            u0 = _series_start(self.a, self.delta, self.l, energy, self.r0)
-            u1 = _series_start(self.a, self.delta, self.l, energy, self.r1)
+            u0, u1 = _series_start(self.a, self.delta, self.l, energy, self.r0, self.r1)
             self._swept[energy] = _numerov_py.count_nodes_sweep(self.w, energy, self.h, u0, u1)
         return self._swept[energy]
 

@@ -16,9 +16,13 @@ squared first-order term enters the second-order integrand as W1^2/2 while
 the third-order integrand takes the plain product W1*W2.
 
 One private evaluator, ``_radial``, computes chi and chi * u for every
-caller: the integrands handed to ``quad`` run it one Python float at a time
-with ``math.exp``, the public ``__call__`` methods on arrays with ``np.exp``.
-The three correction orders share one integrand, chi^2 times a cubic in r.
+caller.  It builds a state's constants once: the Laguerre recurrence's step
+constants, started from the norm, and beta, c2, c3 and the exponent's shift.
+The public ``__call__`` methods run the amplitude on arrays with ``np.exp``.
+Each of the four integrands handed to ``quad`` (chi's norm and tail, the
+moderated norm and the correction) is one closure that returns the squared
+amplitude times a cubic weight, one Python float at a time with ``math.exp``
+and no nested call; the three correction orders differ only in the weight.
 Every integral goes through ``_quad``, which imports
 ``scipy.integrate`` on its first call and looks ``quad`` up there on every
 call, so a wrapper put in its place sees every integral while it stays there.
@@ -130,24 +134,49 @@ class CoulombRadial:
 
 
 def _radial(exp, chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
-            shift: float = 0.0):
+            shift: float = 0.0, weight: tuple[float, float, float, float] | None = None):
     """Closure r -> norm r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - shift), with
-    g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``.
+    g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``; given a
+    ``weight`` (w0, w1, w2, w3), the closure r -> that function squared times
+    w0 + w1 r + w2 r^2 + w3 r^3 instead, an integrand for ``quad``.
 
     With the defaults it is chi scaled to ``norm``; with a moderated state's
     c2, c3 and g_peak it is that state.  ``exp`` fits the caller's input:
     ``math.exp`` for the floats ``quad`` passes one at a time, where numpy's
     per-call overhead costs several times the arithmetic, and ``np.exp`` for
-    arrays.
+    arrays.  Everything that depends only on the state is computed here,
+    once: per point the closure runs the Laguerre recurrence from
+    L_0 = norm with each step's constants ready, one power, one ``exp`` and,
+    for a weight, one cubic, with no further call.
     """
-    state, beta = chi.state, chi.beta
-    p, n, k = state.l + 1, state.n, 2 * state.l + 1
+    beta, l = chi.beta, chi.state.l
+    p, k = l + 1, 2 * l + 1
+    # L_j = ((2j - 1 + k - 2 beta r) L_(j-1) - (j - 1 + k) L_(j-2)) / j
+    steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
+                  for j in range(1, chi.state.n + 1))
 
     def f(r):
-        g = ((c3 * r + c2) * r - beta) * r - shift
-        return norm * r ** p * _laguerre_recurrence(n, k, 2.0 * beta * r) * exp(g)
+        prev, cur = 0.0, norm
+        for a, b, c in steps:
+            prev, cur = cur, (a - b * r) * cur - c * prev
+        return cur * r ** p * exp(((c3 * r + c2) * r - beta) * r - shift)
 
-    return f
+    if weight is None:
+        return f
+    w0, w1, w2, w3 = weight
+
+    def density(r):
+        prev, cur = 0.0, norm
+        for a, b, c in steps:
+            prev, cur = cur, (a - b * r) * cur - c * prev
+        amp = cur * r ** p * exp(((c3 * r + c2) * r - beta) * r - shift)
+        return amp * amp * (((w3 * r + w2) * r + w1) * r + w0)
+
+    return density
+
+
+#: ``_radial``'s weight for a norm integral.
+_UNIT_WEIGHT = (1.0, 0.0, 0.0, 0.0)
 
 
 def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
@@ -166,11 +195,7 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
     )
 
     chi = CoulombRadial(state=state, beta=beta, norm=1.0 / scale, r_max=r_max)
-    radial = _radial(math.exp, chi, chi.norm)
-
-    def density(r):
-        return radial(r) ** 2
-
+    density = _radial(math.exp, chi, chi.norm, weight=_UNIT_WEIGHT)
     main, main_err = _quad(density, 0.0, r_max)
     if main <= 0 or main_err > max(1e-11, 1e-9 * main):
         raise QuadratureError("normalization integral did not converge", main, main_err)
@@ -277,8 +302,8 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
     rising = (3.0 * c3 * chi.r_max + 2.0 * c2) * chi.r_max - chi.beta > 0.0
     # chi's norm keeps the trial integrand O(1) whenever u stays near 1
-    trial = _radial(math.exp, chi, chi.norm, c2, c3, g_peak)
-    nrm2, err = _quad(lambda r: trial(r) ** 2, 0.0, chi.r_max)
+    trial = _radial(math.exp, chi, chi.norm, c2, c3, g_peak, weight=_UNIT_WEIGHT)
+    nrm2, err = _quad(trial, 0.0, chi.r_max)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
     return ModeratedRadial(chi=chi, delta=delta, norm=chi.norm / math.sqrt(nrm2), c2=c2, c3=c3,
@@ -300,7 +325,6 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     chi = coulomb_chi(system, state)
-    radial = _radial(math.exp, chi, chi.norm)
     a, d = system.a, delta
     # every order's weight is r (w1 + w2 r + w3 r^2), with W1(r) = s r and
     # W2(r) = (k2 r + k1) r
@@ -312,9 +336,7 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
         3: (0.0, -s * k1, -a * d**4 / 24.0 - s * k2),
     }[order]
 
-    def integrand(r):
-        return radial(r) ** 2 * ((w3 * r + w2) * r + w1) * r
-
+    integrand = _radial(math.exp, chi, chi.norm, weight=(0.0, w1, w2, w3))
     value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):
         raise QuadratureError(f"order-{order} correction did not converge", value, err)

@@ -152,6 +152,23 @@ class TestDeterminism:
             for key in ("delta", "e0_hartree", "total_hartree", "total_kev"):
                 assert float(c[key]) == j[key]
 
+    @pytest.mark.parametrize("rows, summary", [
+        ([{"z": 3, "shell": "E00", "total": -1.98650850123, "note": None}] * 2, None),
+        ([], None),
+        ([], {"worst_z": 84, "max_rel_diff": 2.5e-05, "source": None}),
+        ([{"z": 9, "shell": "Ångström µ \"q\"\n", "total": float("nan"), "note": "x"}],
+         {"source": "ü", "max_abs_diff": 1e300}),
+        ([{"z": 1, "shell": "E01", "total": 0.1, "note": ""}], {}),
+    ])
+    def test_json_layout_is_json_dumps_indent_2(self, capsys, rows, summary):
+        # the rows are encoded flat and laid out by hand, byte for byte
+        columns = ["z", "shell", "total", "note"]
+        cli._render(rows, columns, "json", summary)
+        payload = {"rows": [{k: cli._json_value(r.get(k)) for k in columns} for r in rows]}
+        if summary is not None:
+            payload["summary"] = {k: cli._json_value(v) for k, v in summary.items()}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
     def test_nine_significant_digit_formatting(self, capsys):
         _, out, _ = run_cli(capsys, "level", "--z", "3", "--n", "0", "--l", "0",
                             "--format", "csv")

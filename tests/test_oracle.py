@@ -284,8 +284,7 @@ class TestNumerovSweep:
         for points in (20001, 40001, 20001):
             sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid(r_max=20.0, points=points))
             for energy in energies:
-                u0, u1 = (oracle_mod._series_start(system.a, delta, 0, energy, r)
-                          for r in (sweep.r0, sweep.r1))
+                u0, u1 = oracle_mod._series_start(system.a, delta, 0, energy, sweep.r0, sweep.r1)
                 args = (sweep.w, energy, sweep.h, u0, u1)
                 assert _numerov_py.count_nodes_sweep(*args) == _fresh_buffer_sweep(*args)
         assert len(solves) > 3 * len(energies)  # some sweeps rescaled and solved again

@@ -176,6 +176,28 @@ class TestFloatEvaluator:
                     peak = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-13 * peak, (z, n, l, vectorised)
 
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("l", range(3))
+    def test_laguerre_factor_matches_laguerre_eval(self, n, l):
+        # the evaluator runs the recurrence with its constants built once
+        # per state; it is the public recurrence to within 1e-13 of the peak
+        chi = coulomb_chi(AtomicSystem(29), QuantumState(n, l))
+        radial = _radial(math.exp, chi, 1.0)
+        r = np.linspace(0.0, chi.r_max, 400)
+        x = 2.0 * chi.beta * r
+        want = r ** (l + 1) * laguerre_eval(LaguerreSpec(n, 2 * l + 1), x) * np.exp(-chi.beta * r)
+        got = np.array([radial(float(t)) for t in r])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_weighted_closure_is_square_times_cubic(self):
+        chi = coulomb_chi(AtomicSystem(29), QuantumState(2, 1))
+        weight = (0.5, -1.0, 0.25, 2.0)
+        radial = _radial(math.exp, chi, chi.norm)
+        density = _radial(math.exp, chi, chi.norm, weight=weight)
+        for r in np.linspace(0.0, chi.r_max, 50):
+            cubic = weight[0] + weight[1] * r + weight[2] * r**2 + weight[3] * r**3
+            assert density(r) == pytest.approx(radial(r) ** 2 * cubic, rel=1e-13, abs=1e-300)
+
 
 _DELTA_29 = screening_delta(29, ScreeningModel())
 PUBLIC_EVALUATORS = {
@@ -437,6 +459,16 @@ class TestCorrectionViaQuadrature:
             got = correction_via_quadrature(AtomicSystem(z), QuantumState(n, l), delta, order)
             want = correction_from_moments(z, delta, n, l, order)
             assert got == pytest.approx(want, rel=1e-10), order
+
+    @pytest.mark.parametrize("n", range(3))
+    @pytest.mark.parametrize("l", range(3))
+    @pytest.mark.parametrize("z", [3, 29, 84])
+    def test_every_order_within_1e12_of_exact_moments(self, z, n, l):
+        delta = screening_delta(z, ScreeningModel())
+        for order in (1, 2, 3):
+            got = correction_via_quadrature(AtomicSystem(z), QuantumState(n, l), delta, order)
+            want = correction_from_moments(z, delta, n, l, order)
+            assert got == pytest.approx(want, rel=1e-12), order
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
