@@ -11,9 +11,10 @@ Exit codes: 0 ok, 1 comparison above tolerance, 2 usage or file errors,
 identical invocations are byte-identical.
 
 The parser is the one place each option is defined.  The shared options
-take their defaults and choices from the library, and ``ScreeningModel``
-and ``UnitSystem`` check their values; ``main`` turns a ``ValueError``
-into a usage error (exit 2).
+take their defaults and choices from the library.  ``ScreeningModel``,
+``UnitSystem`` and the Z-list and state parsers check their values, and
+each handler takes the parsed arguments alone: ``main`` turns a
+``ValueError`` into a usage error (exit 2).
 
 ``main`` builds one parser per process, on its first call, and reuses it:
 building the tree costs about 1 ms, several times the parse and the
@@ -122,7 +123,7 @@ def _render(rows, columns, fmt, summary=None):
         stream.write(", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n")
 
 
-def _parse_z_spec(text: str, shell: str, parser) -> list[int]:
+def _parse_z_spec(text: str, shell: str) -> list[int]:
     """Z list syntax: ints, 'a..b' ranges, 'paper', 'a..b:paper', commas."""
     values: list[int] = []
     for token in text.split(","):
@@ -140,7 +141,7 @@ def _parse_z_spec(text: str, shell: str, parser) -> list[int]:
                 lo_s, hi_s = token.split("..")
                 lo, hi = int(lo_s), int(hi_s)
             except ValueError:
-                parser.error(f"bad Z range {token!r}")
+                raise ValueError(f"bad Z range {token!r}")
             if restrict_paper:
                 values.extend(z for z in BUNDLED_Z[shell] if lo <= z <= hi)
             else:
@@ -149,20 +150,18 @@ def _parse_z_spec(text: str, shell: str, parser) -> list[int]:
             try:
                 values.append(int(token))
             except ValueError:
-                parser.error(f"bad Z value {token!r}")
+                raise ValueError(f"bad Z value {token!r}")
     if not values:
-        parser.error("empty Z list")
-    seen = set()
-    unique = [z for z in values if not (z in seen or seen.add(z))]
-    return sorted(unique)
+        raise ValueError("empty Z list")
+    return sorted(set(values))
 
 
-def _parse_state(text: str, parser) -> QuantumState:
+def _parse_state(text: str) -> QuantumState:
     try:
         n_s, l_s = text.split(",")
         return QuantumState(int(n_s), int(l_s))
     except ValueError:
-        parser.error(f"bad state {text!r}; expected 'n,l'")
+        raise ValueError(f"bad state {text!r}; expected 'n,l'")
 
 
 def _model_and_units(args) -> tuple[ScreeningModel, UnitSystem]:
@@ -196,7 +195,7 @@ _BREAKDOWN_COLUMNS = ["z", "n", "l", "order", "delta", "e0_hartree", "a_delta_ha
                       "total_kev", "flag"]
 
 
-def cmd_level(args, parser) -> int:
+def cmd_level(args) -> int:
     model, units = _model_and_units(args)
     state = QuantumState(args.n, args.l)
     row = _breakdown_row(args.z, state, args.order, model, units)
@@ -204,21 +203,21 @@ def cmd_level(args, parser) -> int:
     return 0
 
 
-def cmd_table(args, parser) -> int:
+def cmd_table(args) -> int:
     model, units = _model_and_units(args)
     n, l = SHELL_QUANTUM_NUMBERS[args.shell]
     state = QuantumState(n, l)
-    z_list = _parse_z_spec(args.z, args.shell, parser)
+    z_list = _parse_z_spec(args.z, args.shell)
     rows = [{"shell": args.shell, **_breakdown_row(z, state, args.order, model, units)}
             for z in z_list]
     _render(rows, ["shell"] + _BREAKDOWN_COLUMNS, args.format)
     return 0
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     model, units = _model_and_units(args)
-    states = [_parse_state(s, parser) for s in (args.state or ["0,0"])]
-    z_list = _parse_z_spec(args.z, "E00", parser)
+    states = [_parse_state(s) for s in (args.state or ["0,0"])]
+    z_list = _parse_z_spec(args.z, "E00")
 
     def run(z, st):
         system = AtomicSystem(z)
@@ -228,10 +227,6 @@ def cmd_verify(args, parser) -> int:
             "z": z, "n": st.n, "l": st.l, "order": args.order,
             "perturbative_hartree": b.total,
             "perturbative_kev": to_kev(b.total, units),
-            "oracle_hartree": None, "oracle_kev": None,
-            "abs_diff_hartree": None, "rel_diff": None,
-            "nodes": None, "grid_points": None, "sweeps": None,
-            "estimated_error_hartree": None,
             "flag": "",
         }
         try:
@@ -267,7 +262,7 @@ def cmd_verify(args, parser) -> int:
     return 0
 
 
-def cmd_compare(args, parser) -> int:
+def cmd_compare(args) -> int:
     model, units = _model_and_units(args)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {args.tolerance}")
@@ -284,7 +279,7 @@ def cmd_compare(args, parser) -> int:
     z_values = sorted({r.z for r in dataset.rows if r.shell_label == args.shell
                        and r.source == source})
     if args.z:
-        z_values = _parse_z_spec(args.z, args.shell, parser)
+        z_values = _parse_z_spec(args.z, args.shell)
     computed = [(z, args.shell, _breakdown_row(z, state, args.order, model, units)["total_kev"])
                 for z in z_values]
     try:
@@ -376,7 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args, parser)
+        return handler(args)
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

@@ -27,6 +27,9 @@ bracket's ends are swept from the top and each is kept only where its node
 count proves it, so a poor seed costs sweeps but cannot change which level is
 found (see :func:`solve_bound_state`).
 
+No level binds once delta / A passes the 1s critical ratio, so such a
+solve raises ``NoBoundState`` before it builds a grid.
+
 A solve given no grid uses a box that reaches 30 decay lengths past a
 bound on the level's outer turning point, both taken from the upper bound
 E0 + A delta on its energy, and is never wider than max(20, 30 N^2/A) Bohr
@@ -75,6 +78,10 @@ _E_TOP = -1e-12
 R_MIN = 1e-6
 #: Points of the first grid of a solve given no grid.
 FIRST_GRID_POINTS = 4001
+#: delta / A past which no level binds: the 1s critical ratio 1.190612
+#: (Rogers, Graboske & Harwood, Phys. Rev. A 1, 1577 (1970)), rounded up.
+#: Every other level unbinds at a smaller ratio.
+CRITICAL_RATIO = 1.1907
 
 
 def numerov_backend() -> str:
@@ -327,10 +334,14 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     ``FIRST_GRID_POINTS`` points; a grid passed in starts at its own box and
     size.  Every grid starts at ``R_MIN``.  The result's
     ``sweeps`` counts the trial energies swept on every grid, and its
-    ``grid_points`` is the finest grid's size.
+    ``grid_points`` is the finest grid's size.  A delta past
+    ``CRITICAL_RATIO`` times A raises :class:`NoBoundState` before any sweep.
     """
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
+    if delta > CRITICAL_RATIO * system.a:
+        raise NoBoundState(f"no bound state for A={system.a}, delta={delta}: delta/A is past "
+                           f"the 1s critical ratio {CRITICAL_RATIO}")
     if grid is None:
         grid = RadialGrid.for_state(system, state, delta)
 

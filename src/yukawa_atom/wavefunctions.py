@@ -4,9 +4,11 @@ Coulomb problem.
 The reduced radial function of the unscreened problem is
 chi(r) = N r^(l+1) exp(-beta r) L_n^(2l+1)(2 beta r) with beta = A/(n+l+1);
 its normalization is fixed numerically.  The screening corrections ride on
-top of chi through two low-order superpotentials (linear and quadratic
-polynomials in r) whose integral builds the moderating factor
-u(r) = exp(-int_0^r (W1 + W2)), and the moderated wavefunction is chi * u.
+top of chi through two low-order superpotentials, linear and quadratic
+polynomials in r given as coefficient tuples in ascending powers of r (the
+layout of ``numpy.polynomial.polynomial``), whose integral builds the
+moderating factor u(r) = exp(-int_0^r (W1 + W2)); the moderated wavefunction
+is chi * u.
 
 ``correction_via_quadrature`` re-derives the per-order energy shifts as
 integrals over chi^2, which is the internal consistency oracle for the
@@ -43,7 +45,6 @@ __all__ = [
     "laguerre_eval",
     "CoulombRadial",
     "coulomb_chi",
-    "SuperpotentialPoly",
     "superpotential_w1",
     "superpotential_w2",
     "moderating_u",
@@ -91,15 +92,6 @@ class LaguerreSpec:
         return math.comb(self.n + self.k, self.n)
 
 
-def _laguerre_recurrence(n: int, k: int, x):
-    """L_n^(k)(x) by the three-term recurrence from L_-1 = 0 and L_0 = 1,
-    on a float or an ndarray alike (1.0 for n = 0 whatever x is)."""
-    prev, cur = 0.0, 1.0
-    for j in range(1, n + 1):
-        prev, cur = cur, ((2.0 * j - 1.0 + k - x) * cur - (j - 1.0 + k) * prev) / j
-    return cur
-
-
 def _on_floats(f, x):
     """``f`` of ``x`` as a float ndarray: a Python float back for a scalar
     ``x``, an ndarray of its shape otherwise."""
@@ -113,7 +105,14 @@ def laguerre_eval(spec: LaguerreSpec, x):
     Accepts scalars or ndarrays.  Equivalent to the explicit alternating sum
     sum_m (-1)^m (n+k)! / ((n-m)! (m+k)! m!) x^m.
     """
-    return _on_floats(lambda t: np.ones_like(t) * _laguerre_recurrence(spec.n, spec.k, t), x)
+    def recurrence(t):
+        # L_j from L_-1 = 0 and L_0 = 1 (ones for n = 0 whatever t is)
+        prev, cur = 0.0, np.ones_like(t)
+        for j in range(1, spec.n + 1):
+            prev, cur = cur, ((2.0 * j - 1.0 + spec.k - t) * cur - (j - 1.0 + spec.k) * prev) / j
+        return cur
+
+    return _on_floats(recurrence, x)
 
 
 @dataclass(frozen=True)
@@ -205,49 +204,25 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
     return replace(chi, norm=1.0 / (scale * math.sqrt(main)))
 
 
-@dataclass(frozen=True)
-class SuperpotentialPoly:
-    """Polynomial superpotential sum(c_i r^i), coefficients in ascending order."""
-
-    coefficients: tuple[float, ...]
-    order_tag: int
-
-    def __call__(self, r):
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * r + c
-        return acc
-
-    def integral(self, r):
-        """Antiderivative from 0 to r, term by term."""
-        acc = 0.0
-        for i in reversed(range(len(self.coefficients))):
-            acc = acc * r + self.coefficients[i] / (i + 1)
-        return acc * r
+def superpotential_w1(state: QuantumState, delta: float) -> tuple[float, float]:
+    """First-order superpotential, linear with slope -N delta^2 / 2: its
+    coefficients in ascending powers of r, (0, slope)."""
+    return 0.0, -state.big_n * delta * delta / 2.0
 
 
-def superpotential_w1(state: QuantumState, delta: float) -> SuperpotentialPoly:
-    """First-order superpotential, linear with slope -N delta^2 / 2."""
-    slope = -state.big_n * delta * delta / 2.0
-    return SuperpotentialPoly(coefficients=(0.0, slope), order_tag=1)
-
-
-def superpotential_w2(a: float, state: QuantumState, delta: float) -> SuperpotentialPoly:
-    """Second-order superpotential -N [A r + N(N+1)] [3 N^2 delta - 4A] delta^3 r / (24 A^2)."""
+def superpotential_w2(a: float, state: QuantumState, delta: float) -> tuple[float, float, float]:
+    """Second-order superpotential -N [A r + N(N+1)] [3 N^2 delta - 4A] delta^3 r / (24 A^2):
+    its coefficients in ascending powers of r, (0, k N(N+1), k A)."""
     big_n = float(state.big_n)
     k = -big_n * (3.0 * big_n**2 * delta - 4.0 * a) * delta**3 / (24.0 * a * a)
-    return SuperpotentialPoly(
-        coefficients=(0.0, k * big_n * (big_n + 1.0), k * a), order_tag=2
-    )
+    return 0.0, k * big_n * (big_n + 1.0), k * a
 
 
 def _exponent_coefficients(a: float, state: QuantumState, delta: float) -> tuple[float, float]:
     """(r^2, r^3) coefficients of -int_0^r (W1 + W2), the moderating exponent."""
-    w1 = superpotential_w1(state, delta)
-    w2 = superpotential_w2(a, state, delta)
-    linear = w1.coefficients[1] + w2.coefficients[1]
-    quadratic = w2.coefficients[2]
-    return -linear / 2.0, -quadratic / 3.0
+    _, s = superpotential_w1(state, delta)
+    _, k1, k2 = superpotential_w2(a, state, delta)
+    return -(s + k1) / 2.0, -k2 / 3.0
 
 
 def moderating_u(a: float, state: QuantumState, delta: float, r):
@@ -328,8 +303,8 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
     a, d = system.a, delta
     # every order's weight is r (w1 + w2 r + w3 r^2), with W1(r) = s r and
     # W2(r) = (k2 r + k1) r
-    s = superpotential_w1(state, delta).coefficients[1]
-    _, k1, k2 = superpotential_w2(a, state, delta).coefficients
+    _, s = superpotential_w1(state, delta)
+    _, k1, k2 = superpotential_w2(a, state, delta)
     w1, w2, w3 = {
         1: (-a * d * d / 2.0, 0.0, 0.0),
         2: (0.0, a * d**3 / 6.0 - s * s / 2.0, 0.0),

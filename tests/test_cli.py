@@ -111,7 +111,8 @@ class TestTable:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("spec, message", [("3..x", "bad Z range '3..x'"),
-                                               (",", "empty Z list")])
+                                               (",", "empty Z list"),
+                                               ("abc", "bad Z value 'abc'")])
     def test_bad_range_and_empty_list_exit_2(self, capsys, spec, message):
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "--shell", "E00", "--z", spec])
@@ -211,14 +212,14 @@ class TestReusedParser:
         run_cli(capsys, *argv)
         calls = []
 
-        def stub(args, parser):
-            calls.append((args, parser))
+        def stub(args):
+            calls.append(args)
             return 7
 
         monkeypatch.setattr(cli, "cmd_level", stub)
         assert main(argv) == 7
-        (args, parser), = calls
-        assert isinstance(parser, argparse.ArgumentParser)
+        args, = calls
+        assert isinstance(args, argparse.Namespace)
         assert args.command == "level"
         # the parsed namespace, and so the cached parser, holds no handler
         assert not any(callable(value) for value in vars(args).values())
@@ -287,10 +288,20 @@ class TestVerify:
         assert 0 < int(bound["sweeps"]) <= 16
         assert unbound["flag"] == "NO_BOUND_STATE" and unbound["sweeps"] == ""
 
-    def test_bad_state_exit_2(self, capsys):
+    @pytest.mark.parametrize("state", ["x", "-1,0"])
+    def test_bad_state_exit_2(self, capsys, state):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--z", "3", "--state", "x"])
+            main(["verify", "--z", "3", f"--state={state}"])
         assert excinfo.value.code == 2
+        assert f"bad state '{state}'; expected 'n,l'" in capsys.readouterr().err
+
+    def test_screening_past_critical_ratio_is_unbound(self, capsys):
+        # delta / A far past 1.1907: no sweep, and no non-convergence
+        code, out, _ = run_cli(capsys, "verify", "--z", "3", "--delta0", "1e7",
+                               "--format", "csv")
+        assert code == 0
+        row, = parse_csv(out)
+        assert row["flag"] == "NO_BOUND_STATE" and row["sweeps"] == ""
 
     def test_nonconvergence_row_carries_best_estimate(self, capsys, monkeypatch):
         # one halving and a zero tolerance stall Z=29 1s after two grids,

@@ -431,6 +431,22 @@ class TestRootSearch:
         sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid.for_state(system, state, delta))
         assert sweep.nodes(1.5 * coulomb_energy(system.a, state)) <= state.n
 
+    @pytest.mark.parametrize("delta", [1e6, 1e7, 1e62, 1e100])
+    def test_past_critical_ratio_unbound_without_sweeps(self, monkeypatch, delta):
+        # at such delta the near-origin series diverges (1e7 stalls the
+        # refinement, 1e62 overflows), so no sweep may run
+        work = _count_sweeps(monkeypatch)
+        with pytest.raises(NoBoundState):
+            solve_bound_state(AtomicSystem(3), delta, QuantumState(0, 0))
+        assert work["sweeps"] == 0
+
+    def test_just_below_critical_ratio_stays_bound(self):
+        # 1.19 < 1.190612: hydrogen 1s still binds, at about -9.0e-8 Ha
+        res = solve_bound_state(AtomicSystem(1), 1.19, QuantumState(0, 0),
+                                grid=RadialGrid(4000.0, 200001))
+        assert res.nodes_found == 0
+        assert -1e-6 < res.energy < 0.0
+
     def test_node_mismatch_raises_nonconvergence(self, monkeypatch):
         # a converged energy whose node count is not n is reported, not returned
         bisect = oracle_mod._bisect_eigenvalue

@@ -1,4 +1,8 @@
-"""The package's public names: each layer module's ``__all__``, plus ``__version__``."""
+"""The package's public names: each layer module's ``__all__``, plus ``__version__``,
+and the README's library example, run as written."""
+
+import re
+from pathlib import Path
 
 import yukawa_atom
 from yukawa_atom import oracle, perturbation, refdata, wavefunctions
@@ -17,3 +21,14 @@ def test_every_exported_name_resolves_to_its_layer():
         for name in layer.__all__:
             assert getattr(yukawa_atom, name) is getattr(layer, name), name
     assert isinstance(yukawa_atom.__version__, str)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks, "README has no python example"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # the printed K-shell total matches the comment beside it
+    assert round(float(lines[1]), 4) == -9.2876

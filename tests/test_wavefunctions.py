@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from scipy.integrate import quad
 
@@ -29,7 +30,7 @@ from yukawa_atom import (
     superpotential_w2,
     third_order_shift,
 )
-from yukawa_atom.wavefunctions import _QUAD_OPTS, _radial
+from yukawa_atom.wavefunctions import _QUAD_OPTS, _exponent_coefficients, _radial
 
 
 def laguerre_explicit(n, k, x):
@@ -232,45 +233,41 @@ class TestScalarOrArray:
 
 class TestSuperpotentials:
     def test_w1_slope_ground_state(self):
-        w = superpotential_w1(QuantumState(0, 0), 1.0)
-        assert w.coefficients == (0.0, -0.5)
-        assert w.order_tag == 1
+        assert superpotential_w1(QuantumState(0, 0), 1.0) == (0.0, -0.5)
 
     def test_w1_zero_screening(self):
-        assert superpotential_w1(QuantumState(0, 0), 0.0).coefficients == (0.0, -0.0)
+        assert superpotential_w1(QuantumState(0, 0), 0.0) == (0.0, -0.0)
 
     def test_w1_excited_state(self):
-        w = superpotential_w1(QuantumState(2, 1), 0.5)
-        assert w.coefficients[1] == pytest.approx(-0.5, rel=1e-14)
+        _, slope = superpotential_w1(QuantumState(2, 1), 0.5)
+        assert slope == pytest.approx(-0.5, rel=1e-14)
 
     def test_w2_zero_screening(self):
-        w = superpotential_w2(1.0, QuantumState(0, 0), 0.0)
-        assert all(c == 0.0 for c in w.coefficients)
-        assert w.order_tag == 2
+        assert superpotential_w2(1.0, QuantumState(0, 0), 0.0) == (0.0, 0.0, 0.0)
 
     def test_w2_frozen_coefficients(self):
         # -N [A r + N(N+1)] [3 N^2 d - 4A] d^3 r / (24 A^2) at A=3, N=1, d=1.078630
-        w = superpotential_w2(3.0, QuantumState(0, 0), 1.078630)
-        assert w.coefficients[0] == 0.0
-        assert w.coefficients[1] == pytest.approx(0.101836050997, rel=1e-10)
-        assert w.coefficients[2] == pytest.approx(0.152754076496, rel=1e-10)
+        c0, c1, c2 = superpotential_w2(3.0, QuantumState(0, 0), 1.078630)
+        assert c0 == 0.0
+        assert c1 == pytest.approx(0.101836050997, rel=1e-10)
+        assert c2 == pytest.approx(0.152754076496, rel=1e-10)
 
     def test_w2_matches_independent_first_excited_encoding(self):
         # explicit n=1 form with N1 = l+2, N2 = l+3
         a, delta, l = 1.0, 0.1, 0
         n1, n2 = l + 2, l + 3
         k = -n1 * (3 * n1**2 * delta - 4 * a) * delta**3 / (24 * a * a)
-        w = superpotential_w2(a, QuantumState(1, l), delta)
-        assert w.coefficients[1] == pytest.approx(k * n1 * n2, rel=1e-12)
-        assert w.coefficients[2] == pytest.approx(k * a, rel=1e-12)
+        _, c1, c2 = superpotential_w2(a, QuantumState(1, l), delta)
+        assert c1 == pytest.approx(k * n1 * n2, rel=1e-12)
+        assert c2 == pytest.approx(k * a, rel=1e-12)
 
-    def test_poly_evaluation_and_integral(self):
-        w = superpotential_w2(2.0, QuantumState(0, 1), 0.4)
-        r = 1.7
-        c = w.coefficients
-        assert w(r) == pytest.approx(c[0] + c[1] * r + c[2] * r * r, rel=1e-14)
-        val, _ = quad(w, 0.0, r, epsabs=1e-14, epsrel=1e-14)
-        assert w.integral(r) == pytest.approx(val, rel=1e-12)
+    @pytest.mark.parametrize("a, n, l, delta", [(2.0, 0, 1, 0.4), (29.0, 2, 2, 1.3)])
+    def test_exponent_is_minus_integral_of_sum(self, a, n, l, delta):
+        # -int_0^r (W1 + W2) has no constant or linear term
+        state = QuantumState(n, l)
+        w = P.polyadd(superpotential_w1(state, delta), superpotential_w2(a, state, delta))
+        c2, c3 = _exponent_coefficients(a, state, delta)
+        assert (-P.polyint(w)).tolist() == [0.0, 0.0, c2, c3]
 
 
 class TestModeratingU:
@@ -293,9 +290,8 @@ class TestModeratingU:
     ])
     def test_exponent_matches_numerical_quadrature(self, a, n, l, delta, r):
         state = QuantumState(n, l)
-        w1 = superpotential_w1(state, delta)
-        w2 = superpotential_w2(a, state, delta)
-        integral, err = quad(lambda x: w1(x) + w2(x), 0.0, r, epsabs=1e-14, epsrel=1e-14)
+        w = P.polyadd(superpotential_w1(state, delta), superpotential_w2(a, state, delta))
+        integral, err = quad(lambda x: P.polyval(x, w), 0.0, r, epsabs=1e-14, epsrel=1e-14)
         assert err < 1e-10
         assert moderating_u(a, state, delta, r) == pytest.approx(
             math.exp(-integral), rel=1e-10
