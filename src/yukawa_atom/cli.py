@@ -283,27 +283,13 @@ def cmd_compare(args) -> int:
     computed = [(z, args.shell, _breakdown_row(z, state, args.order, model, units)["total_kev"])
                 for z in z_values]
     try:
-        report = compare_datasets(dataset, computed, source)
+        rows, summary = compare_datasets(dataset, computed, source)
     except MissingReference as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    rows = [
-        {"z": e.z, "shell": e.shell_label, "computed_kev": e.computed_kev,
-         "reference_kev": e.reference_kev, "abs_diff_kev": e.abs_diff_kev,
-         "rel_diff": e.rel_diff}
-        for e in report.rows
-    ]
-    summary = {
-        "max_abs_diff": report.summary.max_abs_diff,
-        "max_rel_diff": report.summary.max_rel_diff,
-        "worst_z": report.summary.worst_z,
-        "tolerance": args.tolerance,
-        "source": source.value,
-    }
     _render(rows, ["z", "shell", "computed_kev", "reference_kev", "abs_diff_kev", "rel_diff"],
-            args.format, summary=summary)
-    return 0 if report.summary.max_rel_diff <= args.tolerance else 1
+            args.format, summary={**summary, "tolerance": args.tolerance, "source": source.value})
+    return 0 if summary["max_rel_diff"] <= args.tolerance else 1
 
 
 def _add_config_flags(sub):

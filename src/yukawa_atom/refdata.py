@@ -1,4 +1,5 @@
-"""Bundled K- and L-shell reference energies and comparison reporting.
+"""Bundled K- and L-shell reference energies and their comparison with
+computed ones.
 
 CSV schema (UTF-8, comma separated, header required)::
 
@@ -6,17 +7,16 @@ CSV schema (UTF-8, comma separated, header required)::
 
 ``shell`` is one of E00, E01, E10, E11 (the (n, l) subscripts of the level),
 ``source`` one of ``ewa``, ``hypervirial_pade``, ``shifted_n``,
-``experiment``, ``present_work``.  Energies are negative keV, stored exactly
-as printed in the source tables.  The optional ``notes`` column carries
-transcription flags and is preserved on round-trip.
-
-The bundled directory can be overridden with the ``YUKAWA_REFDIR``
-environment variable.
+``experiment``, ``present_work``.  Energies are finite, negative keV, stored
+exactly as printed in the source tables; each row keeps the printed text
+(``energy_text``) beside its value.  The optional ``notes`` column carries
+transcription flags.  ``compare`` returns plain dict rows and a dict
+summary, ready for the command line to render.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -30,14 +30,9 @@ __all__ = [
     "ReferenceSource",
     "ReferenceRow",
     "ReferenceDataset",
-    "ComparisonEntry",
-    "ComparisonSummary",
-    "ComparisonReport",
     "SHELL_QUANTUM_NUMBERS",
     "load_reference",
-    "serialize_reference",
     "compare",
-    "reference_dir",
     "bundled_reference_path",
 ]
 
@@ -103,7 +98,6 @@ class ReferenceRow:
 @dataclass(frozen=True)
 class ReferenceDataset:
     rows: tuple[ReferenceRow, ...]
-    has_notes_column: bool
     _index: dict = field(repr=False)
 
     def get(self, z: int, shell_label: str, source: ReferenceSource) -> ReferenceRow:
@@ -161,6 +155,8 @@ def load_reference(path) -> ReferenceDataset:
             )
         if z < 1:
             raise ParseError(f"atomic number must be positive, got {z}", lineno)
+        if not math.isfinite(energy):
+            raise ParseError(f"energy_kev must be finite, got {parts[5]}", lineno)
         if not energy < 0:
             raise SignViolation(
                 f"line {lineno}: energy_kev must be negative, got {parts[5]} "
@@ -175,81 +171,31 @@ def load_reference(path) -> ReferenceDataset:
                            energy_kev=energy, energy_text=parts[5], notes=notes)
         rows.append(row)
         index[key] = row
-    return ReferenceDataset(rows=tuple(rows), has_notes_column=has_notes, _index=index)
+    return ReferenceDataset(rows=tuple(rows), _index=index)
 
 
-def serialize_reference(dataset: ReferenceDataset) -> str:
-    """Render a dataset back to CSV text (round-trips a loaded file)."""
-    header = _CORE_HEADER + (["notes"] if dataset.has_notes_column else [])
-    out = [",".join(header)]
-    for row in dataset.rows:
-        fields = [str(row.z), row.shell_label, str(row.n), str(row.l),
-                  row.source.value, row.energy_text or repr(row.energy_kev)]
-        if dataset.has_notes_column:
-            fields.append(row.notes)
-        out.append(",".join(fields))
-    return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class ComparisonEntry:
-    z: int
-    shell_label: str
-    computed_kev: float
-    reference_kev: float
-    abs_diff_kev: float
-    rel_diff: float
-
-
-@dataclass(frozen=True)
-class ComparisonSummary:
-    max_abs_diff: float
-    max_rel_diff: float
-    worst_z: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonEntry, ...]
-    summary: ComparisonSummary
-
-
-def compare(dataset: ReferenceDataset, computed, source_filter: ReferenceSource) -> ComparisonReport:
+def compare(dataset: ReferenceDataset, computed, source: ReferenceSource):
     """Compare computed (z, shell, energy_kev) triples against one source
-    column.  Raises :class:`MissingReference` for absent keys."""
-    entries = []
+    column.
+
+    Returns ``(rows, summary)``: one dict per triple with the keys ``z``,
+    ``shell``, ``computed_kev``, ``reference_kev``, ``abs_diff_kev`` and
+    ``rel_diff``, sorted by (z, shell), and a dict of ``max_abs_diff``,
+    ``max_rel_diff`` and ``worst_z`` (all 0 when nothing is computed).
+    Raises :class:`MissingReference` for absent keys."""
+    rows = []
     for z, shell_label, energy_kev in computed:
-        ref = dataset.get(z, shell_label, source_filter)
-        abs_diff = abs(energy_kev - ref.energy_kev)
-        entries.append(
-            ComparisonEntry(
-                z=z,
-                shell_label=shell_label,
-                computed_kev=energy_kev,
-                reference_kev=ref.energy_kev,
-                abs_diff_kev=abs_diff,
-                rel_diff=abs_diff / abs(ref.energy_kev),
-            )
-        )
-    entries.sort(key=lambda e: (e.z, e.shell_label))
-    if entries:
-        worst = max(entries, key=lambda e: e.rel_diff)
-        summary = ComparisonSummary(
-            max_abs_diff=max(e.abs_diff_kev for e in entries),
-            max_rel_diff=worst.rel_diff,
-            worst_z=worst.z,
-        )
-    else:
-        summary = ComparisonSummary(max_abs_diff=0.0, max_rel_diff=0.0, worst_z=0)
-    return ComparisonReport(rows=tuple(entries), summary=summary)
-
-
-def reference_dir() -> Path:
-    """Directory holding the reference CSVs (bundled unless overridden)."""
-    override = os.environ.get("YUKAWA_REFDIR")
-    if override:
-        return Path(override)
-    return Path(resources.files("yukawa_atom") / "data")
+        reference_kev = dataset.get(z, shell_label, source).energy_kev
+        abs_diff = abs(energy_kev - reference_kev)
+        rows.append({"z": z, "shell": shell_label, "computed_kev": energy_kev,
+                     "reference_kev": reference_kev, "abs_diff_kev": abs_diff,
+                     "rel_diff": abs_diff / abs(reference_kev)})
+    if not rows:
+        return rows, {"max_abs_diff": 0.0, "max_rel_diff": 0.0, "worst_z": 0}
+    rows.sort(key=lambda r: (r["z"], r["shell"]))
+    worst = max(rows, key=lambda r: r["rel_diff"])
+    return rows, {"max_abs_diff": max(r["abs_diff_kev"] for r in rows),
+                  "max_rel_diff": worst["rel_diff"], "worst_z": worst["z"]}
 
 
 def bundled_reference_path(shell_label: str) -> Path:
@@ -260,4 +206,4 @@ def bundled_reference_path(shell_label: str) -> Path:
         raise MissingReference(
             f"no reference table is bundled for shell {shell_label!r}"
         ) from None
-    return reference_dir() / name
+    return Path(resources.files("yukawa_atom") / "data" / name)

@@ -351,6 +351,14 @@ class TestCompare:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_reference_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("z,shell,n,l,source,energy_kev\n3,E00,0,0,present_work,-inf\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--shell", "E00", "--reference", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: energy_kev must be finite, got -inf\n"
+
     def test_e11_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--shell", "E11")
         assert code == 2

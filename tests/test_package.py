@@ -1,11 +1,14 @@
 """The package's public names: each layer module's ``__all__``, plus ``__version__``,
-and the README's library example, run as written."""
+and the README's library and command-line examples, run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import yukawa_atom
-from yukawa_atom import oracle, perturbation, refdata, wavefunctions
+from yukawa_atom import cli, oracle, perturbation, refdata, wavefunctions
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 LAYERS = (perturbation, wavefunctions, oracle, refdata)
 
@@ -24,7 +27,7 @@ def test_every_exported_name_resolves_to_its_layer():
 
 
 def test_readme_library_example_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
     assert blocks, "README has no python example"
     for block in blocks:
@@ -32,3 +35,14 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     # the printed K-shell total matches the comment beside it
     assert round(float(lines[1]), 4) == -9.2876
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    commands = [line for block in blocks for line in block.splitlines()
+                if line.startswith("yukawa-atom ")]
+    assert commands, "README has no yukawa-atom example"
+    for line in commands:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out, line

@@ -1,4 +1,6 @@
-"""Reference dataset loading, validation, round-trip and comparison tests."""
+"""Reference dataset loading, validation and comparison tests."""
+
+import csv
 
 import pytest
 
@@ -14,10 +16,10 @@ from yukawa_atom import (
     energy_breakdown,
     load_reference,
     screening_delta,
-    serialize_reference,
     to_kev,
 )
-from yukawa_atom.refdata import bundled_reference_path, reference_dir
+from yukawa_atom.cli import BUNDLED_Z
+from yukawa_atom.refdata import bundled_reference_path
 
 
 @pytest.fixture(scope="module")
@@ -68,23 +70,29 @@ class TestBundledTables:
         assert odd.notes
 
     @pytest.mark.parametrize("shell", ["E00", "E01", "E10"])
-    def test_round_trip(self, shell):
+    def test_rows_keep_printed_fields(self, shell):
+        """Each loaded row keeps its line's fields as printed, notes included."""
         path = bundled_reference_path(shell)
-        original = path.read_text(encoding="utf-8")
-        regenerated = serialize_reference(load_reference(path))
-        strip = lambda text: [line.rstrip() for line in text.rstrip().splitlines()]
-        assert strip(regenerated) == strip(original)
+        with path.open(encoding="utf-8", newline="") as handle:
+            lines = list(csv.reader(handle))[1:]
+        rows = load_reference(path).rows
+        assert len(rows) == len(lines)
+        for row, fields in zip(rows, lines):
+            loaded = (str(row.z), row.shell_label, str(row.n), str(row.l), row.source.value,
+                      row.energy_text, row.notes)
+            assert loaded == tuple(fields) + ("",) * (7 - len(fields))
+
+    @pytest.mark.parametrize("shell", ["E00", "E01", "E10"])
+    def test_paper_z_list_matches_table(self, shell):
+        dataset = load_reference(bundled_reference_path(shell))
+        assert BUNDLED_Z[shell] == tuple(sorted({r.z for r in dataset.rows}))
+
+    def test_e11_paper_z_list_is_e10s(self):
+        assert BUNDLED_Z["E11"] == BUNDLED_Z["E10"]
 
     def test_no_reference_for_e11(self):
         with pytest.raises(MissingReference):
             bundled_reference_path("E11")
-
-    def test_refdir_override(self, tmp_path, monkeypatch, table2):
-        target = tmp_path / "table2.csv"
-        target.write_text(serialize_reference(table2), encoding="utf-8")
-        monkeypatch.setenv("YUKAWA_REFDIR", str(tmp_path))
-        assert reference_dir() == tmp_path
-        assert len(load_reference(bundled_reference_path("E01"))) == 16
 
 
 class TestLoaderValidation:
@@ -157,7 +165,6 @@ class TestLoaderValidation:
             encoding="utf-8",
         )
         ds = load_reference(path)
-        assert not ds.has_notes_column
         assert ds.rows[0].notes == ""
 
 
@@ -177,7 +184,14 @@ class TestMalformedLines:
          "unknown shell label 'E22'"),
         (f"{_HEADER}\n{_GOOD_ROW}\n0,E00,0,0,present_work,-0.1\n", 3,
          "atomic number must be positive, got 0"),
-    ], ids=["extra-column", "too-few-fields", "notes-without-header", "unknown-shell", "z-below-1"])
+        (f"{_HEADER}\n{_GOOD_ROW}\n4,E00,0,0,present_work,-inf\n", 3,
+         "energy_kev must be finite, got -inf"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n4,E00,0,0,present_work,-1e400\n", 3,
+         "energy_kev must be finite, got -1e400"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n4,E00,0,0,present_work,nan\n", 3,
+         "energy_kev must be finite, got nan"),
+    ], ids=["extra-column", "too-few-fields", "notes-without-header", "unknown-shell", "z-below-1",
+            "minus-inf", "overflow-to-minus-inf", "nan"])
     def test_reports_line(self, tmp_path, text, line, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")
@@ -200,10 +214,10 @@ class TestCompare:
             (r.z, r.shell_label, r.energy_kev)
             for r in table2.rows
         ]
-        report = compare(table2, computed, ReferenceSource.PRESENT_WORK)
-        assert report.summary.max_abs_diff == 0.0
-        assert report.summary.max_rel_diff == 0.0
-        assert [e.z for e in report.rows] == sorted(e.z for e in report.rows)
+        rows, summary = compare(table2, computed, ReferenceSource.PRESENT_WORK)
+        assert summary["max_abs_diff"] == 0.0
+        assert summary["max_rel_diff"] == 0.0
+        assert [r["z"] for r in rows] == sorted(r["z"] for r in rows)
 
     def test_missing_reference(self, table2):
         with pytest.raises(MissingReference):
@@ -217,11 +231,22 @@ class TestCompare:
             (z, "E00", to_kev(energy_breakdown(float(z), state, screening_delta(z, model)).total))
             for z in z_values
         ]
-        report = compare(table1, computed, ReferenceSource.PRESENT_WORK)
-        assert len(report.rows) == 22
-        assert report.summary.max_rel_diff < 1e-4
+        rows, summary = compare(table1, computed, ReferenceSource.PRESENT_WORK)
+        assert len(rows) == 22
+        assert summary["max_rel_diff"] < 1e-4
+
+    def test_rows_and_summary(self, table1):
+        rows, summary = compare(table1, [(84, "E00", -86.0), (3, "E00", -0.05)],
+                                ReferenceSource.PRESENT_WORK)
+        assert [(r["z"], r["shell"], r["computed_kev"], r["reference_kev"]) for r in rows] == \
+            [(3, "E00", -0.05, -0.05405687), (84, "E00", -86.0, -86.629718)]
+        for r in rows:
+            assert r["abs_diff_kev"] == abs(r["computed_kev"] - r["reference_kev"])
+            assert r["rel_diff"] == r["abs_diff_kev"] / abs(r["reference_kev"])
+        assert summary == {"max_abs_diff": rows[1]["abs_diff_kev"],
+                           "max_rel_diff": rows[0]["rel_diff"], "worst_z": 3}
 
     def test_empty_computed(self, table1):
-        report = compare(table1, [], ReferenceSource.PRESENT_WORK)
-        assert report.rows == ()
-        assert report.summary.max_rel_diff == 0.0
+        rows, summary = compare(table1, [], ReferenceSource.PRESENT_WORK)
+        assert rows == []
+        assert summary == {"max_abs_diff": 0.0, "max_rel_diff": 0.0, "worst_z": 0}
