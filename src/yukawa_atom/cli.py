@@ -60,12 +60,14 @@ from .refdata import (
 #: Oracle disagreement above which a verify row is flagged.
 BREAKDOWN_REL_THRESHOLD = 0.1
 
-#: Z values covered by the bundled reference tables ('paper' list token).
+#: Z values covered by the bundled reference tables ('paper' list token);
+#: the L-shell tables share one list, and E11 takes it too.
+_L_SHELL_Z = (9, 14, 19, 24, 29, 34, 39, 44, 49, 54, 59, 64, 69, 74, 79, 84)
 BUNDLED_Z = {
-    "E00": (3, 4, 5, 6, 7, 8, 9, 14, 19, 24, 29, 34, 39, 44, 49, 54, 59, 64, 69, 74, 79, 84),
-    "E01": (9, 14, 19, 24, 29, 34, 39, 44, 49, 54, 59, 64, 69, 74, 79, 84),
-    "E10": (9, 14, 19, 24, 29, 34, 39, 44, 49, 54, 59, 64, 69, 74, 79, 84),
-    "E11": (9, 14, 19, 24, 29, 34, 39, 44, 49, 54, 59, 64, 69, 74, 79, 84),
+    "E00": (3, 4, 5, 6, 7, 8, *_L_SHELL_Z),
+    "E01": _L_SHELL_Z,
+    "E10": _L_SHELL_Z,
+    "E11": _L_SHELL_Z,
 }
 
 

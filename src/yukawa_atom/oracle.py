@@ -145,13 +145,15 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A solved level; :func:`solve_bound_state` returns only converged ones,
+    and :class:`NonConvergence` carries the rest."""
+
     energy: float
     nodes_found: int
-    grid_converged: bool
     estimated_error: float
     grid_points: int
     #: Trial energies swept, over every grid.
-    sweeps: int = 0
+    sweeps: int
 
 
 #: Frobenius series length for the boundary values at the first two points.
@@ -364,8 +366,8 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
             prev_extrap, extrap = extrap, energy + shift / 15.0
             error = abs(extrap - (energy if level == 1 else prev_extrap))
             if level > 1 and error < GRID_TOL:
-                result = OracleResult(extrap, nodes, nodes == state.n,
-                                      max(error, ENERGY_TOL), grid.points, sum(tally))
+                result = OracleResult(extrap, nodes, max(error, ENERGY_TOL), grid.points,
+                                      sum(tally))
                 if nodes != state.n:
                     raise NonConvergence(
                         f"converged energy has {nodes} nodes, expected {state.n}", result)
@@ -385,5 +387,5 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
         f"(last change {error:.3e} Hartree)",
-        OracleResult(extrap, nodes, False, error, grid.points, sum(tally)),
+        OracleResult(extrap, nodes, error, grid.points, sum(tally)),
     )

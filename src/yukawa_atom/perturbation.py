@@ -28,7 +28,6 @@ __all__ = [
     "second_order_shift",
     "third_order_shift",
     "energy_breakdown",
-    "total_energy",
     "to_kev",
 ]
 
@@ -216,13 +215,6 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
         raise ValueError(f"screening parameter {delta} overflows the order-{order} energy "
                          f"at A={a}")
     return b
-
-
-def total_energy(system: AtomicSystem, model: ScreeningModel, state: QuantumState,
-                 order: int = 3) -> EnergyBreakdown:
-    """Breakdown with delta derived from the screening model for system.z."""
-    delta = screening_delta(system.z, model)
-    return energy_breakdown(system.a, state, delta, order)
 
 
 def to_kev(energy_hartree: float, units: UnitSystem = UnitSystem()) -> float:

@@ -1,7 +1,8 @@
 """Bundled K- and L-shell reference energies and their comparison with
 computed ones.
 
-CSV schema (UTF-8, comma separated, header required)::
+CSV schema (UTF-8, comma separated, header required; read by :mod:`csv`, so
+a quoted field may hold a comma)::
 
     z,shell,n,l,source,energy_kev[,notes]
 
@@ -16,6 +17,7 @@ summary, ready for the command line to render.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -119,7 +121,8 @@ def load_reference(path) -> ReferenceDataset:
     if not lines or not lines[0].strip():
         raise ParseError("missing header", 1)
 
-    header = [h.strip() for h in lines[0].split(",")]
+    records = csv.reader(lines)
+    header = [h.strip() for h in next(records)]
     if header[: len(_CORE_HEADER)] != _CORE_HEADER:
         raise ParseError(
             f"header must start with {','.join(_CORE_HEADER)}, got {lines[0]!r}", 1
@@ -131,10 +134,11 @@ def load_reference(path) -> ReferenceDataset:
 
     rows: list[ReferenceRow] = []
     index: dict = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+    for record in records:
+        lineno = records.line_num
+        parts = [p.strip() for p in record]
+        if parts in ([], [""]):  # a blank or whitespace-only line
             continue
-        parts = [p.strip() for p in raw.split(",")]
         if len(parts) not in (6, 7) or (not has_notes and len(parts) == 7):
             raise ParseError(f"expected {len(header)} fields, got {len(parts)}", lineno)
         try:

@@ -20,9 +20,10 @@ the third-order integrand takes the plain product W1*W2.
 One private evaluator, ``_radial``, computes chi and chi * u for every
 caller.  It builds a state's constants once: the Laguerre recurrence's step
 constants, started from the norm, and beta, c2, c3 and the exponent's shift.
-The public ``__call__`` methods run the amplitude on arrays with ``np.exp``.
-Each of the four integrands handed to ``quad`` (chi's norm and tail, the
-moderated norm and the correction) is one closure that returns the squared
+The weight decides how a closure is evaluated.  The public ``__call__``
+methods run the unweighted amplitude on arrays, with ``np.exp``.  Each of the
+four integrands handed to ``quad`` (chi's norm and tail, the moderated norm
+and the correction) is one weighted closure that returns the squared
 amplitude times a cubic weight, one Python float at a time with ``math.exp``
 and no nested call; the three correction orders differ only in the weight.
 Every integral goes through ``_quad``, which imports
@@ -41,8 +42,6 @@ from .perturbation import AtomicSystem, QuantumState
 
 __all__ = [
     "QuadratureError",
-    "LaguerreSpec",
-    "laguerre_eval",
     "CoulombRadial",
     "coulomb_chi",
     "superpotential_w1",
@@ -76,43 +75,11 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class LaguerreSpec:
-    """Degree ``n`` and upper index ``k`` of an associated Laguerre polynomial."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError(f"Laguerre indices must be non-negative, got n={self.n} k={self.k}")
-
-    @property
-    def value_at_zero(self) -> float:
-        return math.comb(self.n + self.k, self.n)
-
-
 def _on_floats(f, x):
     """``f`` of ``x`` as a float ndarray: a Python float back for a scalar
     ``x``, an ndarray of its shape otherwise."""
     val = f(np.asarray(x, dtype=float))
     return val if val.ndim else float(val)
-
-
-def laguerre_eval(spec: LaguerreSpec, x):
-    """Associated Laguerre polynomial by the stable three-term recurrence.
-
-    Accepts scalars or ndarrays.  Equivalent to the explicit alternating sum
-    sum_m (-1)^m (n+k)! / ((n-m)! (m+k)! m!) x^m.
-    """
-    def recurrence(t):
-        # L_j from L_-1 = 0 and L_0 = 1 (ones for n = 0 whatever t is)
-        prev, cur = 0.0, np.ones_like(t)
-        for j in range(1, spec.n + 1):
-            prev, cur = cur, ((2.0 * j - 1.0 + spec.k - t) * cur - (j - 1.0 + spec.k) * prev) / j
-        return cur
-
-    return _on_floats(recurrence, x)
 
 
 @dataclass(frozen=True)
@@ -129,10 +96,10 @@ class CoulombRadial:
     r_max: float
 
     def __call__(self, r):
-        return _on_floats(_radial(np.exp, self, self.norm), r)
+        return _on_floats(_radial(self, self.norm), r)
 
 
-def _radial(exp, chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
+def _radial(chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
             shift: float = 0.0, weight: tuple[float, float, float, float] | None = None):
     """Closure r -> norm r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - shift), with
     g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``; given a
@@ -140,13 +107,13 @@ def _radial(exp, chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0
     w0 + w1 r + w2 r^2 + w3 r^3 instead, an integrand for ``quad``.
 
     With the defaults it is chi scaled to ``norm``; with a moderated state's
-    c2, c3 and g_peak it is that state.  ``exp`` fits the caller's input:
-    ``math.exp`` for the floats ``quad`` passes one at a time, where numpy's
-    per-call overhead costs several times the arithmetic, and ``np.exp`` for
-    arrays.  Everything that depends only on the state is computed here,
-    once: per point the closure runs the Laguerre recurrence from
-    L_0 = norm with each step's constants ready, one power, one ``exp`` and,
-    for a weight, one cubic, with no further call.
+    c2, c3 and g_peak it is that state.  The plain closure takes arrays and
+    uses ``np.exp``; the weighted one takes the floats ``quad`` passes one at
+    a time and uses ``math.exp``, since numpy's per-call overhead costs
+    several times the arithmetic.  Everything that depends only on the state
+    is computed here, once: per point the closure runs the Laguerre
+    recurrence from L_0 = norm with each step's constants ready, one power,
+    one exponential and, for a weight, one cubic, with no further call.
     """
     beta, l = chi.beta, chi.state.l
     p, k = l + 1, 2 * l + 1
@@ -154,15 +121,16 @@ def _radial(exp, chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0
     steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
                   for j in range(1, chi.state.n + 1))
 
-    def f(r):
-        prev, cur = 0.0, norm
-        for a, b, c in steps:
-            prev, cur = cur, (a - b * r) * cur - c * prev
-        return cur * r ** p * exp(((c3 * r + c2) * r - beta) * r - shift)
-
     if weight is None:
+        def f(r):
+            prev, cur = 0.0, norm
+            for a, b, c in steps:
+                prev, cur = cur, (a - b * r) * cur - c * prev
+            return cur * r ** p * np.exp(((c3 * r + c2) * r - beta) * r - shift)
+
         return f
     w0, w1, w2, w3 = weight
+    exp = math.exp  # a closure variable, not a global looked up per point
 
     def density(r):
         prev, cur = 0.0, norm
@@ -194,7 +162,7 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
     )
 
     chi = CoulombRadial(state=state, beta=beta, norm=1.0 / scale, r_max=r_max)
-    density = _radial(math.exp, chi, chi.norm, weight=_UNIT_WEIGHT)
+    density = _radial(chi, chi.norm, weight=_UNIT_WEIGHT)
     main, main_err = _quad(density, 0.0, r_max)
     if main <= 0 or main_err > max(1e-11, 1e-9 * main):
         raise QuadratureError("normalization integral did not converge", main, main_err)
@@ -251,7 +219,7 @@ class ModeratedRadial:
     rising_at_r_max: bool
 
     def __call__(self, r):
-        return _on_floats(_radial(np.exp, self.chi, self.norm, self.c2, self.c3, self.g_peak), r)
+        return _on_floats(_radial(self.chi, self.norm, self.c2, self.c3, self.g_peak), r)
 
 
 def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) -> ModeratedRadial:
@@ -277,7 +245,7 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
     rising = (3.0 * c3 * chi.r_max + 2.0 * c2) * chi.r_max - chi.beta > 0.0
     # chi's norm keeps the trial integrand O(1) whenever u stays near 1
-    trial = _radial(math.exp, chi, chi.norm, c2, c3, g_peak, weight=_UNIT_WEIGHT)
+    trial = _radial(chi, chi.norm, c2, c3, g_peak, weight=_UNIT_WEIGHT)
     nrm2, err = _quad(trial, 0.0, chi.r_max)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
@@ -311,7 +279,7 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
         3: (0.0, -s * k1, -a * d**4 / 24.0 - s * k2),
     }[order]
 
-    integrand = _radial(math.exp, chi, chi.norm, weight=(0.0, w1, w2, w3))
+    integrand = _radial(chi, chi.norm, weight=(0.0, w1, w2, w3))
     value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):
         raise QuadratureError(f"order-{order} correction did not converge", value, err)

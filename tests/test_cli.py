@@ -359,6 +359,16 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == "error: line 2: energy_kev must be finite, got -inf\n"
 
+    @pytest.mark.parametrize("tolerance, expected", [("1e-4", 0), ("1e-12", 1)])
+    def test_quoted_note_exits_on_tolerance(self, capsys, tmp_path, tolerance, expected):
+        path = tmp_path / "quoted.csv"
+        path.write_text('z,shell,n,l,source,energy_kev,notes\n'
+                        '3,E00,0,0,present_work,-0.05405687,"a, b"\n', encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--shell", "E00", "--reference", str(path),
+                                 "--tolerance", tolerance)
+        assert (code, err) == (expected, "")
+        assert out
+
     def test_e11_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "compare", "--shell", "E11")
         assert code == 2

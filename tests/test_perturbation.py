@@ -22,7 +22,6 @@ from yukawa_atom import (
     second_order_shift,
     third_order_shift,
     to_kev,
-    total_energy,
 )
 
 FA = ScreeningModel(variant=ScreeningLaw.FERMI_AMALDI, delta0=0.98)
@@ -117,23 +116,23 @@ class TestOrderShifts:
 
 class TestTotalEnergy:
     def test_z3_k_shell_matches_reference(self):
-        b = total_energy(AtomicSystem(3), FA, QuantumState(0, 0), order=3)
+        b = energy_breakdown(3, QuantumState(0, 0), screening_delta(3, FA), order=3)
         assert b.total == pytest.approx(-1.98650850392, rel=1e-10)  # frozen
         assert to_kev(b.total) == pytest.approx(-0.05405687, rel=1e-4)
 
     def test_z84_k_shell_matches_reference(self):
-        b = total_energy(AtomicSystem(84), FA, QuantumState(0, 0), order=3)
+        b = energy_breakdown(84, QuantumState(0, 0), screening_delta(84, FA), order=3)
         assert to_kev(b.total) == pytest.approx(-86.629718, rel=1e-4)
 
     def test_zero_screening_is_pure_coulomb(self):
         model = ScreeningModel(delta0=0.0)
-        b = total_energy(AtomicSystem(5), model, QuantumState(0, 0), order=3)
+        b = energy_breakdown(5, QuantumState(0, 0), screening_delta(5, model), order=3)
         assert b.total == -12.5
         assert b.shift_const == b.e1 == b.e2 == b.e3 == 0.0
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_order_semantics(self, order):
-        b = total_energy(AtomicSystem(29), FA, QuantumState(0, 0), order=order)
+        b = energy_breakdown(29, QuantumState(0, 0), screening_delta(29, FA), order=order)
         assert b.order_used == order
         included = [b.e0]
         if order >= 1:
@@ -152,13 +151,13 @@ class TestTotalEnergy:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            total_energy(AtomicSystem(3), FA, QuantumState(0, 0), order=4)
+            energy_breakdown(3, QuantumState(0, 0), screening_delta(3, FA), order=4)
 
     def test_series_suspect_flag(self):
         # heavily screened excited state: corrections dominate
-        assert total_energy(AtomicSystem(9), FA, QuantumState(1, 0)).series_suspect
+        assert energy_breakdown(9, QuantumState(1, 0), screening_delta(9, FA)).series_suspect
         # deep K shell: corrections are tiny next to the Coulomb term
-        assert not total_energy(AtomicSystem(29), FA, QuantumState(0, 0)).series_suspect
+        assert not energy_breakdown(29, QuantumState(0, 0), screening_delta(29, FA)).series_suspect
 
 
 class TestToKev:

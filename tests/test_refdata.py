@@ -167,6 +167,11 @@ class TestLoaderValidation:
         ds = load_reference(path)
         assert ds.rows[0].notes == ""
 
+    def test_quoted_note_keeps_its_comma(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text(f'{_HEADER},notes\n{_GOOD_ROW},"a, b"\n', encoding="utf-8")
+        assert [r.notes for r in load_reference(path).rows] == ["a, b"]
+
 
 _HEADER = "z,shell,n,l,source,energy_kev"
 _GOOD_ROW = "3,E00,0,0,present_work,-0.054"
@@ -190,8 +195,9 @@ class TestMalformedLines:
          "energy_kev must be finite, got -1e400"),
         (f"{_HEADER}\n{_GOOD_ROW}\n4,E00,0,0,present_work,nan\n", 3,
          "energy_kev must be finite, got nan"),
+        (f"{_HEADER}\n{_GOOD_ROW}\n,,,,,\n", 3, "invalid literal for int() with base 10: ''"),
     ], ids=["extra-column", "too-few-fields", "notes-without-header", "unknown-shell", "z-below-1",
-            "minus-inf", "overflow-to-minus-inf", "nan"])
+            "minus-inf", "overflow-to-minus-inf", "nan", "empty-fields"])
     def test_reports_line(self, tmp_path, text, line, message):
         path = tmp_path / "bad.csv"
         path.write_text(text, encoding="utf-8")

@@ -15,13 +15,11 @@ from scipy.integrate import quad
 
 from yukawa_atom import (
     AtomicSystem,
-    LaguerreSpec,
     QuantumState,
     ScreeningModel,
     correction_via_quadrature,
     coulomb_chi,
     first_order_shift,
-    laguerre_eval,
     moderated_radial,
     moderating_u,
     screening_delta,
@@ -30,7 +28,13 @@ from yukawa_atom import (
     superpotential_w2,
     third_order_shift,
 )
-from yukawa_atom.wavefunctions import _QUAD_OPTS, _exponent_coefficients, _radial
+from yukawa_atom.wavefunctions import (
+    _QUAD_OPTS,
+    _UNIT_WEIGHT,
+    CoulombRadial,
+    _exponent_coefficients,
+    _radial,
+)
 
 
 def laguerre_explicit(n, k, x):
@@ -80,42 +84,52 @@ def correction_from_moments(a, delta, n, l, order):
     }[order]
 
 
+def laguerre_via_radial(n, k, x):
+    """L_n^k(x), for odd k, from the recurrence inside ``_radial``: the
+    closure of the state (n, (k-1)/2) at beta = 1/2 and unit norm, divided
+    by its factor x^(l+1) e^(-x/2).  Zero is read at 1e-100 instead, where
+    that factor is still a normal float for l <= 2 and L differs from L(0)
+    by far less than an ulp."""
+    l = (k - 1) // 2
+    chi = CoulombRadial(state=QuantumState(n, l), beta=0.5, norm=1.0, r_max=1.0)
+    x = np.where(np.asarray(x, dtype=float) == 0.0, 1e-100, x)
+    return _radial(chi, 1.0)(x) / (x ** (l + 1) * np.exp(-0.5 * x))
+
+
 class TestLaguerre:
+    """The Laguerre factor of the one evaluator, for the odd upper indices
+    k = 2l+1 that radial states use."""
+
     def test_degree_zero_is_one(self):
-        assert laguerre_eval(LaguerreSpec(0, 5), 7.3) == 1.0
+        assert laguerre_via_radial(0, 5, 7.3) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.0])
     def test_degree_one(self, x):
-        assert laguerre_eval(LaguerreSpec(1, 1), x) == pytest.approx(2.0 - x, rel=1e-14)
+        assert laguerre_via_radial(1, 1, x) == pytest.approx(2.0 - x, rel=1e-14)
 
     def test_degree_two_value(self):
-        # 1 - 2x + x^2/2 at x = 1
-        assert laguerre_eval(LaguerreSpec(2, 0), 1.0) == pytest.approx(-0.5, rel=1e-14)
+        # 3 - 3x + x^2/2 at x = 1
+        assert laguerre_via_radial(2, 1, 1.0) == pytest.approx(0.5, rel=1e-14)
 
-    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0])
+    # 2 beta r reaches 80 N at r_max: 240 for the N = 3 states
+    @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0, 80.0, 240.0])
     def test_recurrence_matches_explicit_sum(self, x):
         for n in range(9):
-            for k in range(9):
-                got = laguerre_eval(LaguerreSpec(n, k), x)
+            for k in (1, 3, 5, 7, 9):
+                got = laguerre_via_radial(n, k, x)
                 want = laguerre_explicit(n, k, x)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (n, k, x)
 
     def test_value_at_zero_is_binomial(self):
         for n in range(6):
-            for k in range(6):
-                spec = LaguerreSpec(n, k)
-                assert laguerre_eval(spec, 0.0) == pytest.approx(
-                    spec.value_at_zero, rel=1e-14
+            for k in (1, 3, 5):
+                assert laguerre_via_radial(n, k, 0.0) == pytest.approx(
+                    math.comb(n + k, n), rel=1e-14
                 )
-                assert spec.value_at_zero == math.comb(n + k, n)
 
     def test_vectorized_evaluation(self):
         x = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(laguerre_eval(LaguerreSpec(1, 1), x), 2.0 - x)
-
-    def test_rejects_negative_indices(self):
-        with pytest.raises(ValueError):
-            LaguerreSpec(-1, 0)
+        np.testing.assert_allclose(laguerre_via_radial(1, 1, x), 2.0 - x)
 
 
 class TestCoulombChi:
@@ -158,22 +172,22 @@ class TestCoulombChi:
 class TestFloatEvaluator:
     @pytest.mark.parametrize("z", [1, 3, 29, 84])
     def test_float_evaluator_matches_numpy_call(self, z):
-        # one evaluator serves the quadrature integrands, one float at a time
-        # with math.exp, and the vectorised __call__, on arrays with np.exp;
-        # the two kinds of input must give the same function
+        # one evaluator serves the vectorised __call__, on arrays with np.exp,
+        # and the weighted quadrature integrands, one float at a time with
+        # math.exp; a norm integrand must be the square of the same function
         delta = screening_delta(z, ScreeningModel())
         for n in range(3):
             for l in range(3):
                 chi = coulomb_chi(AtomicSystem(z), QuantumState(n, l))
-                pairs = [(chi, _radial(math.exp, chi, chi.norm))]
+                pairs = [(chi, _radial(chi, chi.norm, weight=_UNIT_WEIGHT))]
                 if 3 * (n + l + 1) ** 2 * delta < 4 * z:
                     psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
-                    pairs.append((psi, _radial(math.exp, chi, psi.norm, psi.c2, psi.c3,
-                                                  psi.g_peak)))
+                    pairs.append((psi, _radial(chi, psi.norm, psi.c2, psi.c3, psi.g_peak,
+                                               weight=_UNIT_WEIGHT)))
                 r = np.linspace(0.0, chi.r_max, 50)
-                for vectorised, scalar in pairs:
-                    want = vectorised(r)
-                    got = np.array([scalar(float(x)) for x in r])
+                for vectorised, density in pairs:
+                    want = vectorised(r) ** 2
+                    got = np.array([density(float(x)) for x in r])
                     peak = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-13 * peak, (z, n, l, vectorised)
 
@@ -181,20 +195,20 @@ class TestFloatEvaluator:
     @pytest.mark.parametrize("l", range(3))
     def test_laguerre_factor_matches_laguerre_eval(self, n, l):
         # the evaluator runs the recurrence with its constants built once
-        # per state; it is the public recurrence to within 1e-13 of the peak
+        # per state; it is the exact explicit sum to within 1e-13 of the peak
         chi = coulomb_chi(AtomicSystem(29), QuantumState(n, l))
-        radial = _radial(math.exp, chi, 1.0)
+        radial = _radial(chi, 1.0)
         r = np.linspace(0.0, chi.r_max, 400)
-        x = 2.0 * chi.beta * r
-        want = r ** (l + 1) * laguerre_eval(LaguerreSpec(n, 2 * l + 1), x) * np.exp(-chi.beta * r)
-        got = np.array([radial(float(t)) for t in r])
+        laguerre = np.array([laguerre_explicit(n, 2 * l + 1, x) for x in 2.0 * chi.beta * r])
+        want = r ** (l + 1) * laguerre * np.exp(-chi.beta * r)
+        got = radial(r)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_weighted_closure_is_square_times_cubic(self):
         chi = coulomb_chi(AtomicSystem(29), QuantumState(2, 1))
         weight = (0.5, -1.0, 0.25, 2.0)
-        radial = _radial(math.exp, chi, chi.norm)
-        density = _radial(math.exp, chi, chi.norm, weight=weight)
+        radial = _radial(chi, chi.norm)
+        density = _radial(chi, chi.norm, weight=weight)
         for r in np.linspace(0.0, chi.r_max, 50):
             cubic = weight[0] + weight[1] * r + weight[2] * r**2 + weight[3] * r**3
             assert density(r) == pytest.approx(radial(r) ** 2 * cubic, rel=1e-13, abs=1e-300)
@@ -202,7 +216,6 @@ class TestFloatEvaluator:
 
 _DELTA_29 = screening_delta(29, ScreeningModel())
 PUBLIC_EVALUATORS = {
-    "laguerre_eval": lambda r: laguerre_eval(LaguerreSpec(2, 3), r),
     "moderating_u": lambda r: moderating_u(29.0, QuantumState(1, 1), _DELTA_29, r),
     "CoulombRadial": lambda r: coulomb_chi(AtomicSystem(29), QuantumState(1, 1))(r),
     "ModeratedRadial": lambda r: moderated_radial(AtomicSystem(29), QuantumState(1, 1),
