@@ -47,11 +47,9 @@ from .perturbation import (
 )
 from .refdata import (
     SHELL_QUANTUM_NUMBERS,
-    DuplicateKey,
     MissingReference,
     ParseError,
     ReferenceSource,
-    SignViolation,
     bundled_reference_path,
     compare as compare_datasets,
     load_reference,
@@ -269,24 +267,22 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {args.tolerance}")
     source = ReferenceSource(args.source)
+    state = QuantumState(*SHELL_QUANTUM_NUMBERS[args.shell])
     try:
-        path = args.reference or bundled_reference_path(args.shell)
-        dataset = load_reference(path)
-    except (OSError, ParseError, DuplicateKey, SignViolation, MissingReference) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    n, l = SHELL_QUANTUM_NUMBERS[args.shell]
-    state = QuantumState(n, l)
-    z_values = sorted({r.z for r in dataset.rows if r.shell_label == args.shell
-                       and r.source == source})
-    if args.z:
-        z_values = _parse_z_spec(args.z, args.shell)
-    computed = [(z, args.shell, _breakdown_row(z, state, args.order, model, units)["total_kev"])
-                for z in z_values]
-    try:
+        dataset = load_reference(args.reference or bundled_reference_path(args.shell))
+        if args.z:
+            z_values = _parse_z_spec(args.z, args.shell)
+        else:
+            z_values = sorted({r.z for r in dataset.rows if r.shell_label == args.shell
+                               and r.source == source})
+            if not z_values:
+                raise MissingReference(
+                    f"no {source.value} reference rows for shell {args.shell}")
+        computed = [(z, args.shell,
+                     _breakdown_row(z, state, args.order, model, units)["total_kev"])
+                    for z in z_values]
         rows, summary = compare_datasets(dataset, computed, source)
-    except MissingReference as exc:
+    except (OSError, ParseError, MissingReference) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _render(rows, ["z", "shell", "computed_kev", "reference_kev", "abs_diff_kev", "rel_diff"],

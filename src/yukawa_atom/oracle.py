@@ -53,6 +53,7 @@ from . import _numerov_py
 from .perturbation import (
     AtomicSystem,
     QuantumState,
+    _check_delta,
     coulomb_energy,
     energy_breakdown,
 )
@@ -339,8 +340,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     ``grid_points`` is the finest grid's size.  A delta past
     ``CRITICAL_RATIO`` times A raises :class:`NoBoundState` before any sweep.
     """
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
+    _check_delta(delta)
     if delta > CRITICAL_RATIO * system.a:
         raise NoBoundState(f"no bound state for A={system.a}, delta={delta}: delta/A is past "
                            f"the 1s critical ratio {CRITICAL_RATIO}")

@@ -114,7 +114,7 @@ class EnergyBreakdown:
     """Per-order decomposition of a level energy, in Hartree.
 
     ``total`` always equals e0 + shift_const + e1 + e2 + e3 where terms above
-    ``order_used`` are stored as exact zeros.  ``series_suspect`` is set when
+    the requested order are stored as exact zeros.  ``series_suspect`` is set when
     the corrections sum to more than half the Coulomb term, the empirical
     signature of the series breaking down.
     """
@@ -124,7 +124,6 @@ class EnergyBreakdown:
     e1: float
     e2: float
     e3: float
-    order_used: int
     total: float = field(init=False)
     series_suspect: bool = field(init=False)
 
@@ -135,6 +134,12 @@ class EnergyBreakdown:
         object.__setattr__(
             self, "series_suspect", corrections > SERIES_SUSPECT_RATIO * abs(self.e0)
         )
+
+
+def _check_delta(delta: float) -> None:
+    """Reject a screening parameter that is not finite and non-negative."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
 
 
 def screening_delta(z: int, model: ScreeningModel) -> float:
@@ -198,8 +203,7 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
+    _check_delta(delta)
     try:
         b = EnergyBreakdown(
             e0=coulomb_energy(a, state),
@@ -207,7 +211,6 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
             e1=first_order_shift(state, delta) if order >= 1 else 0.0,
             e2=second_order_shift(a, state, delta) if order >= 2 else 0.0,
             e3=third_order_shift(a, state, delta) if order >= 3 else 0.0,
-            order_used=order,
         )
     except OverflowError:
         b = None

@@ -13,6 +13,11 @@ exactly as printed in the source tables; each row keeps the printed text
 (``energy_text``) beside its value.  The optional ``notes`` column carries
 transcription flags.  ``compare`` returns plain dict rows and a dict
 summary, ready for the command line to render.
+
+A file that breaks any rule of the schema, a duplicate (z, shell, source)
+key and a non-negative energy included, raises :class:`ParseError` with its
+line number; a key that a file does not hold raises
+:class:`MissingReference`.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from pathlib import Path
 
 __all__ = [
     "ParseError",
-    "DuplicateKey",
-    "SignViolation",
     "MissingReference",
     "ReferenceSource",
     "ReferenceRow",
@@ -62,14 +65,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class DuplicateKey(ValueError):
-    """A (z, shell, source) key appeared twice."""
-
-
-class SignViolation(ValueError):
-    """A reference energy was not negative."""
-
-
 class MissingReference(KeyError):
     """A computed key has no counterpart in the reference dataset."""
 
@@ -89,8 +84,6 @@ class ReferenceSource(Enum):
 class ReferenceRow:
     z: int
     shell_label: str
-    n: int
-    l: int
     source: ReferenceSource
     energy_kev: float
     energy_text: str = ""
@@ -110,9 +103,6 @@ class ReferenceDataset:
                 f"no reference row for z={z}, shell={shell_label}, source={source.value}"
             ) from None
 
-    def __len__(self):
-        return len(self.rows)
-
 
 def load_reference(path) -> ReferenceDataset:
     """Load and validate one reference CSV."""
@@ -122,59 +112,57 @@ def load_reference(path) -> ReferenceDataset:
         raise ParseError("missing header", 1)
 
     records = csv.reader(lines)
-    header = [h.strip() for h in next(records)]
-    if header[: len(_CORE_HEADER)] != _CORE_HEADER:
-        raise ParseError(
-            f"header must start with {','.join(_CORE_HEADER)}, got {lines[0]!r}", 1
-        )
-    extras = header[len(_CORE_HEADER):]
-    if extras not in ([], ["notes"]):
-        raise ParseError(f"unsupported extra columns {extras}", 1)
-    has_notes = extras == ["notes"]
-
     rows: list[ReferenceRow] = []
     index: dict = {}
-    for record in records:
-        lineno = records.line_num
-        parts = [p.strip() for p in record]
-        if parts in ([], [""]):  # a blank or whitespace-only line
-            continue
-        if len(parts) not in (6, 7) or (not has_notes and len(parts) == 7):
-            raise ParseError(f"expected {len(header)} fields, got {len(parts)}", lineno)
-        try:
-            z = int(parts[0])
-            shell = parts[1]
-            n = int(parts[2])
-            l = int(parts[3])
-            source = ReferenceSource(parts[4])
-            energy = float(parts[5])
-        except (ValueError, KeyError) as exc:
-            raise ParseError(str(exc), lineno) from None
-        if shell not in SHELL_QUANTUM_NUMBERS:
-            raise ParseError(f"unknown shell label {shell!r}", lineno)
-        if (n, l) != SHELL_QUANTUM_NUMBERS[shell]:
+    try:
+        header = [h.strip() for h in next(records)]
+        if header[: len(_CORE_HEADER)] != _CORE_HEADER:
             raise ParseError(
-                f"shell {shell} implies (n, l) = {SHELL_QUANTUM_NUMBERS[shell]}, got ({n}, {l})",
-                lineno,
+                f"header must start with {','.join(_CORE_HEADER)}, got {lines[0]!r}", 1
             )
-        if z < 1:
-            raise ParseError(f"atomic number must be positive, got {z}", lineno)
-        if not math.isfinite(energy):
-            raise ParseError(f"energy_kev must be finite, got {parts[5]}", lineno)
-        if not energy < 0:
-            raise SignViolation(
-                f"line {lineno}: energy_kev must be negative, got {parts[5]} "
-                f"(z={z}, shell={shell}, source={source.value})"
-            )
-        key = (z, shell, source)
-        if key in index:
-            raise DuplicateKey(f"line {lineno}: duplicate key z={z}, shell={shell}, "
-                               f"source={source.value}")
-        notes = parts[6] if len(parts) == 7 else ""
-        row = ReferenceRow(z=z, shell_label=shell, n=n, l=l, source=source,
-                           energy_kev=energy, energy_text=parts[5], notes=notes)
-        rows.append(row)
-        index[key] = row
+        extras = header[len(_CORE_HEADER):]
+        if extras not in ([], ["notes"]):
+            raise ParseError(f"unsupported extra columns {extras}", 1)
+        has_notes = extras == ["notes"]
+
+        for record in records:
+            lineno = records.line_num
+            parts = [p.strip() for p in record]
+            if parts in ([], [""]):  # a blank or whitespace-only line
+                continue
+            if len(parts) not in (6, 7) or (not has_notes and len(parts) == 7):
+                raise ParseError(f"expected {len(header)} fields, got {len(parts)}", lineno)
+            try:
+                z = int(parts[0])
+                shell = parts[1]
+                n = int(parts[2])
+                l = int(parts[3])
+                source = ReferenceSource(parts[4])
+                energy = float(parts[5])
+            except (ValueError, KeyError) as exc:
+                raise ParseError(str(exc), lineno) from None
+            if shell not in SHELL_QUANTUM_NUMBERS:
+                raise ParseError(f"unknown shell label {shell!r}", lineno)
+            if (n, l) != SHELL_QUANTUM_NUMBERS[shell]:
+                raise ParseError(f"shell {shell} implies (n, l) = "
+                                 f"{SHELL_QUANTUM_NUMBERS[shell]}, got ({n}, {l})", lineno)
+            if z < 1:
+                raise ParseError(f"atomic number must be positive, got {z}", lineno)
+            if not math.isfinite(energy):
+                raise ParseError(f"energy_kev must be finite, got {parts[5]}", lineno)
+            if not energy < 0:
+                raise ParseError(f"energy_kev must be negative, got {parts[5]} "
+                                 f"(z={z}, shell={shell}, source={source.value})", lineno)
+            key = (z, shell, source)
+            if key in index:
+                raise ParseError(f"duplicate key z={z}, shell={shell}, "
+                                 f"source={source.value}", lineno)
+            row = ReferenceRow(z=z, shell_label=shell, source=source, energy_kev=energy,
+                               energy_text=parts[5], notes=parts[6] if len(parts) == 7 else "")
+            rows.append(row)
+            index[key] = row
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise ParseError(str(exc), records.line_num) from None
     return ReferenceDataset(rows=tuple(rows), _index=index)
 
 

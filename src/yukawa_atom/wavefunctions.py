@@ -8,7 +8,8 @@ top of chi through two low-order superpotentials, linear and quadratic
 polynomials in r given as coefficient tuples in ascending powers of r (the
 layout of ``numpy.polynomial.polynomial``), whose integral builds the
 moderating factor u(r) = exp(-int_0^r (W1 + W2)); the moderated wavefunction
-is chi * u.
+is chi * u.  Both are one type, ``RadialFunction``: chi is the moderated
+function with c2 = c3 = 0, as u = 1 at delta = 0 makes it.
 
 ``correction_via_quadrature`` re-derives the per-order energy shifts as
 integrals over chi^2, which is the internal consistency oracle for the
@@ -17,13 +18,13 @@ the sqrt(2m)/hbar rescaling (slope -N delta^2 / 2 at first order), so the
 squared first-order term enters the second-order integrand as W1^2/2 while
 the third-order integrand takes the plain product W1*W2.
 
-One private evaluator, ``_radial``, computes chi and chi * u for every
-caller.  It builds a state's constants once: the Laguerre recurrence's step
-constants, started from the norm, and beta, c2, c3 and the exponent's shift.
-The weight decides how a closure is evaluated.  The public ``__call__``
-methods run the unweighted amplitude on arrays, with ``np.exp``.  Each of the
-four integrands handed to ``quad`` (chi's norm and tail, the moderated norm
-and the correction) is one weighted closure that returns the squared
+One private evaluator, ``_radial``, computes every ``RadialFunction``.  It
+reads the function's constants once: the Laguerre recurrence's step
+constants, started from the norm, and beta, c2, c3 and the exponent's shift
+g_peak.  The weight decides how a closure is evaluated.  The one public
+``__call__`` runs the unweighted amplitude on arrays, with ``np.exp``.  Each
+of the four integrands handed to ``quad`` (chi's norm and tail, the moderated
+norm and the correction) is one weighted closure that returns the squared
 amplitude times a cubic weight, one Python float at a time with ``math.exp``
 and no nested call; the three correction orders differ only in the weight.
 Every integral goes through ``_quad``, which imports
@@ -38,16 +39,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .perturbation import AtomicSystem, QuantumState
+from .perturbation import AtomicSystem, QuantumState, _check_delta
 
 __all__ = [
     "QuadratureError",
-    "CoulombRadial",
+    "RadialFunction",
     "coulomb_chi",
     "superpotential_w1",
     "superpotential_w2",
     "moderating_u",
-    "ModeratedRadial",
     "moderated_radial",
     "correction_via_quadrature",
 ]
@@ -83,52 +83,60 @@ def _on_floats(f, x):
 
 
 @dataclass(frozen=True)
-class CoulombRadial:
-    """Evaluable reduced radial function of the unscreened (Coulomb) problem.
-
-    ``norm`` is fixed by quadrature so that the square integrates to one on
-    [0, r_max]; the truncated tail is checked to be negligible.
+class RadialFunction:
+    """Reduced radial function ``norm * r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - g_peak)``,
+    with g = -beta r + c2 r^2 + c3 r^3 and ``norm`` fixed by quadrature to unit
+    norm on [0, r_max].  The zero defaults give chi; chi * u takes the
+    moderating exponent's c2 and c3 and the peak of g on [0, r_max] as its
+    shift, so that it stays in range where u alone overflows.
     """
 
     state: QuantumState
     beta: float
     norm: float
     r_max: float
+    c2: float = 0.0
+    c3: float = 0.0
+    g_peak: float = 0.0
+
+    @property
+    def rising_at_r_max(self) -> bool:
+        """g still rises at r_max: the unit norm on [0, r_max] belongs to a
+        function that has not decayed there.  Never true for chi."""
+        return (3.0 * self.c3 * self.r_max + 2.0 * self.c2) * self.r_max - self.beta > 0.0
 
     def __call__(self, r):
-        return _on_floats(_radial(self, self.norm), r)
+        return _on_floats(_radial(self), r)
 
 
-def _radial(chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
-            shift: float = 0.0, weight: tuple[float, float, float, float] | None = None):
-    """Closure r -> norm r^(l+1) L_n^(2l+1)(2 beta r) exp(g(r) - shift), with
-    g = -beta r + c2 r^2 + c3 r^3 and l, n, beta those of ``chi``; given a
-    ``weight`` (w0, w1, w2, w3), the closure r -> that function squared times
-    w0 + w1 r + w2 r^2 + w3 r^3 instead, an integrand for ``quad``.
+def _radial(f: RadialFunction, weight: tuple[float, float, float, float] | None = None):
+    """Closure r -> f(r); given a ``weight`` (w0, w1, w2, w3), the closure
+    r -> f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3) instead, an integrand for
+    ``quad``.
 
-    With the defaults it is chi scaled to ``norm``; with a moderated state's
-    c2, c3 and g_peak it is that state.  The plain closure takes arrays and
-    uses ``np.exp``; the weighted one takes the floats ``quad`` passes one at
-    a time and uses ``math.exp``, since numpy's per-call overhead costs
-    several times the arithmetic.  Everything that depends only on the state
-    is computed here, once: per point the closure runs the Laguerre
-    recurrence from L_0 = norm with each step's constants ready, one power,
-    one exponential and, for a weight, one cubic, with no further call.
+    The plain closure takes arrays and uses ``np.exp``; the weighted one
+    takes the floats ``quad`` passes one at a time and uses ``math.exp``,
+    since numpy's per-call overhead costs several times the arithmetic.
+    Everything that depends only on ``f`` is read or computed here, once:
+    per point the closure runs the Laguerre recurrence from L_0 = norm with
+    each step's constants ready, one power, one exponential and, for a
+    weight, one cubic, with no further call.
     """
-    beta, l = chi.beta, chi.state.l
+    norm, beta, c2, c3, shift = f.norm, f.beta, f.c2, f.c3, f.g_peak
+    l = f.state.l
     p, k = l + 1, 2 * l + 1
     # L_j = ((2j - 1 + k - 2 beta r) L_(j-1) - (j - 1 + k) L_(j-2)) / j
     steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
-                  for j in range(1, chi.state.n + 1))
+                  for j in range(1, f.state.n + 1))
 
     if weight is None:
-        def f(r):
+        def amplitude(r):
             prev, cur = 0.0, norm
             for a, b, c in steps:
                 prev, cur = cur, (a - b * r) * cur - c * prev
             return cur * r ** p * np.exp(((c3 * r + c2) * r - beta) * r - shift)
 
-        return f
+        return amplitude
     w0, w1, w2, w3 = weight
     exp = math.exp  # a closure variable, not a global looked up per point
 
@@ -146,8 +154,9 @@ def _radial(chi: CoulombRadial, norm: float, c2: float = 0.0, c3: float = 0.0,
 _UNIT_WEIGHT = (1.0, 0.0, 0.0, 0.0)
 
 
-def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
-    """Construct the numerically normalized Coulomb radial function."""
+def coulomb_chi(system: AtomicSystem, state: QuantumState) -> RadialFunction:
+    """Construct the numerically normalized Coulomb radial function; its
+    truncated tail past r_max is checked to be negligible."""
     big_n = state.big_n
     n, l = state.n, state.l
     beta = system.a / big_n
@@ -161,8 +170,8 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> CoulombRadial:
         * 2.0 * big_n
     )
 
-    chi = CoulombRadial(state=state, beta=beta, norm=1.0 / scale, r_max=r_max)
-    density = _radial(chi, chi.norm, weight=_UNIT_WEIGHT)
+    chi = RadialFunction(state=state, beta=beta, norm=1.0 / scale, r_max=r_max)
+    density = _radial(chi, weight=_UNIT_WEIGHT)
     main, main_err = _quad(density, 0.0, r_max)
     if main <= 0 or main_err > max(1e-11, 1e-9 * main):
         raise QuadratureError("normalization integral did not converge", main, main_err)
@@ -199,31 +208,9 @@ def moderating_u(a: float, state: QuantumState, delta: float, r):
     return _on_floats(lambda t: np.exp((c2 + c3 * t) * t * t), r)
 
 
-@dataclass(frozen=True)
-class ModeratedRadial:
-    """Moderated wavefunction chi(r) * u(r), renormalized to unit norm.
-
-    Evaluated as ``norm * r^(l+1) L(2 beta r) exp(g(r) - g_peak)`` with the
-    one exponent g = -beta r + c2 r^2 + c3 r^3 of chi * u, shifted by its
-    peak on [0, r_max], so that it stays in range where u alone overflows.
-    ``rising_at_r_max`` is true when g still rises at r_max, so that the
-    unit norm on [0, r_max] belongs to a function that has not decayed there.
-    """
-
-    chi: CoulombRadial
-    delta: float
-    norm: float
-    c2: float
-    c3: float
-    g_peak: float
-    rising_at_r_max: bool
-
-    def __call__(self, r):
-        return _on_floats(_radial(self.chi, self.norm, self.c2, self.c3, self.g_peak), r)
-
-
-def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) -> ModeratedRadial:
-    """Build the renormalized moderated wavefunction for repeated evaluation.
+def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) -> RadialFunction:
+    """Build the moderated wavefunction chi * u, renormalized to unit norm,
+    for repeated evaluation.
 
     Only defined in the perturbative regime 3 N^2 delta < 4 A; past that
     point the moderating exponent grows with r and the product chi * u is
@@ -231,6 +218,7 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     at r_max; the function is normalized on [0, r_max] all the same, and
     flagged by ``rising_at_r_max``.
     """
+    _check_delta(delta)
     big_n = state.big_n
     if 3.0 * big_n**2 * delta >= 4.0 * system.a:
         raise ValueError(
@@ -243,14 +231,12 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     roots = np.roots([3.0 * c3, 2.0 * c2, -chi.beta])
     inside = [x.real for x in roots if x.imag == 0 and 0 < x.real < chi.r_max]
     g_peak = max(((c3 * x + c2) * x - chi.beta) * x for x in [0.0, chi.r_max, *inside])
-    rising = (3.0 * c3 * chi.r_max + 2.0 * c2) * chi.r_max - chi.beta > 0.0
     # chi's norm keeps the trial integrand O(1) whenever u stays near 1
-    trial = _radial(chi, chi.norm, c2, c3, g_peak, weight=_UNIT_WEIGHT)
-    nrm2, err = _quad(trial, 0.0, chi.r_max)
+    trial = replace(chi, c2=c2, c3=c3, g_peak=g_peak)
+    nrm2, err = _quad(_radial(trial, weight=_UNIT_WEIGHT), 0.0, chi.r_max)
     if nrm2 <= 0 or err > 1e-9 * nrm2:
         raise QuadratureError("moderated normalization did not converge", nrm2, err)
-    return ModeratedRadial(chi=chi, delta=delta, norm=chi.norm / math.sqrt(nrm2), c2=c2, c3=c3,
-                           g_peak=g_peak, rising_at_r_max=rising)
+    return replace(trial, norm=chi.norm / math.sqrt(nrm2))
 
 
 def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
@@ -267,6 +253,7 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    _check_delta(delta)
     chi = coulomb_chi(system, state)
     a, d = system.a, delta
     # every order's weight is r (w1 + w2 r + w3 r^2), with W1(r) = s r and
@@ -279,7 +266,7 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
         3: (0.0, -s * k1, -a * d**4 / 24.0 - s * k2),
     }[order]
 
-    integrand = _radial(chi, chi.norm, weight=(0.0, w1, w2, w3))
+    integrand = _radial(chi, weight=(0.0, w1, w2, w3))
     value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):
         raise QuadratureError(f"order-{order} correction did not converge", value, err)

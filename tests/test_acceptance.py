@@ -251,7 +251,7 @@ def test_criterion_10_wavefunction_suite():
                       limit=300, epsabs=1e-12, epsrel=1e-12)
         worst_norm = max(worst_norm, abs(val - 1.0))
     psi = moderated_radial(AtomicSystem(3), QuantumState(0, 0), screening_delta(3, FA))
-    val, _ = quad(lambda r: psi(r) ** 2, 0.0, psi.chi.r_max,
+    val, _ = quad(lambda r: psi(r) ** 2, 0.0, psi.r_max,
                   limit=300, epsabs=1e-12, epsrel=1e-12)
     worst_norm = max(worst_norm, abs(val - 1.0))
 

@@ -359,6 +359,16 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == "error: line 2: energy_kev must be finite, got -inf\n"
 
+    def test_field_past_csv_limit_exit_2(self, capsys, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text('z,shell,n,l,source,energy_kev,notes\n'
+                        f'3,E00,0,0,present_work,-0.05405687,{"x" * (limit + 1)}\n',
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--shell", "E00", "--reference", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: field larger than field limit ({limit})\n"
+
     @pytest.mark.parametrize("tolerance, expected", [("1e-4", 0), ("1e-12", 1)])
     def test_quoted_note_exits_on_tolerance(self, capsys, tmp_path, tolerance, expected):
         path = tmp_path / "quoted.csv"
@@ -381,6 +391,17 @@ class TestCompare:
         code, _, err = run_cli(capsys, "compare", *argv)
         assert code == 2
         assert err == f"error: {message}\n"
+
+    def test_no_rows_of_the_source_exit_2(self, capsys):
+        # the bundled E01 table holds present_work rows only
+        code, out, err = run_cli(capsys, "compare", "--shell", "E01", "--source", "experiment")
+        assert (code, out, err) == (2, "", "error: no experiment reference rows for shell E01\n")
+
+    def test_header_only_reference_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("z,shell,n,l,source,energy_kev\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "compare", "--shell", "E00", "--reference", str(path))
+        assert (code, out, err) == (2, "", "error: no present_work reference rows for shell E00\n")
 
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--shell", "E01", "--format", "json")

