@@ -5,7 +5,9 @@ machinery behind them, a direct Numerov eigensolver for cross-validation,
 bundled reference tables, and a command-line front end.
 
 The package exports each layer module's ``__all__``.  ``cli`` is imported
-here too, so every layer is in ``sys.modules`` once the package is.
+here too, so every layer is in ``sys.modules`` once the package is, but
+numpy and scipy are not: each loads on the first call that needs it, so the
+closed-form commands run without either.
 """
 
 from . import cli, oracle, perturbation, refdata, wavefunctions

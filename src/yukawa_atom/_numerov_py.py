@@ -30,13 +30,11 @@ also be filled with -1 and its pages faulted in) cut the benchmark's
 10-s runs, 2-core Xeon) and saved under 0.6 MB of its peak RSS, so the
 buffers stay.
 
-``dtbtrs`` is imported on the first sweep, so importing this module loads
-numpy alone.
+numpy and ``dtbtrs`` are imported on the first sweep, so importing this
+module loads neither numpy nor scipy.
 """
 
 import threading
-
-import numpy as np
 
 RESCALE_LIMIT = 1e250
 RESCALE_FACTOR = 1e-250
@@ -59,6 +57,8 @@ def _workspace(size):
     """
     band = getattr(_buffers, "band", None)
     if band is None or band.shape[1] < size:
+        import numpy as np
+
         _buffers.band = band = np.full((3, size), -1.0, order="F")
         _buffers.rhs = np.empty(size)
     return band[:, :size], _buffers.rhs[:size]
@@ -83,6 +83,8 @@ def count_nodes_sweep(w, energy, h, u0, u1):
     ``w`` is the energy-independent part of f = 2(V_eff - E) on a uniform
     grid of spacing ``h``.
     """
+    import numpy as np
+
     n = len(w)
     t = h * h / 12.0 * (w - 2.0 * energy)
     c = 1.0 - t

@@ -37,17 +37,15 @@ E0 + A delta on its energy, and is never wider than max(20, 30 N^2/A) Bohr
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
 triangular solve per trial energy, on a band matrix kept between sweeps.
-scipy's ``brentq`` and the sweep's ``dtbtrs`` are imported by the first
-solve, not with this module, so the closed-form commands never load
-``scipy.optimize`` or ``scipy.linalg``.
+numpy, scipy's ``brentq`` and the sweep's ``dtbtrs`` are imported by the
+first solve, not with this module, so the closed-form commands load no
+numpy or scipy module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import _numerov_py
 from .perturbation import (
@@ -137,7 +135,7 @@ class RadialGrid:
         r_max = max(20.0, 30.0 * big_n * big_n / system.a)
         e_up = coulomb_energy(system.a, state) + system.a * delta
         if e_up < 0.0:
-            r_max = min(r_max, system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
+            r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
         return cls(r_max, FIRST_GRID_POINTS)
 
     def halved(self) -> "RadialGrid":
@@ -201,6 +199,8 @@ class _Sweeper:
 
     def __init__(self, system: AtomicSystem, delta: float, state: QuantumState,
                  grid: RadialGrid):
+        import numpy as np
+
         r = np.linspace(R_MIN, grid.r_max, grid.points)
         self.h = r[1] - r[0]
         self.l = state.l
@@ -241,7 +241,7 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     from scipy.optimize import brentq
 
     while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1 or lo < 2.0 * hi:
-        mid = -np.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
+        mid = -math.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
         if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:
             return mid, sweep.nodes(lo)
         if sweep.nodes(mid) >= n + 1:

@@ -166,12 +166,14 @@ def coulomb_energy(a: float, state: QuantumState) -> float:
 
 def first_order_shift(state: QuantumState, delta: float) -> float:
     """First correction -(3N^2 - L) delta^2 / 4; independent of A."""
+    _check_delta(delta)
     big_n = float(state.big_n)
     return -(3.0 * big_n**2 - state.big_l) * delta**2 / 4.0
 
 
 def second_order_shift(a: float, state: QuantumState, delta: float) -> float:
     """Second correction, one positive delta^3 and one negative delta^4 term."""
+    _check_delta(delta)
     big_n = float(state.big_n)
     bracket = 5.0 * big_n**2 - 3.0 * state.big_l + 1.0
     return (
@@ -182,6 +184,7 @@ def second_order_shift(a: float, state: QuantumState, delta: float) -> float:
 
 def third_order_shift(a: float, state: QuantumState, delta: float) -> float:
     """Third correction: delta^4, delta^5 and delta^6 terms."""
+    _check_delta(delta)
     big_n = float(state.big_n)
     big_l = float(state.big_l)
     b1 = 5.0 * big_n**2 - 3.0 * big_l

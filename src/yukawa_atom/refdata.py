@@ -173,8 +173,8 @@ def compare(dataset: ReferenceDataset, computed, source: ReferenceSource):
     Returns ``(rows, summary)``: one dict per triple with the keys ``z``,
     ``shell``, ``computed_kev``, ``reference_kev``, ``abs_diff_kev`` and
     ``rel_diff``, sorted by (z, shell), and a dict of ``max_abs_diff``,
-    ``max_rel_diff`` and ``worst_z`` (all 0 when nothing is computed).
-    Raises :class:`MissingReference` for absent keys."""
+    ``max_rel_diff`` and ``worst_z``.  Raises :class:`MissingReference` for
+    absent keys and when nothing is computed."""
     rows = []
     for z, shell_label, energy_kev in computed:
         reference_kev = dataset.get(z, shell_label, source).energy_kev
@@ -183,7 +183,7 @@ def compare(dataset: ReferenceDataset, computed, source: ReferenceSource):
                      "reference_kev": reference_kev, "abs_diff_kev": abs_diff,
                      "rel_diff": abs_diff / abs(reference_kev)})
     if not rows:
-        return rows, {"max_abs_diff": 0.0, "max_rel_diff": 0.0, "worst_z": 0}
+        raise MissingReference("nothing computed to compare")
     rows.sort(key=lambda r: (r["z"], r["shell"]))
     worst = max(rows, key=lambda r: r["rel_diff"])
     return rows, {"max_abs_diff": max(r["abs_diff_kev"] for r in rows),

@@ -30,14 +30,15 @@ and no nested call; the three correction orders differ only in the weight.
 Every integral goes through ``_quad``, which imports
 ``scipy.integrate`` on its first call and looks ``quad`` up there on every
 call, so a wrapper put in its place sees every integral while it stays there.
+
+numpy is imported by the functions that evaluate on arrays or find roots,
+not with this module, so importing it loads no numpy or scipy module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .perturbation import AtomicSystem, QuantumState, _check_delta
 
@@ -78,6 +79,8 @@ class QuadratureError(RuntimeError):
 def _on_floats(f, x):
     """``f`` of ``x`` as a float ndarray: a Python float back for a scalar
     ``x``, an ndarray of its shape otherwise."""
+    import numpy as np
+
     val = f(np.asarray(x, dtype=float))
     return val if val.ndim else float(val)
 
@@ -130,6 +133,8 @@ def _radial(f: RadialFunction, weight: tuple[float, float, float, float] | None 
                   for j in range(1, f.state.n + 1))
 
     if weight is None:
+        import numpy as np
+
         def amplitude(r):
             prev, cur = 0.0, norm
             for a, b, c in steps:
@@ -175,7 +180,7 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> RadialFunction:
     main, main_err = _quad(density, 0.0, r_max)
     if main <= 0 or main_err > max(1e-11, 1e-9 * main):
         raise QuadratureError("normalization integral did not converge", main, main_err)
-    tail, _ = _quad(density, r_max, np.inf)
+    tail, _ = _quad(density, r_max, math.inf)
     if tail > 1e-12 * main:
         raise QuadratureError("truncated tail is not negligible", tail, tail / main)
     return replace(chi, norm=1.0 / (scale * math.sqrt(main)))
@@ -184,12 +189,14 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> RadialFunction:
 def superpotential_w1(state: QuantumState, delta: float) -> tuple[float, float]:
     """First-order superpotential, linear with slope -N delta^2 / 2: its
     coefficients in ascending powers of r, (0, slope)."""
+    _check_delta(delta)
     return 0.0, -state.big_n * delta * delta / 2.0
 
 
 def superpotential_w2(a: float, state: QuantumState, delta: float) -> tuple[float, float, float]:
     """Second-order superpotential -N [A r + N(N+1)] [3 N^2 delta - 4A] delta^3 r / (24 A^2):
     its coefficients in ascending powers of r, (0, k N(N+1), k A)."""
+    _check_delta(delta)
     big_n = float(state.big_n)
     k = -big_n * (3.0 * big_n**2 * delta - 4.0 * a) * delta**3 / (24.0 * a * a)
     return 0.0, k * big_n * (big_n + 1.0), k * a
@@ -204,6 +211,8 @@ def _exponent_coefficients(a: float, state: QuantumState, delta: float) -> tuple
 
 def moderating_u(a: float, state: QuantumState, delta: float, r):
     """Moderating factor exp(-int_0^r (W1 + W2) dx), normalized to u(0) = 1."""
+    import numpy as np
+
     c2, c3 = _exponent_coefficients(a, state, delta)
     return _on_floats(lambda t: np.exp((c2 + c3 * t) * t * t), r)
 
@@ -218,6 +227,8 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     at r_max; the function is normalized on [0, r_max] all the same, and
     flagged by ``rising_at_r_max``.
     """
+    import numpy as np
+
     _check_delta(delta)
     big_n = state.big_n
     if 3.0 * big_n**2 * delta >= 4.0 * system.a:

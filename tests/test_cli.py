@@ -522,6 +522,11 @@ print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
+def numeric_modules(modules):
+    """The numpy and scipy modules among ``modules``."""
+    return sorted(m for m in modules if m.split(".")[0] in ("numpy", "scipy"))
+
+
 def test_closed_form_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT],
                           capture_output=True, text=True, timeout=120, env=child_env())
@@ -529,8 +534,22 @@ def test_closed_form_commands_load_no_scipy():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]
     modules = set(result["modules"])
-    assert not {"scipy.integrate", "scipy.optimize", "scipy.linalg"} & modules
+    assert numeric_modules(modules) == []
     # every layer is imported eagerly, so a tracer finds it in sys.modules
     layers = {f"yukawa_atom.{name}" for name in
               ("cli", "oracle", "wavefunctions", "_numerov_py", "perturbation", "refdata")}
     assert layers <= modules
+
+
+def test_python_dash_m_level_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "yukawa_atom",
+         "level", "--z", "29", "--n", "0", "--l", "0"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes "import time: self | cumulative | name" per import
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "yukawa_atom.oracle" in imported
+    assert numeric_modules(imported) == []

@@ -20,9 +20,12 @@ from yukawa_atom import (
     energy_breakdown,
     first_order_shift,
     moderated_radial,
+    moderating_u,
     screening_delta,
     second_order_shift,
     solve_bound_state,
+    superpotential_w1,
+    superpotential_w2,
     third_order_shift,
     to_kev,
 )
@@ -348,14 +351,20 @@ DELTA_ROUTES = {
     "correction_via_quadrature":
         lambda d: correction_via_quadrature(AtomicSystem(3), QuantumState(0, 0), d, 1),
     "moderated_radial": lambda d: moderated_radial(AtomicSystem(3), QuantumState(0, 0), d),
+    "first_order_shift": lambda d: first_order_shift(QuantumState(0, 0), d),
+    "second_order_shift": lambda d: second_order_shift(3.0, QuantumState(0, 0), d),
+    "third_order_shift": lambda d: third_order_shift(3.0, QuantumState(0, 0), d),
+    "superpotential_w1": lambda d: superpotential_w1(QuantumState(0, 0), d),
+    "superpotential_w2": lambda d: superpotential_w2(3.0, QuantumState(0, 0), d),
+    "moderating_u": lambda d: moderating_u(3.0, QuantumState(0, 0), d, 1.0),
 }
 
 
 @pytest.mark.parametrize("route", DELTA_ROUTES)
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -0.5])
 def test_every_route_rejects_bad_delta_alike(route, delta):
-    # one check for all four routes: no route integrates or solves at a
-    # negative or non-finite delta, and all say so in the same words
+    # one check for every route: none returns a value, integrates or solves
+    # at a negative or non-finite delta, and all say so in the same words
     with pytest.raises(ValueError) as excinfo:
         DELTA_ROUTES[route](delta)
     assert str(excinfo.value) == f"screening parameter must be finite and non-negative, got {delta}"
