@@ -2,14 +2,21 @@
 
 Solves chi'' = 2 (V_eff - E) chi with the exact (un-expanded) potential
 V_eff = -(A/r) exp(-delta r) + l(l+1)/(2 r^2) by outward Numerov integration
-on a uniform grid.  The node count of the outward solution is a
-non-decreasing step function of the trial energy that jumps from n to n+1
-exactly at the n-th eigenvalue, so bisection on the node count brackets the
-eigenvalue rigorously: once the bracket ends have n and n+1 nodes, the
-sweep's last value has opposite signs there and one zero between them, and
-Brent's method on that value finds the eigenvalue in a few sweeps.  Every
-grid runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the first has
-``FIRST_GRID_POINTS`` = 4001 points unless the caller passes a grid, and
+on a logarithmic mesh: with r = R_MIN exp(x) and chi = sqrt(r) phi(x), the
+sweep solves phi'' = [(l + 1/2)^2 - 2 A r exp(-delta r) - 2 E r^2] phi in
+equal steps of x, and phi has chi's nodes and signs.  The mesh spends as
+many points on each decade of r, so the K shells, which live inside a
+fraction of their 20-Bohr box, finish on 3201 points.
+
+The node count of the outward solution is a non-decreasing step function
+of the trial energy that jumps from n to n+1 exactly at the n-th
+eigenvalue, so bisection on the node count brackets the eigenvalue
+rigorously: once the bracket ends have n and n+1 nodes, the sweep's last
+value has opposite signs there and one zero between them, and Brent's
+method on that value finds the eigenvalue in a few sweeps.  Every grid
+runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the first has
+``FIRST_GRID_POINTS`` = 801 points, or as many more as the box's edge needs
+(see :meth:`RadialGrid.for_state`), unless the caller passes a grid, and
 each refinement halves the step.  Numerov's eigenvalue error being O(h^4),
 each grid's eigenvalue plus a fifteenth of its shift from the coarser grid
 is a Richardson extrapolation to zero step; refinement stops once two
@@ -75,8 +82,8 @@ MAX_REFINEMENTS = 8
 _E_TOP = -1e-12
 #: Inner end of every radial grid, in Bohr.
 R_MIN = 1e-6
-#: Points of the first grid of a solve given no grid.
-FIRST_GRID_POINTS = 4001
+#: Fewest points of the first grid of a solve given no grid.
+FIRST_GRID_POINTS = 801
 #: delta / A past which no level binds: the 1s critical ratio 1.190612
 #: (Rogers, Graboske & Harwood, Phys. Rev. A 1, 1577 (1970)), rounded up.
 #: Every other level unbinds at a smaller ratio.
@@ -107,36 +114,51 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid on [``R_MIN``, ``r_max``].  ``r_max`` must be finite
-    and above ``R_MIN``; ``points`` must be odd and at least 1001."""
+    """Logarithmic radial mesh r_i = ``R_MIN`` exp(i h), i = 0 .. points - 1,
+    whose last point is ``r_max``.  ``r_max`` must be finite and above
+    ``R_MIN``; ``points`` must be odd and at least 801."""
 
     r_max: float
     points: int
 
     def __post_init__(self):
-        if self.points < 1001 or self.points % 2 == 0:
-            raise ValueError(f"points must be odd and >= 1001, got {self.points}")
+        if self.points < 801 or self.points % 2 == 0:
+            raise ValueError(f"points must be odd and >= 801, got {self.points}")
         if not R_MIN < self.r_max < math.inf:
             raise ValueError(f"r_max must be finite and above {R_MIN}, got {self.r_max}")
 
     @classmethod
     def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float) -> "RadialGrid":
-        """First grid of a solve: ``FIRST_GRID_POINTS`` points on a box of 30
-        decay lengths of the level past its turning point, never wider than
-        max(20, 30 N^2 / A) Bohr.
+        """First grid of a solve: a box of 30 decay lengths of the level past
+        its turning point, never wider than max(20, 30 N^2 / A) Bohr, on
+        ``FIRST_GRID_POINTS`` points or as many more as keep the step
+        h <= sqrt(6 / (3 |E0|)) / r_max.
 
         Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E_up = E0 + A delta
         bounds the level from above.  Since V_eff >= -A/r, the outer turning
         point lies below A / (-E_up) when E_up < 0, and 30 / sqrt(-2 E_up)
         is at least 30 decay lengths of the level.  A level the bound cannot
         show to be bound gets the cap.
+
+        Numerov's t = h^2 f / 12 must stay below 1, and on the mesh
+        f ~ -2 E r^2 grows towards the box edge, so a coarse step lets deep
+        trial energies count spurious nodes there.  The bound on h keeps
+        t <= 0.5 at r_max for the search's deepest trial energy, 1.5 E0.
         """
         big_n = state.big_n
+        e0 = coulomb_energy(system.a, state)
         r_max = max(20.0, 30.0 * big_n * big_n / system.a)
-        e_up = coulomb_energy(system.a, state) + system.a * delta
+        e_up = e0 + system.a * delta
         if e_up < 0.0:
             r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
-        return cls(r_max, FIRST_GRID_POINTS)
+        steps = math.ceil(math.log(r_max / R_MIN) * r_max / math.sqrt(6.0 / (3.0 * -e0)))
+        steps = max(FIRST_GRID_POINTS - 1, steps + steps % 2)
+        return cls(r_max, steps + 1)
+
+    @property
+    def step(self) -> float:
+        """The mesh's step h in x = ln r."""
+        return math.log(self.r_max / R_MIN) / (self.points - 1)
 
     def halved(self) -> "RadialGrid":
         return replace(self, points=2 * (self.points - 1) + 1)
@@ -161,8 +183,9 @@ _SERIES_TERMS = 6
 
 def _series_start(a: float, delta: float, l: int, energy: float, r0: float,
                   r1: float) -> tuple[float, float]:
-    """Regular solution near the origin, u = r^(l+1) sum_k c_k r^k, at the
-    grid's first two points r0 and r1; the c_k are built once for both.
+    """Regular solution near the origin, u = r^(l+1) sum_k c_k r^k, as the
+    mesh's phi = u / sqrt(r) at the grid's first two points r0 and r1; the
+    c_k are built once for both.
 
     The plain r^(l+1) start misses a relative A*r correction at the second
     grid point, which degrades the eigenvalue convergence to first order in
@@ -184,39 +207,44 @@ def _series_start(a: float, delta: float, l: int, energy: float, r0: float,
             acc += v[j] * c[q - 2 - j]
         c.append(-acc / (q * (q + 2 * l + 1)))
 
-    def u(r):
+    def phi(r):
         poly = 0.0
         for ck in reversed(c):
             poly = poly * r + ck
-        return r ** (l + 1) * poly
+        return r ** (l + 0.5) * poly
 
-    return u(r0), u(r1)
+    return phi(r0), phi(r1)
 
 
 class _Sweeper:
     """Node count and last value of the outward solution for one (potential,
-    grid) pair at varying trial energy; each energy is swept once."""
+    grid) pair at varying trial energy; each energy is swept once.  The
+    sweep runs phi = u / sqrt(r), which has u's nodes and tail sign."""
 
     def __init__(self, system: AtomicSystem, delta: float, state: QuantumState,
                  grid: RadialGrid):
         import numpy as np
 
-        r = np.linspace(R_MIN, grid.r_max, grid.points)
-        self.h = r[1] - r[0]
+        # i h, not a linspace of ln r: near |x| ~ 14 a linspace's spacing
+        # rounds at about 1e-12 relative, which moves heavy K shells by
+        # up to a few 1e-9 Ha
+        self.h = grid.step
+        r = R_MIN * np.exp(self.h * np.arange(grid.points))
         self.l = state.l
         self.a = system.a
         self.delta = delta
         self.r0 = r[0]
         self.r1 = r[1]
-        # energy-independent part of f = 2(V_eff - E)
-        l = state.l
-        self.w = l * (l + 1) / (r * r) - 2.0 * system.a * np.exp(-delta * r) / r
+        # the energy-independent part of phi''/phi, and the r^2 that 2E multiplies
+        self.w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * np.exp(-delta * r)
+        self.r2 = r * r
         self._swept: dict[float, tuple[int, float]] = {}
 
     def _sweep(self, energy: float) -> tuple[int, float]:
         if energy not in self._swept:
             u0, u1 = _series_start(self.a, self.delta, self.l, energy, self.r0, self.r1)
-            self._swept[energy] = _numerov_py.count_nodes_sweep(self.w, energy, self.h, u0, u1)
+            self._swept[energy] = _numerov_py.count_nodes_sweep(self.w, self.r2, energy, self.h,
+                                                                u0, u1)
         return self._swept[energy]
 
     def nodes(self, energy: float) -> int:
@@ -279,8 +307,8 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
     energy, nodes = _bisect_eigenvalue(sweep, n, lo, hi)
     # scipy's brentq holds the callable it is given in a reference cycle, so
     # the sweeper outlives this call until the cyclic collector runs: drop
-    # its potential, the one array it keeps.
-    del sweep.w
+    # its two arrays.
+    del sweep.w, sweep.r2
     if tally is not None:
         tally.append(len(sweep._swept))
     return energy, nodes
@@ -333,12 +361,12 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     node count is checked against n.  Raises :class:`NonConvergence`
     (carrying the latest X_k and its last change, or after a single halving
     X_1 and |X_1 - E_1|) if refinement stalls or that check fails.  The
-    first grid is :meth:`RadialGrid.for_state`'s box for ``delta`` at
-    ``FIRST_GRID_POINTS`` points; a grid passed in starts at its own box and
-    size.  Every grid starts at ``R_MIN``.  The result's
-    ``sweeps`` counts the trial energies swept on every grid, and its
-    ``grid_points`` is the finest grid's size.  A delta past
-    ``CRITICAL_RATIO`` times A raises :class:`NoBoundState` before any sweep.
+    first grid is :meth:`RadialGrid.for_state`'s box and size for
+    ``delta``; a grid passed in starts at its own box and size.  Every grid
+    starts at ``R_MIN``.  The result's ``sweeps`` counts the trial energies
+    swept on every grid, and its ``grid_points`` is the finest grid's size.
+    A delta past ``CRITICAL_RATIO`` times A raises :class:`NoBoundState`
+    before any sweep.
     """
     _check_delta(delta)
     if delta > CRITICAL_RATIO * system.a:
@@ -374,14 +402,14 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
                 return result
             # the next halving shifts the energy by about a sixteenth of this one
             centre, pad = energy + shift / 16.0, max(abs(shift) / 4.0, 1e-9)
-        # _solve_on_grid revalidates the bracket's node counts.  Over
-        # Z = 1..84 with n, l <= 2 the first halving moves 32 of the 472
-        # bound levels by more than the first pad (Z=54 3p the most, by
-        # 1.4e-3 of its energy); their stale brackets still prove one end.
-        # First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 12534, 11783,
-        # 11326, 11402 and 11961 sweeps over the bound levels, with the same
+        # _solve_on_grid revalidates the bracket's node counts, so a stale
+        # bracket costs sweeps but still proves one end.  Over Z = 1..84
+        # with n, l <= 2 the first halving moves each of the 472 bound
+        # levels by at most 9.2e-7 of its energy, inside the first pad.
+        # First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 9881, 9961,
+        # 10095, 10326 and 10892 sweeps over the bound levels, with the same
         # outcomes.  Later shifts shrink by a median 0.0625 per halving: over
-        # the same levels each of the 587 grids after the second lands within
+        # the same levels each of the 472 grids after the second lands within
         # 0.025 pads of its predicted energy.
         bracket = (centre - pad, centre + pad)
     raise NonConvergence(

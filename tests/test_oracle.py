@@ -57,6 +57,17 @@ class TestHydrogenicExactness:
         assert res.energy == pytest.approx(-882.0, rel=1e-7)
         assert res.nodes_found == 0
 
+    @pytest.mark.parametrize("z", [1, 29, 46, 51, 58, 59, 65, 75, 82, 84])
+    def test_within_claimed_error(self, z):
+        # delta = 0: every level lies within its estimated_error of
+        # -Z^2 / (2 N^2).  A mesh built as a linspace of ln r, whose spacing
+        # rounds at about 1e-12 relative near ln R_MIN = -13.8, misses this
+        # (Z=75 1s by 2.4e-10 Ha against a claimed 1e-10)
+        for state in (QuantumState(n, l) for n in range(3) for l in range(3)):
+            res = solve_bound_state(AtomicSystem(z), 0.0, state)
+            exact = coulomb_energy(float(z), state)
+            assert abs(res.energy - exact) <= res.estimated_error, state
+
 
 class TestOracleBasics:
     def test_result_fields(self):
@@ -137,6 +148,15 @@ class TestOracleBasics:
         assert 0.0 < best.estimated_error < 1e-6
 
 
+#: (Z, n, l) of the levels the benchmark's ``spectrum`` workload draws from,
+#: and of the capped-box levels of ``test_lower_end_below_level``.
+_FIRST_STEP_LEVELS = sorted(
+    {(1, 0, 0), (1, 1, 1), (4, 1, 0), (5, 1, 0), (5, 0, 1), (9, 0, 1), (18, 2, 0), (54, 2, 1)}
+    | {(z, 0, 0) for z in (3, 4, 5, 6, 7, 8, 9, 14, 19, 24, 29)}
+    | {(z, n, l) for z in (9, 14, 19, 24) for n, l in ((1, 0), (0, 1))}
+)
+
+
 class TestRadialGrid:
     def test_default_box_holds_thirty_decay_lengths(self):
         # delta = 0: E_up is the exact level -1/18, so the box is the
@@ -169,6 +189,16 @@ class TestRadialGrid:
         assert z5_2s.r_max == pytest.approx(24.0)
         assert z9_2p.r_max == 20.0
 
+    @pytest.mark.parametrize("z, n, l", _FIRST_STEP_LEVELS)
+    def test_first_step_bound(self, z, n, l):
+        # Numerov's t = h^2 f / 12 at the box edge, for the search's deepest
+        # trial energy 1.5 E0, where f ~ 3 |E0| r^2
+        system, state = AtomicSystem(z), QuantumState(n, l)
+        grid = RadialGrid.for_state(system, state, screening_delta(z, FA))
+        e0 = coulomb_energy(system.a, state)
+        assert grid.points >= oracle_mod.FIRST_GRID_POINTS
+        assert grid.step**2 * 3.0 * abs(e0) * grid.r_max**2 / 12.0 <= 0.5
+
     def test_rejects_even_points(self):
         with pytest.raises(ValueError):
             RadialGrid(r_max=20.0, points=20000)
@@ -193,9 +223,9 @@ class TestRadialGrid:
         assert g.halved().points == 40001
 
 
-def _scalar_sweep(w, energy, h, u0, u1):
+def _scalar_sweep(w, r2, energy, h, u0, u1):
     """The summed-form sweep as a per-point loop: the kernel's reference."""
-    t = (h * h / 12.0 * (w - 2.0 * energy)).tolist()
+    t = (h * h / 12.0 * (w - 2.0 * energy * r2)).tolist()
     signs = [u < 0.0 for u in (u0, u1) if u != 0.0]
     u = u1
     y = (1.0 - t[1]) * u1
@@ -211,22 +241,29 @@ def _scalar_sweep(w, energy, h, u0, u1):
     return sum(a != b for a, b in zip(signs, signs[1:])), u
 
 
+def _log_mesh(r_max, points):
+    """The eigensolver's mesh from ``R_MIN`` to ``r_max`` Bohr, and its step."""
+    h = RadialGrid(r_max, points).step
+    return oracle_mod.R_MIN * np.exp(h * np.arange(points)), h
+
+
 def _hydrogen_sweep_args(l):
-    """Hydrogen's w for angular momentum l on 200 Bohr, with the series start."""
-    r = np.linspace(1e-6, 200.0, 20001)
-    w = l * (l + 1) / (r * r) - 2.0 / r
-    u0, u1 = (x ** (l + 1) * (1.0 - x / (l + 1)) for x in r[:2])
-    return w, r[1] - r[0], u0, u1
+    """Hydrogen's w and r^2 for angular momentum l on a 20001-point mesh to
+    200 Bohr, with the series start divided by sqrt(r)."""
+    r, h = _log_mesh(200.0, 20001)
+    w = (l + 0.5) ** 2 - 2.0 * r
+    u0, u1 = (x ** (l + 0.5) * (1.0 - x / (l + 1)) for x in r[:2])
+    return w, r * r, h, u0, u1
 
 
-def _fresh_buffer_sweep(w, energy, h, u0, u1):
+def _fresh_buffer_sweep(w, r2, energy, h, u0, u1):
     """The sweep with its band matrix and right-hand side allocated afresh
     for every solve: the reference the kernel's reused buffers must match
     bit for bit."""
     from scipy.linalg.lapack import dtbtrs
 
     n = len(w)
-    t = h * h / 12.0 * (w - 2.0 * energy)
+    t = h * h / 12.0 * (w - 2.0 * energy * r2)
     c = 1.0 - t
     g = 12.0 * t / c
     u = np.empty(n)
@@ -257,13 +294,13 @@ def _fresh_buffer_sweep(w, energy, h, u0, u1):
 class TestNumerovSweep:
     @pytest.mark.parametrize("l", [0, 1, 2])
     def test_matches_scalar_loop(self, l):
-        w, h, u0, u1 = _hydrogen_sweep_args(l)
+        w, r2, h, u0, u1 = _hydrogen_sweep_args(l)
         # either side of the first two levels, and deep enough to rescale
         levels = [-0.5 / (k + l + 1) ** 2 for k in range(2)]
         energies = [f * e for e in levels for f in (1.001, 0.999)] + [-50.0]
         for energy in energies:
-            nodes, tail = _numerov_py.count_nodes_sweep(w, energy, h, u0, u1)
-            ref_nodes, ref_tail = _scalar_sweep(w, energy, h, u0, u1)
+            nodes, tail = _numerov_py.count_nodes_sweep(w, r2, energy, h, u0, u1)
+            ref_nodes, ref_tail = _scalar_sweep(w, r2, energy, h, u0, u1)
             assert nodes == ref_nodes
             assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
 
@@ -282,7 +319,7 @@ class TestNumerovSweep:
             sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid(r_max=20.0, points=points))
             for energy in energies:
                 u0, u1 = oracle_mod._series_start(system.a, delta, 0, energy, sweep.r0, sweep.r1)
-                args = (sweep.w, energy, sweep.h, u0, u1)
+                args = (sweep.w, sweep.r2, energy, sweep.h, u0, u1)
                 assert _numerov_py.count_nodes_sweep(*args) == _fresh_buffer_sweep(*args)
         assert len(solves) > 3 * len(energies)  # some sweeps rescaled and solved again
 
@@ -291,10 +328,10 @@ class TestNumerovSweep:
         # different sizes at once cannot write into one another's band
         cases = []
         for points, l in ((20001, 0), (40001, 1), (30001, 2), (20001, 1)):
-            r = np.linspace(1e-6, 200.0, points)
-            w = l * (l + 1) / (r * r) - 2.0 / r
+            r, h = _log_mesh(200.0, points)
+            w = (l + 0.5) ** 2 - 2.0 * r
             for energy in (-0.5 / (l + 1) ** 2, -50.0):
-                cases.append((w, energy, r[1] - r[0], r[0] ** (l + 1), r[1] ** (l + 1)))
+                cases.append((w, r * r, energy, h, r[0] ** (l + 0.5), r[1] ** (l + 0.5)))
         expected = [_fresh_buffer_sweep(*args) for args in cases]
         results = {}
 
@@ -320,8 +357,8 @@ class TestNumerovSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for l in range(3):
-                w, h, u0, u1 = _hydrogen_sweep_args(l)
-                assert _numerov_py.count_nodes_sweep(w, -50.0, h, u0, u1)[0] == 0
+                w, r2, h, u0, u1 = _hydrogen_sweep_args(l)
+                assert _numerov_py.count_nodes_sweep(w, r2, -50.0, h, u0, u1)[0] == 0
             # Z=84 1s in 20 Bohr: sqrt(-2E) r_max ~ 1600, so sweeps near the level rescale
             system, state = AtomicSystem(84), QuantumState(0, 0)
             grid = RadialGrid(r_max=20.0, points=20001)
@@ -330,13 +367,12 @@ class TestNumerovSweep:
 
     def test_node_count_steps_at_hydrogen_levels(self):
         # A = 1, l = 0, delta = 0: the k-th level is -1/(2 (k+1)^2)
-        r = np.linspace(1e-6, 200.0, 20001)
-        w = -2.0 / r
-        h = r[1] - r[0]
-        u0, u1 = r[0] * (1.0 - r[0]), r[1] * (1.0 - r[1])
+        r, h = _log_mesh(200.0, 20001)
+        w = 0.25 - 2.0 * r
+        u0, u1 = (x ** 0.5 * (1.0 - x) for x in r[:2])
 
         def sweep(energy):
-            return _numerov_py.count_nodes_sweep(w, energy, h, u0, u1)
+            return _numerov_py.count_nodes_sweep(w, r * r, energy, h, u0, u1)
 
         for k in range(4):
             level = -0.5 / (k + 1) ** 2
@@ -351,8 +387,11 @@ class TestNumerovSweep:
         assert np.isfinite(tail)
 
     def test_rounding_floor_below_grid_tol(self):
-        # Z=84 1s: fourth order leaves ~3e-11 Ha between these two grids, so
-        # a larger change is rounding; it must stay well below GRID_TOL
+        # Z=84 1s on its 0.40-Bohr box: fourth order leaves ~3e-13 Ha between
+        # these two meshes (the 3201- and 6401-point values differ by
+        # 6.9e-9), so a larger change is rounding; it must stay well below
+        # GRID_TOL.  The summed sweep changes by 7e-12, the unsummed
+        # recurrence by 5.9e-7
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
         grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 40001)
@@ -380,12 +419,20 @@ class TestRootSearch:
     @pytest.mark.parametrize("z, delta", [(1, 0.0), (29, screening_delta(29, FA))],
                              ids=["h_1s", "z29_1s"])
     def test_k_shell_work(self, monkeypatch, z, delta):
-        # seeded from the closed form: 13 sweeps (120k points) for H 1s and
-        # 15 (128k) for Z=29 1s over the 4001-, 8001- and 16001-point grids
+        # seeded from the closed form: 13 sweeps (24,013 points) for H 1s and
+        # 15 (25,615) for Z=29 1s over the 801-, 1601- and 3201-point meshes
         work = _count_sweeps(monkeypatch)
         solve_bound_state(AtomicSystem(z), delta, QuantumState(0, 0))
         assert work["sweeps"] <= 16
-        assert work["points"] <= 200_000
+        assert work["points"] <= 30_000
+
+    def test_first_step_bound_work(self):
+        # Z=54 4p on its 20-Bohr box: 22 sweeps from a 2271-point first
+        # mesh; a plain 801-point one, whose step at the box edge lets trial
+        # energies near 1.5 E0 count spurious nodes, takes 74
+        res = solve_bound_state(AtomicSystem(54), screening_delta(54, FA), QuantumState(2, 1))
+        assert res.nodes_found == 2
+        assert res.sweeps <= 30
 
     def test_near_critical_work(self, monkeypatch):
         # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps Brent
@@ -523,10 +570,11 @@ class TestRichardsonExtrapolation:
         (84, 0, 0), (24, 1, 0), (73, 2, 0), (29, 0, 1), (54, 2, 1),
     ], ids=["z84_1s", "z24_2s", "z73_3s", "z29_2p", "z54_3p"])
     def test_matches_fine_grid(self, z, n, l):
-        # the raw eigenvalue on 256001 points, 64 times finer than the first
-        # grid; it is itself about 1e-10 Ha off at Z=73 3s.  Unextrapolated,
-        # the 40001-point value misses it by 3.5e-10 at Z=24 2s and the
-        # 160001-point one by 5.6e-10 at Z=73 3s.
+        # the raw eigenvalue on 256001 points, 62 to 320 times finer than
+        # the first mesh; it is itself within 6e-12 Ha of the extrapolation
+        # from 512001 points, and the results lie within 8.6e-12 Ha of it
+        # (both at Z=84 1s).  Unextrapolated, the finest mesh's value misses it by
+        # 7.3e-9 at Z=84 1s (3201 points) and 6.2e-10 at Z=29 2p.
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         res = solve_bound_state(system, delta, state)
         fine_grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 256001)
@@ -538,13 +586,27 @@ class TestRichardsonExtrapolation:
     @pytest.mark.parametrize("z, n, l", [(73, 2, 0), (54, 2, 1)], ids=["z73_3s", "z54_3p"])
     def test_result_is_the_extrapolation(self, monkeypatch, z, n, l):
         # refinement stops at the first pair of successive extrapolations
-        # within GRID_TOL; both levels' agreement lies above ENERGY_TOL
+        # within GRID_TOL.  On the logarithmic mesh both levels' own
+        # extrapolations agree below ENERGY_TOL (6.5e-13 Ha at Z=73 3s,
+        # 1.1e-11 at Z=54 4p), so each grid's energy gets an h^2 term 1e-7/4^k
+        # Ha on grid k, which the h^4 extrapolation leaves standing: its
+        # changes are 1.5e-8 on the third grid and 3.75e-9 on the fourth,
+        # one above GRID_TOL and one between ENERGY_TOL and GRID_TOL
+        system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+        solve = oracle_mod._solve_on_grid
+        first = RadialGrid.for_state(system, state, delta).points
+
+        def with_h2_term(system, delta, state, grid, bracket=None, tally=None):
+            energy, nodes = solve(system, delta, state, grid, bracket, tally)
+            return energy + 1e-7 * ((first - 1) / (grid.points - 1)) ** 2, nodes
+
+        monkeypatch.setattr(oracle_mod, "_solve_on_grid", with_h2_term)
         _, energies = _record_grid_solves(monkeypatch)
-        res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
+        res = solve_bound_state(system, delta, state)
         x = _extrapolations(energies)
         changes = [abs(b - a) for a, b in zip(x, x[1:])]
-        assert len(energies) >= 3
-        assert res.grid_points == 4000 * 2 ** (len(energies) - 1) + 1
+        assert len(energies) == 4
+        assert res.grid_points == (first - 1) * 2 ** (len(energies) - 1) + 1
         assert res.energy == x[-1]
         assert res.estimated_error == changes[-1] > oracle_mod.ENERGY_TOL
         assert all(c >= oracle_mod.GRID_TOL for c in changes[:-1])
