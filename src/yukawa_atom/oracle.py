@@ -34,8 +34,12 @@ bracket's ends are swept from the top and each is kept only where its node
 count proves it, so a poor seed costs sweeps but cannot change which level is
 found (see :func:`solve_bound_state`).
 
-No level binds once delta / A passes the 1s critical ratio, so such a
-solve raises ``NoBoundState`` before it builds a grid.
+Since E(A, delta) = A^2 e(delta / A), each level unbinds at one critical
+ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 2;
+other states take the 1s entry, the largest.  A solve whose delta / A
+passes its entry by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises
+``NoBoundState`` before it builds a grid or imports numpy; inside the
+margin the sweep decides.
 
 A solve given no grid uses a box that reaches 30 decay lengths past a
 bound on the level's outer turning point, both taken from the upper bound
@@ -84,10 +88,21 @@ _E_TOP = -1e-12
 R_MIN = 1e-6
 #: Fewest points of the first grid of a solve given no grid.
 FIRST_GRID_POINTS = 801
-#: delta / A past which no level binds: the 1s critical ratio 1.190612
-#: (Rogers, Graboske & Harwood, Phys. Rev. A 1, 1577 (1970)), rounded up.
-#: Every other level unbinds at a smaller ratio.
-CRITICAL_RATIO = 1.1907
+#: delta_c / A past which the level with n nodes and angular momentum l no
+#: longer binds, for n, l <= 2 (so (1, 0) is 2s), as :func:`_critical_ratio`
+#: rebuilds them; Rogers, Graboske & Harwood (Phys. Rev. A 1, 1577 (1970))
+#: give 1s 1.19061 and 3p 0.11271.  A state outside the table takes the 1s
+#: entry, the largest of any state.
+CRITICAL_RATIO = {
+    (0, 0): 1.190612, (1, 0): 0.310209, (0, 1): 0.220217,
+    (2, 0): 0.139450, (1, 1): 0.112710, (0, 2): 0.091345,
+    (2, 1): 0.067885, (1, 2): 0.058105, (2, 2): 0.040024,
+}
+#: Relative margin past a ``CRITICAL_RATIO`` entry from which a level is
+#: unbound without a sweep: 11 times the entries' largest rounding, 8.8e-6
+#: of 5d's 0.04002435.  :func:`_critical_ratio`'s entries do not move, to
+#: its bisection's 1e-9, when its mesh step of 2e-3 becomes 4e-3 or 1e-3.
+CRITICAL_MARGIN = 1e-4
 
 
 def numerov_backend() -> str:
@@ -343,7 +358,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     to count as bound.  The first grid's bracket is the closed-form
     third-order total padded by max(4 |E3|, 1e-6 |total|) and clipped into
     that range (none when the total lies outside (1.5 E0, 0)); each finer
-    grid's is the previous energy padded by 5e-5 of it after the first grid;
+    grid's is the previous energy padded by 1e-5 of it after the first grid;
     after each later grid it is that grid's energy plus a sixteenth of its
     shift from the coarser grid (Numerov's next shift), padded by a quarter
     of that shift.  The bracket ends are swept from the top: an end
@@ -365,13 +380,15 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     ``delta``; a grid passed in starts at its own box and size.  Every grid
     starts at ``R_MIN``.  The result's ``sweeps`` counts the trial energies
     swept on every grid, and its ``grid_points`` is the finest grid's size.
-    A delta past ``CRITICAL_RATIO`` times A raises :class:`NoBoundState`
-    before any sweep.
+    A delta / A past the state's ``CRITICAL_RATIO`` entry by more than
+    ``CRITICAL_MARGIN`` of it raises :class:`NoBoundState` before any grid
+    is built.
     """
     _check_delta(delta)
-    if delta > CRITICAL_RATIO * system.a:
-        raise NoBoundState(f"no bound state for A={system.a}, delta={delta}: delta/A is past "
-                           f"the 1s critical ratio {CRITICAL_RATIO}")
+    critical = CRITICAL_RATIO.get((state.n, state.l), CRITICAL_RATIO[0, 0])
+    if delta / system.a > critical * (1.0 + CRITICAL_MARGIN):
+        raise NoBoundState(f"delta/A = {delta / system.a:.5g} exceeds delta_c/A = {critical} "
+                           f"for n={state.n}, l={state.l}")
     if grid is None:
         grid = RadialGrid.for_state(system, state, delta)
 
@@ -385,7 +402,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally)
         if not level:
             extrap, error = energy, float("inf")
-            centre, pad = energy, max(5e-5 * abs(energy), 1e-9)
+            centre, pad = energy, max(1e-5 * abs(energy), 1e-9)
         else:
             # Numerov is 4th order: the finer grid's error is about a
             # fifteenth of the shift, which the extrapolation removes.  The
@@ -405,15 +422,57 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         # _solve_on_grid revalidates the bracket's node counts, so a stale
         # bracket costs sweeps but still proves one end.  Over Z = 1..84
         # with n, l <= 2 the first halving moves each of the 472 bound
-        # levels by at most 9.2e-7 of its energy, inside the first pad.
-        # First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 9881, 9961,
-        # 10095, 10326 and 10892 sweeps over the bound levels, with the same
-        # outcomes.  Later shifts shrink by a median 0.0625 per halving: over
-        # the same levels each of the 472 grids after the second lands within
-        # 0.025 pads of its predicted energy.
+        # levels by at most 9.2e-7 of its energy, 11 times inside the first
+        # pad.  First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 9881,
+        # 9961, 10095, 10326 and 10892 sweeps over the bound levels, with the
+        # same outcomes; 1e-6 would leave a margin of 9%.  Later shifts
+        # shrink by a median 0.0625 per halving: over the same levels each of
+        # the 472 grids after the second lands within 0.025 pads of its
+        # predicted energy.
         bracket = (centre - pad, centre + pad)
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
         f"(last change {error:.3e} Hartree)",
         OracleResult(extrap, nodes, error, grid.points, sum(tally)),
     )
+
+
+def _critical_ratio(n: int, l: int) -> float:
+    """delta_c / A of the level with n nodes and angular momentum l, by
+    bisection on delta at A = 1 for the screening past which channel l
+    holds at most n bound levels.
+
+    Channel l holds as many bound levels as its E = 0 solution has nodes.
+    The sweep runs that solution on a mesh of step h = 2e-3 in ln r out to
+    40 / delta, where the potential is e^-40 of its Coulomb value, so past
+    the mesh's edge R the solution is u = a r^(l+1) + b r^-l.  It has one
+    more zero past R when u(R) (u'(R) + l u(R) / R) = (2l + 1) a R^l u(R)
+    is negative.  There phi = u / sqrt(r) is a' e^(kx) + b' e^(-kx) with
+    k = l + 1/2, so phi(R) - e^(-k h) phi(R - h) has the sign of a,
+    exactly.  The bisection starts from [0.5, 2] / N^2, which holds every
+    entry, on one mesh that reaches 40 / delta at its lower end.
+    """
+    import numpy as np
+
+    big_n, h = n + l + 1, 2e-3
+    lo, hi = 0.5 / big_n**2, 2.0 / big_n**2
+    r = R_MIN * np.exp(h * np.arange(math.ceil(math.log(40.0 / lo / R_MIN) / h) + 1))
+    r2 = r * r
+    decay = math.exp(-(l + 0.5) * h)
+
+    def levels(delta):
+        w = (l + 0.5) ** 2 - 2.0 * r * np.exp(-delta * r)
+        u0, u1 = _series_start(1.0, delta, l, 0.0, r[0], r[1])
+        nodes, last = _numerov_py.count_nodes_sweep(w, r2, 0.0, h, u0, u1)
+        _, before = _numerov_py.count_nodes_sweep(w[:-1], r2[:-1], 0.0, h, u0, u1)
+        return nodes + (last * (last - decay * before) < 0.0)
+
+    if not levels(lo) > n >= levels(hi):
+        raise ValueError(f"delta_c / A of n={n}, l={l} lies outside [{lo}, {hi}]")
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if levels(mid) > n:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -296,7 +296,7 @@ class TestVerify:
         assert f"bad state '{state}'; expected 'n,l'" in capsys.readouterr().err
 
     def test_screening_past_critical_ratio_is_unbound(self, capsys):
-        # delta / A far past 1.1907: no sweep, and no non-convergence
+        # delta / A far past the 1s entry 1.190612: no sweep, and no non-convergence
         code, out, _ = run_cli(capsys, "verify", "--z", "3", "--delta0", "1e7",
                                "--format", "csv")
         assert code == 0
@@ -539,6 +539,28 @@ def test_closed_form_commands_load_no_scipy():
     layers = {f"yukawa_atom.{name}" for name in
               ("cli", "oracle", "wavefunctions", "_numerov_py", "perturbation", "refdata")}
     assert layers <= modules
+
+
+#: Run in a fresh process: ``verify`` of Z=4 2s, past its critical ratio.
+VERIFY_FOOTPRINT = """
+import contextlib, io, json, sys
+from yukawa_atom.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["verify", "--z", "4", "--state", "1,0", "--format", "json"])
+print(json.dumps({"code": code, "out": out.getvalue(), "modules": sorted(sys.modules)}))
+"""
+
+
+def test_verify_of_unbound_level_loads_no_numpy():
+    proc = subprocess.run([sys.executable, "-c", VERIFY_FOOTPRINT],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    row, = json.loads(result["out"])["rows"]
+    assert row["flag"] == "NO_BOUND_STATE"
+    assert numeric_modules(result["modules"]) == []
 
 
 def test_python_dash_m_level_loads_no_numpy():

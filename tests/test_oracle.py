@@ -3,6 +3,7 @@ sweep's contract, the default box, the root search and its work, screening
 behaviour, and cross-validation against the closed forms."""
 
 import gc
+import re
 import sys
 import threading
 import warnings
@@ -453,10 +454,17 @@ class TestRootSearch:
     ], ids=["z4_2s", "z2_3d", "z4_2p_seeded", "z7_2p_seeded"])
     def test_unbound_level_found_in_few_sweeps(self, monkeypatch, z, n, l, seeded):
         # -1e-12 is swept before the lower end, so no sweep goes to the
-        # deep energies where the outward solution rescales
+        # deep energies where the outward solution rescales.  These levels
+        # lie past their critical ratios, which solve_bound_state answers
+        # unswept, so its first grid's search runs here directly
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-        assert (oracle_mod._seed_bracket(system, delta, state) is not None) == seeded
+        bracket = oracle_mod._seed_bracket(system, delta, state)
+        assert (bracket is not None) == seeded
         work = _count_sweeps(monkeypatch)
+        with pytest.raises(NoBoundState):
+            oracle_mod._solve_on_grid(system, delta, state,
+                                      RadialGrid.for_state(system, state, delta), bracket)
+        assert 0 < work["sweeps"] <= 2
         with pytest.raises(NoBoundState):
             solve_bound_state(system, delta, state)
         assert work["sweeps"] <= 2
@@ -543,6 +551,71 @@ class TestRootSearch:
             else:
                 lo = mid
         assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
+
+
+_TABLED_STATES = list(oracle_mod.CRITICAL_RATIO)
+
+
+class TestCriticalRatio:
+    @pytest.mark.parametrize("n, l", _TABLED_STATES)
+    def test_generator_rebuilds_entry(self, n, l):
+        assert abs(oracle_mod._critical_ratio(n, l) - oracle_mod.CRITICAL_RATIO[n, l]) <= 2e-6
+
+    def test_published_values(self):
+        # Rogers, Graboske & Harwood (1970), at the digits where they agree:
+        # 1s and 3p to five, 2s and 2p (published 0.31009, 0.22029) to three
+        table = oracle_mod.CRITICAL_RATIO
+        assert round(table[0, 0], 5) == 1.19061
+        assert round(table[1, 1], 5) == 0.11271
+        assert round(table[1, 0], 3) == 0.310
+        assert round(table[0, 1], 3) == 0.220
+
+    @pytest.mark.parametrize("n, l", _TABLED_STATES)
+    def test_eigensolver_agrees_with_entry(self, n, l):
+        # a 40 / delta Bohr box finds no level at 1 + 2e-4 times the entry,
+        # and, for l >= 1, the level at 1 - 2e-4 times it; an s level there
+        # lies too close to E = 0 for any such box
+        system, state = AtomicSystem(1), QuantumState(n, l)
+        critical = oracle_mod.CRITICAL_RATIO[n, l]
+        above, below = critical * (1 + 2e-4), critical * (1 - 2e-4)
+        with pytest.raises(NoBoundState):
+            oracle_mod._solve_on_grid(system, above, state, RadialGrid(40.0 / above, 8001))
+        if l:
+            energy, nodes = oracle_mod._solve_on_grid(system, below, state,
+                                                      RadialGrid(40.0 / below, 8001))
+            assert nodes == n and energy < 0.0
+
+    @pytest.mark.parametrize("n, l", _TABLED_STATES)
+    def test_past_margin_unbound_without_sweeps(self, monkeypatch, n, l):
+        work = _count_sweeps(monkeypatch)
+        delta = 4.0 * oracle_mod.CRITICAL_RATIO[n, l] * (1 + 2 * oracle_mod.CRITICAL_MARGIN)
+        with pytest.raises(NoBoundState):
+            solve_bound_state(AtomicSystem(4), delta, QuantumState(n, l))
+        assert work["sweeps"] == 0
+
+    def test_inside_margin_is_swept(self, monkeypatch):
+        work = _count_sweeps(monkeypatch)
+        delta = oracle_mod.CRITICAL_RATIO[0, 1] * (1 + 0.5 * oracle_mod.CRITICAL_MARGIN)
+        with pytest.raises(NoBoundState):
+            solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 1))
+        assert work["sweeps"] > 0
+
+    def test_message_names_the_ratios(self):
+        # Z=4 2s with the Fermi-Amaldi delta
+        message = "delta/A = 0.32104 exceeds delta_c/A = 0.310209 for n=1, l=0"
+        with pytest.raises(NoBoundState, match=f"^{re.escape(message)}$"):
+            solve_bound_state(AtomicSystem(4), screening_delta(4, FA), QuantumState(1, 0))
+
+    def test_state_outside_table_takes_1s_entry(self, monkeypatch):
+        work = _count_sweeps(monkeypatch)
+        state = QuantumState(3, 0)
+        with pytest.raises(NoBoundState, match=re.escape("delta_c/A = 1.190612 for n=3, l=0")):
+            solve_bound_state(AtomicSystem(1), 1.2, state)
+        assert work["sweeps"] == 0
+        # 4s unbinds far below 1s, so the sweep finds it unbound
+        with pytest.raises(NoBoundState):
+            solve_bound_state(AtomicSystem(1), 1.0, state)
+        assert work["sweeps"] > 0
 
 
 def _record_grid_solves(monkeypatch):
