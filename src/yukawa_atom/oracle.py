@@ -48,9 +48,11 @@ E0 + A delta on its energy, and is never wider than max(20, 30 N^2/A) Bohr
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
 triangular solve per trial energy, on a band matrix kept between sweeps.
-numpy, scipy's ``brentq`` and the sweep's ``dtbtrs`` are imported by the
-first solve, not with this module, so the closed-form commands load no
-numpy or scipy module.
+numpy and the sweep's ``dtbtrs`` are imported by the first solve, not with
+this module, so the closed-form commands load no numpy or scipy module.
+Brent's method is :func:`_brentq`, a port of scipy's ``brentq`` that takes
+its every iterate, so a solve loads ``scipy.linalg`` and nothing else from
+scipy.
 """
 
 from __future__ import annotations
@@ -269,6 +271,80 @@ class _Sweeper:
         return self._sweep(energy)[1]
 
 
+#: Iteration cap of :func:`_brentq`, as in scipy's ``brentq``.
+_BRENT_MAXITER = 100
+#: Relative tolerance of :func:`_brentq`, 4 eps, scipy's least.
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Zero of ``f`` between xa and xb, to xtol + 4 eps |x|, by Brent's
+    method (R. P. Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c`` (BSD-3-Clause, Copyright
+    (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers) with the
+    checks of scipy's ``brentq`` wrapper, so each iterate is the same float
+    and ``f`` is called as many times.  An end where ``f`` is exactly 0 is
+    returned as it is.  Raises ValueError when f(xa) and f(xb) have the same
+    sign or ``f`` returns NaN, and RuntimeError after ``_BRENT_MAXITER``
+    iterations.  Signs compare by ``math.copysign``, as scipy's by C's
+    ``signbit``.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[float, int]:
     """Eigenvalue in [lo, hi] at the node-count transition n -> n+1, and its
     node count.
@@ -278,11 +354,10 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     lo < 2 hi, so that a bracket spanning decades towards E -> 0 shrinks by
     decades.  The sweep's last value has its first value's sign times
     (-1)^count, so it then has opposite signs at lo and hi, and Brent's
-    method on it finds the eigenvalue.  Rescaling in the sweep keeps signs,
-    so it only slows Brent towards bisection.
+    method on it (:func:`_brentq`) finds the eigenvalue to ``ENERGY_TOL``.
+    Rescaling in the sweep keeps signs, so it only slows Brent towards
+    bisection.
     """
-    from scipy.optimize import brentq
-
     while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1 or lo < 2.0 * hi:
         mid = -math.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
         if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:
@@ -291,7 +366,7 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
             hi = mid
         else:
             lo = mid
-    return brentq(sweep.tail, lo, hi, xtol=ENERGY_TOL), n
+    return _brentq(sweep.tail, lo, hi, ENERGY_TOL), n
 
 
 def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
@@ -320,10 +395,6 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
             f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
         )
     energy, nodes = _bisect_eigenvalue(sweep, n, lo, hi)
-    # scipy's brentq holds the callable it is given in a reference cycle, so
-    # the sweeper outlives this call until the cyclic collector runs: drop
-    # its two arrays.
-    del sweep.w, sweep.r2
     if tally is not None:
         tally.append(len(sweep._swept))
     return energy, nodes
@@ -367,9 +438,10 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     few nodes at the upper end raise :class:`NoBoundState`.  Bisection,
     geometric while the ends differ by more than a factor of two so that
     levels near E = 0 take a few sweeps per decade, leaves ends with n and
-    n+1 nodes, and Brent's method isolates the eigenvalue to
-    ``ENERGY_TOL``.  The grid is step-halved, and after each halving the
-    finer energy E_k is extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15,
+    n+1 nodes, and Brent's method (:func:`_brentq`, scipy's iteration
+    ported) isolates the eigenvalue to ``ENERGY_TOL``.  The grid is
+    step-halved, and after each halving the finer energy E_k is
+    extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15,
     which removes Numerov's h^4 error.  At least three grids are solved:
     the result is the first X_k within ``GRID_TOL`` Hartree of X_{k-1}, with
     max(|X_k - X_{k-1}|, ``ENERGY_TOL``) as its ``estimated_error``, and its

@@ -563,6 +563,24 @@ def test_verify_of_unbound_level_loads_no_numpy():
     assert numeric_modules(result["modules"]) == []
 
 
+#: Run in a fresh process: ``verify`` of Z=29 1s, a bound level.
+BOUND_VERIFY_FOOTPRINT = VERIFY_FOOTPRINT.replace('"4", "--state", "1,0"', '"29", "--state", "0,0"')
+
+
+def test_verify_of_bound_level_loads_scipy_linalg_only():
+    proc = subprocess.run([sys.executable, "-c", BOUND_VERIFY_FOOTPRINT],
+                          capture_output=True, text=True, timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    row, = json.loads(result["out"])["rows"]
+    assert row["nodes"] == 0
+    modules = numeric_modules(result["modules"])
+    assert "scipy.linalg" in modules
+    unwanted = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.sparse")
+    assert [m for m in modules if m.startswith(unwanted)] == []
+
+
 def test_python_dash_m_level_loads_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "yukawa_atom",

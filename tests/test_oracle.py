@@ -3,6 +3,7 @@ sweep's contract, the default box, the root search and its work, screening
 behaviour, and cross-validation against the closed forms."""
 
 import gc
+import math
 import re
 import sys
 import threading
@@ -122,8 +123,8 @@ class TestOracleBasics:
             solve_bound_state(system, 1.5e51, state)
 
     def test_solved_grids_keep_no_array(self):
-        # scipy's brentq holds its callable in a reference cycle, so each
-        # grid's sweeper outlives the solve until the cyclic collector runs
+        # with the cyclic collector off, a sweeper caught in a reference
+        # cycle would outlive the solve with its grid's arrays
         gc.collect()
         gc.disable()
         try:
@@ -131,7 +132,7 @@ class TestOracleBasics:
             left = [o for o in gc.get_objects() if isinstance(o, oracle_mod._Sweeper)]
         finally:
             gc.enable()
-        assert not any(isinstance(v, np.ndarray) for s in left for v in vars(s).values())
+        assert left == []
 
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         # one halving and a zero tolerance stall Z=29 1s after two grids; the
@@ -551,6 +552,115 @@ class TestRootSearch:
             else:
                 lo = mid
         assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
+
+
+def _counted(f):
+    """``f`` and the list of arguments it is called with from here on."""
+    args = []
+
+    def g(x):
+        args.append(x)
+        return f(x)
+
+    return g, args
+
+
+def _first_grid_brent(monkeypatch, z, n, l):
+    """The sweeper's tail and the bracket that Brent's method is given on
+    the first grid of Z's level (n, l)."""
+    calls = []
+    brentq = oracle_mod._brentq
+
+    def recorded(f, lo, hi, xtol):
+        calls.append((f, lo, hi))
+        return brentq(f, lo, hi, xtol)
+
+    monkeypatch.setattr(oracle_mod, "_brentq", recorded)
+    system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+    oracle_mod._solve_on_grid(system, delta, state, RadialGrid.for_state(system, state, delta),
+                              oracle_mod._seed_bracket(system, delta, state))
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+def _wallis(x):
+    return x ** 3 - 2.0 * x - 5.0
+
+
+def _cube_root(x):
+    return math.copysign(abs(x) ** (1.0 / 3.0), x) - 0.1
+
+
+class TestBrent:
+    """The port of scipy's ``brentq`` takes scipy's every iterate."""
+
+    @staticmethod
+    def _assert_as_scipy(f, lo, hi, xtol):
+        from scipy.optimize import brentq
+
+        ours, our_args = _counted(f)
+        theirs, their_args = _counted(f)
+        root = oracle_mod._brentq(ours, lo, hi, xtol)
+        expected = brentq(theirs, lo, hi, xtol=xtol, rtol=oracle_mod._BRENT_RTOL,
+                          maxiter=oracle_mod._BRENT_MAXITER)
+        assert root.hex() == float(expected).hex()
+        assert [x.hex() for x in our_args] == [float(x).hex() for x in their_args]
+        return our_args
+
+    @pytest.mark.parametrize("z, n, l", [(14, 1, 0), (29, 0, 0), (54, 2, 1)],
+                             ids=["z14_2s", "z29_1s", "z54_4p"])
+    def test_sweep_tail_as_scipy(self, monkeypatch, z, n, l):
+        # Z=14 2s crawls: its tail spans decades across the bracket, and
+        # Brent mixes bisection and interpolation steps over 16 calls
+        tail, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
+        calls = self._assert_as_scipy(tail, lo, hi, oracle_mod.ENERGY_TOL)
+        assert len(calls) > 2
+
+    # Each of these takes other iterates under some one-token change of the
+    # step rule: |stry| in place of 2 |stry|, 2 |sbis| in place of 3 |sbis|,
+    # a swap of the ends on equal |f|, or no exit on f = 0.
+    @pytest.mark.parametrize("f, lo, hi", [
+        (_wallis, 2.0, 3.0),
+        (_cube_root, -1.0, 4.0),
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.exp(10.0 * x) - 2.0, -3.0, 1.0),
+    ], ids=["wallis", "cube_root", "sqrt2", "exp10"])
+    def test_analytic_as_scipy(self, f, lo, hi):
+        self._assert_as_scipy(f, lo, hi, 1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (5.0, 2.0)])
+    def test_exact_zero_end_returned(self, lo, hi):
+        f, args = _counted(lambda x: x - 2.0)
+        assert oracle_mod._brentq(f, lo, hi, 1e-12) == 2.0
+        assert args == [lo, hi]
+
+    def test_zero_end_needs_no_sign_change(self):
+        # -0.0 counts as a zero, not as a negative value
+        assert oracle_mod._brentq(lambda x: -0.0 * x, 0.0, 1.0, 1e-12) == 0.0
+        assert oracle_mod._brentq(lambda x: x * x, -1.0, 0.0, 1e-12) == 0.0
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -x * x - 1.0],
+                             ids=["positive", "negative"])
+    def test_same_signs_raise(self, f):
+        with pytest.raises(ValueError, match="different signs"):
+            oracle_mod._brentq(f, -1.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan,
+        # NaN first at an iterate inside the bracket
+        lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5,
+    ], ids=["end", "iterate"])
+    def test_nan_raises(self, f):
+        with pytest.raises(ValueError, match="NaN"):
+            oracle_mod._brentq(f, -1.0, 2.0, 1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_BRENT_MAXITER", 1)
+        f, args = _counted(_wallis)
+        with pytest.raises(RuntimeError, match="after 1 iterations"):
+            oracle_mod._brentq(f, 2.0, 3.0, 1e-12)
+        assert len(args) == 3
 
 
 _TABLED_STATES = list(oracle_mod.CRITICAL_RATIO)
