@@ -6,8 +6,8 @@ y_{i+1} - 2 y_i + y_{i-1} = 12 t_i u_i, and the sweep carries the first
 difference d_i = y_{i+1} - y_i instead of y_{i-1}.  A rounding error then
 shifts y rather than its slope, so the eigenvalue's rounding floor drops by
 about the number of grid steps per decay length: at Z=84 1s on its
-3201-point logarithmic mesh, over eight boxes 1e-13 apart, the eigenvalue
-spreads by 4e-12 Hartree against 3e-9 with the unsummed recurrence.
+1601-point logarithmic mesh, over eight boxes 1e-13 apart, the eigenvalue
+spreads by 2.7e-12 Hartree against 3.1e-10 with the unsummed recurrence.
 
 With g_i = 12 t_i / (1 - t_i), the sweep d_i = d_{i-1} + g_i y_i,
 y_{i+1} = y_i + d_i is a unit lower-triangular system in the interleaved

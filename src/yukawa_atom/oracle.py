@@ -6,16 +6,17 @@ on a logarithmic mesh: with r = R_MIN exp(x) and chi = sqrt(r) phi(x), the
 sweep solves phi'' = [(l + 1/2)^2 - 2 A r exp(-delta r) - 2 E r^2] phi in
 equal steps of x, and phi has chi's nodes and signs.  The mesh spends as
 many points on each decade of r, so the K shells, which live inside a
-fraction of their 20-Bohr box, finish on 3201 points.
+fraction of their 20-Bohr box, finish on 1601 points.
 
 The node count of the outward solution is a non-decreasing step function
 of the trial energy that jumps from n to n+1 exactly at the n-th
 eigenvalue, so bisection on the node count brackets the eigenvalue
 rigorously: once the bracket ends have n and n+1 nodes, the sweep's last
 value has opposite signs there and one zero between them, and Brent's
-method on that value finds the eigenvalue in a few sweeps.  Every grid
+method on that value, with its exp(sqrt(-2 E) r_max) growth divided out,
+finds the eigenvalue in a few sweeps.  Every grid
 runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the first has
-``FIRST_GRID_POINTS`` = 801 points, or as many more as the box's edge needs
+``FIRST_GRID_POINTS`` = 401 points, or as many more as the box's edge needs
 (see :meth:`RadialGrid.for_state`), unless the caller passes a grid, and
 each refinement halves the step.  Numerov's eigenvalue error being O(h^4),
 each grid's eigenvalue plus a fifteenth of its shift from the coarser grid
@@ -88,8 +89,8 @@ MAX_REFINEMENTS = 8
 _E_TOP = -1e-12
 #: Inner end of every radial grid, in Bohr.
 R_MIN = 1e-6
-#: Fewest points of the first grid of a solve given no grid.
-FIRST_GRID_POINTS = 801
+#: Fewest points of the first grid of a solve given no grid, and of any grid.
+FIRST_GRID_POINTS = 401
 #: delta_c / A past which the level with n nodes and angular momentum l no
 #: longer binds, for n, l <= 2 (so (1, 0) is 2s), as :func:`_critical_ratio`
 #: rebuilds them; Rogers, Graboske & Harwood (Phys. Rev. A 1, 1577 (1970))
@@ -133,14 +134,14 @@ class NonConvergence(RuntimeError):
 class RadialGrid:
     """Logarithmic radial mesh r_i = ``R_MIN`` exp(i h), i = 0 .. points - 1,
     whose last point is ``r_max``.  ``r_max`` must be finite and above
-    ``R_MIN``; ``points`` must be odd and at least 801."""
+    ``R_MIN``; ``points`` must be odd and at least ``FIRST_GRID_POINTS``."""
 
     r_max: float
     points: int
 
     def __post_init__(self):
-        if self.points < 801 or self.points % 2 == 0:
-            raise ValueError(f"points must be odd and >= 801, got {self.points}")
+        if self.points < FIRST_GRID_POINTS or self.points % 2 == 0:
+            raise ValueError(f"points must be odd and >= {FIRST_GRID_POINTS}, got {self.points}")
         if not R_MIN < self.r_max < math.inf:
             raise ValueError(f"r_max must be finite and above {R_MIN}, got {self.r_max}")
 
@@ -252,6 +253,7 @@ class _Sweeper:
         self.delta = delta
         self.r0 = r[0]
         self.r1 = r[1]
+        self.r_max = grid.r_max
         # the energy-independent part of phi''/phi, and the r^2 that 2E multiplies
         self.w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * np.exp(-delta * r)
         self.r2 = r * r
@@ -345,6 +347,32 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
+def _detrended(sweep: _Sweeper, hi: float):
+    """The sweep's last value at E times exp(-(kappa(E) - kappa(hi)) r_max),
+    kappa = sqrt(-2 E), as a function of E <= hi.
+
+    Past the turning point the last value grows as exp(kappa r_max), so
+    across a bracket it spans decades and Brent's secant steps crawl: on
+    the raw value Z=14 2s took 17 first-grid sweeps, 12 of them Brent's,
+    and takes 9 on this one.  The factor is positive and depends on E
+    alone, so the value keeps the sign of the last value at every E, and
+    its zero.  Unlike a compressed value (asinh or |u|^(1/8)), it stays
+    linear through that zero.  With lo >= 2 hi the exponent is at most
+    (sqrt 2 - 1) kappa(hi) r_max, 51 over Z = 1..84 with n, l <= 2; on a
+    wide box passed in (Z=84 1s in 80 Bohr) the product can underflow, and
+    where it is 0 and the last value is not, the last value stands in, so
+    that 0 is never a false root.
+    """
+    kappa_hi = math.sqrt(-2.0 * hi)
+
+    def value(energy):
+        tail = sweep.tail(energy)
+        scaled = tail * math.exp((kappa_hi - math.sqrt(-2.0 * energy)) * sweep.r_max)
+        return scaled if scaled != 0.0 else tail
+
+    return value
+
+
 def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[float, int]:
     """Eigenvalue in [lo, hi] at the node-count transition n -> n+1, and its
     node count.
@@ -354,9 +382,11 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     lo < 2 hi, so that a bracket spanning decades towards E -> 0 shrinks by
     decades.  The sweep's last value has its first value's sign times
     (-1)^count, so it then has opposite signs at lo and hi, and Brent's
-    method on it (:func:`_brentq`) finds the eigenvalue to ``ENERGY_TOL``.
-    Rescaling in the sweep keeps signs, so it only slows Brent towards
-    bisection.
+    method on it finds the eigenvalue to ``ENERGY_TOL``.  Brent
+    (:func:`_brentq`) runs on the last value with its exponential growth
+    divided out (:func:`_detrended`), which has the same sign at every
+    energy and so the same zero.  Rescaling in the sweep keeps signs, so it
+    only slows Brent towards bisection.
     """
     while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1 or lo < 2.0 * hi:
         mid = -math.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
@@ -366,7 +396,7 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
             hi = mid
         else:
             lo = mid
-    return _brentq(sweep.tail, lo, hi, ENERGY_TOL), n
+    return _brentq(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
 
 
 def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
@@ -439,7 +469,8 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     geometric while the ends differ by more than a factor of two so that
     levels near E = 0 take a few sweeps per decade, leaves ends with n and
     n+1 nodes, and Brent's method (:func:`_brentq`, scipy's iteration
-    ported) isolates the eigenvalue to ``ENERGY_TOL``.  The grid is
+    ported) on the de-trended last value (:func:`_detrended`) isolates the
+    eigenvalue to ``ENERGY_TOL``.  The grid is
     step-halved, and after each halving the finer energy E_k is
     extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15,
     which removes Numerov's h^4 error.  At least three grids are solved:
@@ -494,13 +525,13 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         # _solve_on_grid revalidates the bracket's node counts, so a stale
         # bracket costs sweeps but still proves one end.  Over Z = 1..84
         # with n, l <= 2 the first halving moves each of the 472 bound
-        # levels by at most 9.2e-7 of its energy, 11 times inside the first
-        # pad.  First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 9881,
-        # 9961, 10095, 10326 and 10892 sweeps over the bound levels, with the
-        # same outcomes; 1e-6 would leave a margin of 9%.  Later shifts
-        # shrink by a median 0.0625 per halving: over the same levels each of
-        # the 472 grids after the second lands within 0.025 pads of its
-        # predicted energy.
+        # levels by at most 2.5e-6 of its energy, 4 times inside the first
+        # pad.  First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 7808,
+        # 8082, 8111, 8152 and 8244 sweeps over the bound levels, with the
+        # same outcomes; 1e-6 would leave some first halvings outside it.
+        # Later shifts shrink by a median 0.0625 per halving: over the same
+        # levels each of the 472 grids after the second lands within 0.025
+        # pads of its predicted energy.
         bracket = (centre - pad, centre + pad)
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "

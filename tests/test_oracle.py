@@ -207,7 +207,11 @@ class TestRadialGrid:
 
     def test_rejects_small_grids(self):
         with pytest.raises(ValueError):
-            RadialGrid(r_max=20.0, points=501)
+            RadialGrid(r_max=20.0, points=399)
+
+    def test_accepts_first_grid_floor(self):
+        assert oracle_mod.FIRST_GRID_POINTS == 401
+        assert RadialGrid(r_max=20.0, points=401).points == 401
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError, match="r_max must be finite and above"):
@@ -421,20 +425,20 @@ class TestRootSearch:
     @pytest.mark.parametrize("z, delta", [(1, 0.0), (29, screening_delta(29, FA))],
                              ids=["h_1s", "z29_1s"])
     def test_k_shell_work(self, monkeypatch, z, delta):
-        # seeded from the closed form: 13 sweeps (24,013 points) for H 1s and
-        # 15 (25,615) for Z=29 1s over the 801-, 1601- and 3201-point meshes
+        # seeded from the closed form: 12 sweeps (11,212 points) for H 1s and
+        # 15 (12,815) for Z=29 1s over the 401-, 801- and 1601-point meshes
         work = _count_sweeps(monkeypatch)
         solve_bound_state(AtomicSystem(z), delta, QuantumState(0, 0))
         assert work["sweeps"] <= 16
-        assert work["points"] <= 30_000
+        assert work["points"] <= 15_000
 
     def test_first_step_bound_work(self):
         # Z=54 4p on its 20-Bohr box: 22 sweeps from a 2271-point first
-        # mesh; a plain 801-point one, whose step at the box edge lets trial
-        # energies near 1.5 E0 count spurious nodes, takes 74
+        # mesh; a plain 401-point one, whose step at the box edge lets trial
+        # energies near 1.5 E0 count spurious nodes, takes 77
         res = solve_bound_state(AtomicSystem(54), screening_delta(54, FA), QuantumState(2, 1))
         assert res.nodes_found == 2
-        assert res.sweeps <= 30
+        assert res.sweeps <= 24
 
     def test_near_critical_work(self, monkeypatch):
         # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps Brent
@@ -566,22 +570,27 @@ def _counted(f):
 
 
 def _first_grid_brent(monkeypatch, z, n, l):
-    """The sweeper's tail and the bracket that Brent's method is given on
-    the first grid of Z's level (n, l)."""
-    calls = []
-    brentq = oracle_mod._brentq
+    """The sweeper of the first grid of Z's level (n, l), and the function
+    and bracket that Brent's method is given there."""
+    calls, sweepers = [], []
+    brentq, detrended = oracle_mod._brentq, oracle_mod._detrended
 
     def recorded(f, lo, hi, xtol):
         calls.append((f, lo, hi))
         return brentq(f, lo, hi, xtol)
 
+    def recorded_sweeper(sweep, hi):
+        sweepers.append(sweep)
+        return detrended(sweep, hi)
+
     monkeypatch.setattr(oracle_mod, "_brentq", recorded)
+    monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
     system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
     oracle_mod._solve_on_grid(system, delta, state, RadialGrid.for_state(system, state, delta),
                               oracle_mod._seed_bracket(system, delta, state))
     monkeypatch.undo()
-    (call,) = calls
-    return call
+    (sweep,), ((f, lo, hi),) = sweepers, calls
+    return sweep, f, lo, hi
 
 
 def _wallis(x):
@@ -611,11 +620,13 @@ class TestBrent:
     @pytest.mark.parametrize("z, n, l", [(14, 1, 0), (29, 0, 0), (54, 2, 1)],
                              ids=["z14_2s", "z29_1s", "z54_4p"])
     def test_sweep_tail_as_scipy(self, monkeypatch, z, n, l):
-        # Z=14 2s crawls: its tail spans decades across the bracket, and
-        # Brent mixes bisection and interpolation steps over 16 calls
-        tail, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
-        calls = self._assert_as_scipy(tail, lo, hi, oracle_mod.ENERGY_TOL)
-        assert len(calls) > 2
+        # the raw last value of Z=14 2s crawls: it spans decades across the
+        # bracket, and Brent mixes bisection and interpolation steps over 16
+        # calls; on the de-trended value that the search passes it takes 8
+        sweep, detrended, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
+        for f in (sweep.tail, detrended):
+            calls = self._assert_as_scipy(f, lo, hi, oracle_mod.ENERGY_TOL)
+            assert len(calls) > 2
 
     # Each of these takes other iterates under some one-token change of the
     # step rule: |stry| in place of 2 |stry|, 2 |sbis| in place of 3 |sbis|,
@@ -661,6 +672,70 @@ class TestBrent:
         with pytest.raises(RuntimeError, match="after 1 iterations"):
             oracle_mod._brentq(f, 2.0, 3.0, 1e-12)
         assert len(args) == 3
+
+
+#: (Z, n, l) of the de-trend's checks: the crawl case Z=14 2s, two K shells,
+#: the step-bound first mesh of Z=54 4p and the capped box of Z=5 2s.
+_DETREND_LEVELS = [(14, 1, 0), (29, 0, 0), (54, 2, 1), (5, 1, 0), (84, 0, 0)]
+_DETREND_IDS = ["z14_2s", "z29_1s", "z54_4p", "z5_2s", "z84_1s"]
+
+
+class _LinearTail:
+    """A stand-in sweeper with one level at -1.7 Ha, whose last value is
+    linear in E, on a box so wide that the de-trend factor underflows."""
+
+    r_max = 1e4
+
+    def nodes(self, energy):
+        return int(energy > -1.7)
+
+    def tail(self, energy):
+        return energy + 1.7
+
+
+class TestDetrendedBrent:
+    """Brent runs on the last value times exp(-(kappa(E) - kappa(hi)) r_max),
+    which has the last value's sign and zero."""
+
+    def test_crawl_case_takes_few_sweeps(self, monkeypatch):
+        # Z=14 2s on its seeded first grid: 17 sweeps on the raw last value,
+        # 12 of them Brent's, and 9 on the de-trended one
+        system, state, delta = AtomicSystem(14), QuantumState(1, 0), screening_delta(14, FA)
+        grid = RadialGrid.for_state(system, state, delta)
+        work = _count_sweeps(monkeypatch)
+        _, nodes = oracle_mod._solve_on_grid(system, delta, state, grid,
+                                             oracle_mod._seed_bracket(system, delta, state))
+        assert nodes == 1
+        assert work["sweeps"] <= 10
+
+    @pytest.mark.parametrize("z, n, l", _DETREND_LEVELS, ids=_DETREND_IDS)
+    def test_same_eigenvalue_as_raw_tail(self, monkeypatch, z, n, l):
+        system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+        grid = RadialGrid.for_state(system, state, delta)
+        bracket = oracle_mod._seed_bracket(system, delta, state)
+        energy, nodes = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
+        monkeypatch.setattr(oracle_mod, "_detrended", lambda sweep, hi: sweep.tail)
+        raw_energy, raw_nodes = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
+        assert nodes == raw_nodes == n
+        assert abs(energy - raw_energy) <= oracle_mod.ENERGY_TOL
+
+    @pytest.mark.parametrize("z, n, l", _DETREND_LEVELS, ids=_DETREND_IDS)
+    def test_finite_nonzero_at_bracket_ends(self, monkeypatch, z, n, l):
+        sweep, detrended, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
+        for end in (lo, hi):
+            value = detrended(end)
+            assert math.isfinite(value) and value != 0.0
+            assert math.copysign(1.0, value) == math.copysign(1.0, sweep.tail(end))
+        assert detrended(hi) == sweep.tail(hi)
+
+    def test_underflow_is_no_false_root(self):
+        # at lo = -2 the factor exp(-(2 - sqrt 3) 1e4) is 0, and a value of
+        # 0 there would be returned as the root; the last value stands in
+        sweep = _LinearTail()
+        assert oracle_mod._detrended(sweep, -1.5)(-2.0) == sweep.tail(-2.0)
+        energy, nodes = oracle_mod._bisect_eigenvalue(sweep, 0, -2.0, -1.5)
+        assert nodes == 0
+        assert abs(energy + 1.7) <= oracle_mod.ENERGY_TOL
 
 
 _TABLED_STATES = list(oracle_mod.CRITICAL_RATIO)
@@ -753,11 +828,11 @@ class TestRichardsonExtrapolation:
         (84, 0, 0), (24, 1, 0), (73, 2, 0), (29, 0, 1), (54, 2, 1),
     ], ids=["z84_1s", "z24_2s", "z73_3s", "z29_2p", "z54_3p"])
     def test_matches_fine_grid(self, z, n, l):
-        # the raw eigenvalue on 256001 points, 62 to 320 times finer than
+        # the raw eigenvalue on 256001 points, 62 to 638 times finer than
         # the first mesh; it is itself within 6e-12 Ha of the extrapolation
-        # from 512001 points, and the results lie within 8.6e-12 Ha of it
-        # (both at Z=84 1s).  Unextrapolated, the finest mesh's value misses it by
-        # 7.3e-9 at Z=84 1s (3201 points) and 6.2e-10 at Z=29 2p.
+        # from 512001 points, and the results lie within 1.3e-11 Ha of it
+        # (both at Z=84 1s).  Unextrapolated, the finest mesh's value misses
+        # it by 1.2e-7 at Z=84 1s (1601 points) and 1.0e-9 at Z=29 2p (2833).
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         res = solve_bound_state(system, delta, state)
         fine_grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 256001)
@@ -765,6 +840,20 @@ class TestRichardsonExtrapolation:
         fine, nodes = oracle_mod._solve_on_grid(system, delta, state, fine_grid, bracket)
         assert nodes == n
         assert abs(res.energy - fine) <= 2e-10
+
+    def test_error_bar_above_brent_tolerance(self):
+        # Z=84 2s finishes on 401, 801 and 1601 points, where its last two
+        # extrapolations differ by 1.1e-9 Ha: the error bar is the grid's,
+        # not Brent's.  The raw eigenvalue on 256001 points lies 1.6e-11 Ha
+        # from the result
+        system, state, delta = AtomicSystem(84), QuantumState(1, 0), screening_delta(84, FA)
+        res = solve_bound_state(system, delta, state)
+        assert res.estimated_error > oracle_mod.ENERGY_TOL
+        fine_grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 256001)
+        bracket = (res.energy - 1e-7, res.energy + 1e-7)
+        fine, nodes = oracle_mod._solve_on_grid(system, delta, state, fine_grid, bracket)
+        assert nodes == 1
+        assert abs(res.energy - fine) <= res.estimated_error
 
     @pytest.mark.parametrize("z, n, l", [(73, 2, 0), (54, 2, 1)], ids=["z73_3s", "z54_3p"])
     def test_result_is_the_extrapolation(self, monkeypatch, z, n, l):
@@ -809,6 +898,38 @@ class TestRichardsonExtrapolation:
             (lo, hi), shift = brackets[k], energies[k - 1] - energies[k - 2]
             assert lo < energies[k] < hi
             assert hi - lo <= max(abs(shift), 4e-9)
+
+
+#: Unbound states (n, l), n, l <= 2, of each Z of the work budget's slice.
+_BUDGET_UNBOUND = {
+    1: set(),
+    9: {(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
+    14: {(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)},
+    29: {(0, 2), (1, 2), (2, 1), (2, 2)},
+    54: {(1, 2), (2, 2)},
+    84: {(2, 2)},
+}
+
+
+class TestWorkBudget:
+    def test_survey_slice_work(self, monkeypatch):
+        # Z in {1, 9, 14, 29, 54, 84} by the nine states n, l <= 2, with the
+        # Fermi-Amaldi delta: 566 sweeps of 1,340,532 points in all, against
+        # 664 sweeps of 1,757,040 points with Brent on the raw last value
+        # and an 801-point first mesh
+        work = _count_sweeps(monkeypatch)
+        for z, unbound in _BUDGET_UNBOUND.items():
+            delta = screening_delta(z, FA)
+            for n in range(3):
+                for l in range(3):
+                    if (n, l) in unbound:
+                        with pytest.raises(NoBoundState):
+                            solve_bound_state(AtomicSystem(z), delta, QuantumState(n, l))
+                    else:
+                        res = solve_bound_state(AtomicSystem(z), delta, QuantumState(n, l))
+                        assert res.nodes_found == n
+        assert work["sweeps"] <= 600
+        assert work["points"] <= 1_450_000
 
 
 #: (label, bracket) for a level at energy e, its lower neighbour at e_below
