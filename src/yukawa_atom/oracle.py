@@ -10,11 +10,13 @@ fraction of their 20-Bohr box, finish on 1601 points.
 
 The node count of the outward solution is a non-decreasing step function
 of the trial energy that jumps from n to n+1 exactly at the n-th
-eigenvalue, so bisection on the node count brackets the eigenvalue
-rigorously: once the bracket ends have n and n+1 nodes, the sweep's last
-value has opposite signs there and one zero between them, and Brent's
-method on that value, with its exp(sqrt(-2 E) r_max) growth divided out,
-finds the eigenvalue in a few sweeps.  Every grid
+eigenvalue, so bisection on the node count, at the geometric midpoint,
+brackets the eigenvalue rigorously.  Once the bracket ends have n and n+1
+nodes, the sweep's last value has opposite signs there and one zero
+between them; once also (kappa(lo) - kappa(hi)) r_max <= 32, with
+kappa = sqrt(-2 E), Brent's method on that value, with its
+exp(kappa r_max) growth divided out, finds the eigenvalue in a few
+sweeps.  Every grid
 runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the first has
 ``FIRST_GRID_POINTS`` = 401 points, or as many more as the box's edge needs
 (see :meth:`RadialGrid.for_state`), unless the caller passes a grid, and
@@ -277,6 +279,11 @@ class _Sweeper:
 _BRENT_MAXITER = 100
 #: Relative tolerance of :func:`_brentq`, 4 eps, scipy's least.
 _BRENT_RTOL = 4.0 * math.ulp(1.0)
+#: Largest (kappa(lo) - kappa(hi)) r_max, kappa = sqrt(-2 E), of a bracket
+#: handed to Brent: the de-trend factor stays above exp(-32) across it.
+#: Over Z = 1..84 with n, l <= 2, caps of 16, 32 and 64 take 8108, 8067 and
+#: 8090 sweeps.
+_BRENT_SPAN = 32.0
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
@@ -291,7 +298,10 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     returned as it is.  Raises ValueError when f(xa) and f(xb) have the same
     sign or ``f`` returns NaN, and RuntimeError after ``_BRENT_MAXITER``
     iterations.  Signs compare by ``math.copysign``, as scipy's by C's
-    ``signbit``.
+    ``signbit``.  Where the extrapolation's denominator is 0.0 the port
+    raises ZeroDivisionError, while scipy's C code divides to inf and
+    bisects; :func:`_bisect_eigenvalue`'s ``_BRENT_SPAN`` keeps the
+    eigensolver's values out of that case.
     """
     def value(x):
         fx = f(x)
@@ -353,22 +363,18 @@ def _detrended(sweep: _Sweeper, hi: float):
 
     Past the turning point the last value grows as exp(kappa r_max), so
     across a bracket it spans decades and Brent's secant steps crawl: on
-    the raw value Z=14 2s took 17 first-grid sweeps, 12 of them Brent's,
-    and takes 9 on this one.  The factor is positive and depends on E
+    the raw value Z=14 2s takes 15 first-grid sweeps, 13 of them Brent's,
+    and 9 on this one.  The factor is positive and depends on E
     alone, so the value keeps the sign of the last value at every E, and
     its zero.  Unlike a compressed value (asinh or |u|^(1/8)), it stays
-    linear through that zero.  With lo >= 2 hi the exponent is at most
-    (sqrt 2 - 1) kappa(hi) r_max, 51 over Z = 1..84 with n, l <= 2; on a
-    wide box passed in (Z=84 1s in 80 Bohr) the product can underflow, and
-    where it is 0 and the last value is not, the last value stands in, so
-    that 0 is never a false root.
+    linear through that zero.  On the brackets that
+    :func:`_bisect_eigenvalue` hands over the factor is at least
+    exp(-``_BRENT_SPAN``), on any grid.
     """
     kappa_hi = math.sqrt(-2.0 * hi)
 
     def value(energy):
-        tail = sweep.tail(energy)
-        scaled = tail * math.exp((kappa_hi - math.sqrt(-2.0 * energy)) * sweep.r_max)
-        return scaled if scaled != 0.0 else tail
+        return sweep.tail(energy) * math.exp((kappa_hi - math.sqrt(-2.0 * energy)) * sweep.r_max)
 
     return value
 
@@ -377,19 +383,20 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     """Eigenvalue in [lo, hi] at the node-count transition n -> n+1, and its
     node count.
 
-    Bisects on the node count until the ends have exactly n and n+1 nodes
-    and lo >= 2 hi, taking the geometric midpoint -sqrt(lo hi) while
-    lo < 2 hi, so that a bracket spanning decades towards E -> 0 shrinks by
-    decades.  The sweep's last value has its first value's sign times
-    (-1)^count, so it then has opposite signs at lo and hi, and Brent's
-    method on it finds the eigenvalue to ``ENERGY_TOL``.  Brent
-    (:func:`_brentq`) runs on the last value with its exponential growth
-    divided out (:func:`_detrended`), which has the same sign at every
-    energy and so the same zero.  Rescaling in the sweep keeps signs, so it
-    only slows Brent towards bisection.
+    Bisects at the geometric midpoint -sqrt(lo hi), so that a bracket
+    spanning decades towards E -> 0 shrinks by decades, until the ends have
+    exactly n and n+1 nodes and (kappa(lo) - kappa(hi)) r_max, the
+    de-trend's exponent across them, is at most ``_BRENT_SPAN``.  The
+    sweep's last value has its first value's sign times (-1)^count, so it
+    then has opposite signs at lo and hi, and Brent's method
+    (:func:`_brentq`) on it, with its exponential growth divided out
+    (:func:`_detrended`), finds the eigenvalue to ``ENERGY_TOL``.
+    Rescaling in the sweep keeps signs, so it only slows Brent towards
+    bisection.
     """
-    while sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1 or lo < 2.0 * hi:
-        mid = -math.sqrt(lo * hi) if lo < 2.0 * hi else 0.5 * (lo + hi)
+    while (sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1
+           or (math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * sweep.r_max > _BRENT_SPAN):
+        mid = -math.sqrt(lo * hi)
         if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:
             return mid, sweep.nodes(lo)
         if sweep.nodes(mid) >= n + 1:
@@ -465,12 +472,13 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     of that shift.  The bracket ends are swept from the top: an end
     with n+1 or more nodes becomes the upper end, and the first with at
     most n nodes the lower end, so the end below it is never swept.  Too
-    few nodes at the upper end raise :class:`NoBoundState`.  Bisection,
-    geometric while the ends differ by more than a factor of two so that
-    levels near E = 0 take a few sweeps per decade, leaves ends with n and
-    n+1 nodes, and Brent's method (:func:`_brentq`, scipy's iteration
-    ported) on the de-trended last value (:func:`_detrended`) isolates the
-    eigenvalue to ``ENERGY_TOL``.  The grid is
+    few nodes at the upper end raise :class:`NoBoundState`.  Bisection at
+    the geometric midpoint, so that levels near E = 0 take a few sweeps per
+    decade, runs until the ends have n and n+1 nodes and
+    (kappa(lo) - kappa(hi)) r_max <= 32, kappa = sqrt(-2 E); Brent's method
+    (:func:`_brentq`, scipy's iteration ported) on the de-trended last
+    value (:func:`_detrended`) then isolates the eigenvalue to
+    ``ENERGY_TOL``.  The grid is
     step-halved, and after each halving the finer energy E_k is
     extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15,
     which removes Numerov's h^4 error.  At least three grids are solved:

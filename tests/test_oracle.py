@@ -433,7 +433,7 @@ class TestRootSearch:
         assert work["points"] <= 15_000
 
     def test_first_step_bound_work(self):
-        # Z=54 4p on its 20-Bohr box: 22 sweeps from a 2271-point first
+        # Z=54 4p on its 20-Bohr box: 19 sweeps from a 2271-point first
         # mesh; a plain 401-point one, whose step at the box edge lets trial
         # energies near 1.5 E0 count spurious nodes, takes 77
         res = solve_bound_state(AtomicSystem(54), screening_delta(54, FA), QuantumState(2, 1))
@@ -442,7 +442,7 @@ class TestRootSearch:
 
     def test_near_critical_work(self, monkeypatch):
         # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps Brent
-        # from crowding towards E = 0 (22 sweeps over three grids, against
+        # from crowding towards E = 0 (23 sweeps over three grids, against
         # 32 unseeded with plain bisection)
         work = _count_sweeps(monkeypatch)
         res = solve_bound_state(AtomicSystem(5), screening_delta(5, FA), QuantumState(1, 0))
@@ -502,6 +502,13 @@ class TestRootSearch:
                                 grid=RadialGrid(4000.0, 200001))
         assert res.nodes_found == 0
         assert -1e-6 < res.energy < 0.0
+
+    def test_wide_grid_solves(self):
+        # Z=51 3s on 480 Bohr, against its 240-Bohr solve, -28.1957646540 Ha
+        system, state = AtomicSystem(51), QuantumState(2, 0)
+        res = solve_bound_state(system, screening_delta(51, FA), state, grid=_WIDE_GRID)
+        assert res.nodes_found == 2
+        assert abs(res.energy + 28.1957646540) <= 1e-10
 
     def test_node_mismatch_raises_nonconvergence(self, monkeypatch):
         # a converged energy whose node count is not n is reported, not returned
@@ -621,8 +628,8 @@ class TestBrent:
                              ids=["z14_2s", "z29_1s", "z54_4p"])
     def test_sweep_tail_as_scipy(self, monkeypatch, z, n, l):
         # the raw last value of Z=14 2s crawls: it spans decades across the
-        # bracket, and Brent mixes bisection and interpolation steps over 16
-        # calls; on the de-trended value that the search passes it takes 8
+        # bracket, and Brent mixes bisection and interpolation steps over 15
+        # calls; on the de-trended value that the search passes it takes 9
         sweep, detrended, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
         for f in (sweep.tail, detrended):
             calls = self._assert_as_scipy(f, lo, hi, oracle_mod.ENERGY_TOL)
@@ -680,9 +687,37 @@ _DETREND_LEVELS = [(14, 1, 0), (29, 0, 0), (54, 2, 1), (5, 1, 0), (84, 0, 0)]
 _DETREND_IDS = ["z14_2s", "z29_1s", "z54_4p", "z5_2s", "z84_1s"]
 
 
+#: 480 Bohr meshed by ``RadialGrid.for_state``'s step rule for Z=51 3s at
+#: 1.5 E0.  Handed over at lo >= 2 hi, Z=51 3s's bracket spans about 1200
+#: in the de-trend's exponent there, and Brent's extrapolation divides by 0.0.
+_WIDE_GRID = RadialGrid(480.0, 81559)
+
+
+def _brent_spans(monkeypatch, system, delta, state, grid):
+    """(kappa(lo) - kappa(hi)) r_max, kappa = sqrt(-2 E), of every bracket
+    that a solve hands to Brent."""
+    spans, r_max = [], []
+    brentq, detrended = oracle_mod._brentq, oracle_mod._detrended
+
+    def recorded_sweeper(sweep, hi):
+        r_max.append(sweep.r_max)
+        return detrended(sweep, hi)
+
+    def recorded(f, lo, hi, xtol):
+        spans.append((math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * r_max[-1])
+        return brentq(f, lo, hi, xtol)
+
+    monkeypatch.setattr(oracle_mod, "_brentq", recorded)
+    monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
+    solve_bound_state(system, delta, state, grid)
+    monkeypatch.undo()
+    return spans
+
+
 class _LinearTail:
     """A stand-in sweeper with one level at -1.7 Ha, whose last value is
-    linear in E, on a box so wide that the de-trend factor underflows."""
+    linear in E, on a box so wide that the de-trend factor across
+    [-2, -1.5] underflows."""
 
     r_max = 1e4
 
@@ -697,9 +732,20 @@ class TestDetrendedBrent:
     """Brent runs on the last value times exp(-(kappa(E) - kappa(hi)) r_max),
     which has the last value's sign and zero."""
 
+    @pytest.mark.parametrize("z, n, l, grid", [
+        *[(z, n, l, None) for z, n, l in _DETREND_LEVELS],
+        (51, 2, 0, _WIDE_GRID),
+    ], ids=[*_DETREND_IDS, "z51_3s_480_bohr"])
+    def test_brent_bracket_span_bounded(self, monkeypatch, z, n, l, grid):
+        # on every grid of the solve, whether the grid is passed in or not
+        spans = _brent_spans(monkeypatch, AtomicSystem(z), screening_delta(z, FA),
+                             QuantumState(n, l), grid)
+        assert len(spans) >= 3
+        assert max(spans) <= oracle_mod._BRENT_SPAN
+
     def test_crawl_case_takes_few_sweeps(self, monkeypatch):
-        # Z=14 2s on its seeded first grid: 17 sweeps on the raw last value,
-        # 12 of them Brent's, and 9 on the de-trended one
+        # Z=14 2s on its seeded first grid: 15 sweeps on the raw last value,
+        # 13 of them Brent's, and 9 on the de-trended one
         system, state, delta = AtomicSystem(14), QuantumState(1, 0), screening_delta(14, FA)
         grid = RadialGrid.for_state(system, state, delta)
         work = _count_sweeps(monkeypatch)
@@ -729,11 +775,11 @@ class TestDetrendedBrent:
         assert detrended(hi) == sweep.tail(hi)
 
     def test_underflow_is_no_false_root(self):
-        # at lo = -2 the factor exp(-(2 - sqrt 3) 1e4) is 0, and a value of
-        # 0 there would be returned as the root; the last value stands in
-        sweep = _LinearTail()
-        assert oracle_mod._detrended(sweep, -1.5)(-2.0) == sweep.tail(-2.0)
-        energy, nodes = oracle_mod._bisect_eigenvalue(sweep, 0, -2.0, -1.5)
+        # de-trended from hi = -1.5, the value at lo = -2 has the factor
+        # exp(-(2 - sqrt 3) 1e4) = 0, and a value of 0 would be returned as
+        # the root; bisection narrows the bracket to a span of at most
+        # _BRENT_SPAN before Brent sees it
+        energy, nodes = oracle_mod._bisect_eigenvalue(_LinearTail(), 0, -2.0, -1.5)
         assert nodes == 0
         assert abs(energy + 1.7) <= oracle_mod.ENERGY_TOL
 
@@ -914,7 +960,7 @@ _BUDGET_UNBOUND = {
 class TestWorkBudget:
     def test_survey_slice_work(self, monkeypatch):
         # Z in {1, 9, 14, 29, 54, 84} by the nine states n, l <= 2, with the
-        # Fermi-Amaldi delta: 566 sweeps of 1,340,532 points in all, against
+        # Fermi-Amaldi delta: 560 sweeps of 1,327,820 points in all, against
         # 664 sweeps of 1,757,040 points with Brent on the raw last value
         # and an 801-point first mesh
         work = _count_sweeps(monkeypatch)
