@@ -14,13 +14,12 @@ eigenvalue, so bisection on the node count, at the geometric midpoint,
 brackets the eigenvalue rigorously.  Once the bracket ends have n and n+1
 nodes, the sweep's last value has opposite signs there and one zero
 between them; once also (kappa(lo) - kappa(hi)) r_max <= 32, with
-kappa = sqrt(-2 E), Brent's method on that value, with its
+kappa = sqrt(-2 E), Chandrupatla's method on that value, with its
 exp(kappa r_max) growth divided out, finds the eigenvalue in a few
-sweeps.  Every grid
-runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the first has
-``FIRST_GRID_POINTS`` = 401 points, or as many more as the box's edge needs
-(see :meth:`RadialGrid.for_state`), unless the caller passes a grid, and
-each refinement halves the step.  Numerov's eigenvalue error being O(h^4),
+sweeps.  Every grid runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the
+first has ``FIRST_GRID_POINTS`` = 401 points, or as many more as the box's
+edge needs (see :meth:`RadialGrid.for_state`), unless the caller passes a
+grid, and each refinement halves the step.  Numerov's eigenvalue error being O(h^4),
 each grid's eigenvalue plus a fifteenth of its shift from the coarser grid
 is a Richardson extrapolation to zero step; refinement stops once two
 successive extrapolations agree within ``GRID_TOL``, and their difference is
@@ -53,9 +52,8 @@ The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
 triangular solve per trial energy, on a band matrix kept between sweeps.
 numpy and the sweep's ``dtbtrs`` are imported by the first solve, not with
 this module, so the closed-form commands load no numpy or scipy module.
-Brent's method is :func:`_brentq`, a port of scipy's ``brentq`` that takes
-its every iterate, so a solve loads ``scipy.linalg`` and nothing else from
-scipy.
+Chandrupatla's method is :func:`_chandrupatla`, a few dozen lines on
+``math``, so a solve loads ``scipy.linalg`` and nothing else from scipy.
 """
 
 from __future__ import annotations
@@ -275,33 +273,33 @@ class _Sweeper:
         return self._sweep(energy)[1]
 
 
-#: Iteration cap of :func:`_brentq`, as in scipy's ``brentq``.
-_BRENT_MAXITER = 100
-#: Relative tolerance of :func:`_brentq`, 4 eps, scipy's least.
-_BRENT_RTOL = 4.0 * math.ulp(1.0)
+#: Iteration cap of :func:`_chandrupatla`, as in scipy's root finders.
+_ROOT_MAXITER = 100
+#: Relative tolerance of :func:`_chandrupatla`, 4 eps, scipy's least.
+_ROOT_RTOL = 4.0 * math.ulp(1.0)
 #: Largest (kappa(lo) - kappa(hi)) r_max, kappa = sqrt(-2 E), of a bracket
-#: handed to Brent: the de-trend factor stays above exp(-32) across it.
-#: Over Z = 1..84 with n, l <= 2, caps of 16, 32 and 64 take 8108, 8067 and
-#: 8090 sweeps.
-_BRENT_SPAN = 32.0
+#: handed to the root finder: the de-trend factor stays above exp(-32)
+#: across it.  Over Z = 1..84 with n, l <= 2, caps of 16, 32 and 64 take
+#: 7944, 7914 and 7920 sweeps.
+_ROOT_SPAN = 32.0
 
 
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Zero of ``f`` between xa and xb, to xtol + 4 eps |x|, by Brent's
-    method (R. P. Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 4).
+def _chandrupatla(f, xa: float, xb: float, xtol: float) -> float:
+    """Zero of ``f`` between xa and xb, to xtol + 4 eps |x|, by Chandrupatla's
+    method (T. R. Chandrupatla, *Adv. Eng. Softw.* 28, 145 (1997)).
 
-    A line-for-line port of scipy's ``brentq.c`` (BSD-3-Clause, Copyright
-    (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers) with the
-    checks of scipy's ``brentq`` wrapper, so each iterate is the same float
-    and ``f`` is called as many times.  An end where ``f`` is exactly 0 is
-    returned as it is.  Raises ValueError when f(xa) and f(xb) have the same
-    sign or ``f`` returns NaN, and RuntimeError after ``_BRENT_MAXITER``
-    iterations.  Signs compare by ``math.copysign``, as scipy's by C's
-    ``signbit``.  Where the extrapolation's denominator is 0.0 the port
-    raises ZeroDivisionError, while scipy's C code divides to inf and
-    bisects; :func:`_bisect_eigenvalue`'s ``_BRENT_SPAN`` keeps the
-    eigensolver's values out of that case.
+    Each step keeps the bracket [x1, x2], x1 the latest iterate, and the
+    point x3 it last dropped, and goes to x1 + t (x2 - x1): t is inverse
+    quadratic interpolation through the three where the paper's test
+    1 - sqrt(1 - xi) < phi < sqrt(xi) says it is safe, and 1/2 otherwise,
+    kept at least half the tolerance from either end.  The first step is
+    the secant through xa and xb, not the paper's t = 1/2: over
+    Z = 1..84 with n, l <= 2 the eigensolver then takes 7914 sweeps, not
+    8134.  f(xa) is evaluated before f(xb), and an end where ``f`` is
+    exactly 0 is returned as it is; otherwise the end of the final bracket
+    with the smaller |f| is.  Raises ValueError when f(xa) and f(xb) have
+    one sign (compared by ``math.copysign``) or ``f`` returns NaN, and
+    RuntimeError after ``_ROOT_MAXITER`` steps.
     """
     def value(x):
         fx = f(x)
@@ -309,52 +307,37 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    x1, x2 = xa, xb
+    f1, f2 = value(x1), value(x2)
+    if f1 == 0:
+        return x1
+    if f2 == 0:
+        return x2
+    if math.copysign(1.0, f1) == math.copysign(1.0, f2):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    t = f1 / (f1 - f2)
+    for _ in range(_ROOT_MAXITER):
+        xm = x1 if abs(f1) < abs(f2) else x2
+        tol, dx = xtol + _ROOT_RTOL * abs(xm), abs(x2 - x1)
+        if dx < tol:
+            return xm
+        tl = 0.5 * tol / dx
+        x = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
+        fx = value(x)
+        if fx == 0:
+            return x
+        if math.copysign(1.0, fx) == math.copysign(1.0, f1):
+            x3, f3 = x1, f1
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+            t = 0.5
+    raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations.")
 
 
 def _detrended(sweep: _Sweeper, hi: float):
@@ -362,14 +345,14 @@ def _detrended(sweep: _Sweeper, hi: float):
     kappa = sqrt(-2 E), as a function of E <= hi.
 
     Past the turning point the last value grows as exp(kappa r_max), so
-    across a bracket it spans decades and Brent's secant steps crawl: on
-    the raw value Z=14 2s takes 15 first-grid sweeps, 13 of them Brent's,
-    and 9 on this one.  The factor is positive and depends on E
+    across a bracket it spans decades and interpolation steps crawl: on
+    the raw value Z=14 2s takes 14 first-grid sweeps, 12 of them the root
+    finder's, and 9 on this one.  The factor is positive and depends on E
     alone, so the value keeps the sign of the last value at every E, and
     its zero.  Unlike a compressed value (asinh or |u|^(1/8)), it stays
     linear through that zero.  On the brackets that
     :func:`_bisect_eigenvalue` hands over the factor is at least
-    exp(-``_BRENT_SPAN``), on any grid.
+    exp(-``_ROOT_SPAN``), on any grid.
     """
     kappa_hi = math.sqrt(-2.0 * hi)
 
@@ -386,16 +369,16 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     Bisects at the geometric midpoint -sqrt(lo hi), so that a bracket
     spanning decades towards E -> 0 shrinks by decades, until the ends have
     exactly n and n+1 nodes and (kappa(lo) - kappa(hi)) r_max, the
-    de-trend's exponent across them, is at most ``_BRENT_SPAN``.  The
+    de-trend's exponent across them, is at most ``_ROOT_SPAN``.  The
     sweep's last value has its first value's sign times (-1)^count, so it
-    then has opposite signs at lo and hi, and Brent's method
-    (:func:`_brentq`) on it, with its exponential growth divided out
+    then has opposite signs at lo and hi, and Chandrupatla's method
+    (:func:`_chandrupatla`) on it, with its exponential growth divided out
     (:func:`_detrended`), finds the eigenvalue to ``ENERGY_TOL``.
-    Rescaling in the sweep keeps signs, so it only slows Brent towards
-    bisection.
+    Rescaling in the sweep keeps signs, so it only slows the root finder
+    towards bisection.
     """
     while (sweep.nodes(lo) != n or sweep.nodes(hi) != n + 1
-           or (math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * sweep.r_max > _BRENT_SPAN):
+           or (math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * sweep.r_max > _ROOT_SPAN):
         mid = -math.sqrt(lo * hi)
         if hi - lo <= ENERGY_TOL or mid <= lo or mid >= hi:
             return mid, sweep.nodes(lo)
@@ -403,7 +386,7 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
             hi = mid
         else:
             lo = mid
-    return _brentq(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
+    return _chandrupatla(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
 
 
 def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
@@ -458,8 +441,8 @@ def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState):
 
 def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
                       grid: RadialGrid | None = None) -> OracleResult:
-    """Bound-state energy by node-count bracketing, Brent's method on the
-    sweep's last value, and grid refinement.
+    """Bound-state energy by node-count bracketing, Chandrupatla's method on
+    the sweep's last value, and grid refinement.
 
     Every grid's search starts from [1.5 E0, -1e-12]: the comparison theorem
     (V >= -A/r) puts the level above E0, and a level must lie below -1e-12
@@ -475,11 +458,10 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     few nodes at the upper end raise :class:`NoBoundState`.  Bisection at
     the geometric midpoint, so that levels near E = 0 take a few sweeps per
     decade, runs until the ends have n and n+1 nodes and
-    (kappa(lo) - kappa(hi)) r_max <= 32, kappa = sqrt(-2 E); Brent's method
-    (:func:`_brentq`, scipy's iteration ported) on the de-trended last
-    value (:func:`_detrended`) then isolates the eigenvalue to
-    ``ENERGY_TOL``.  The grid is
-    step-halved, and after each halving the finer energy E_k is
+    (kappa(lo) - kappa(hi)) r_max <= 32, kappa = sqrt(-2 E); Chandrupatla's
+    method (:func:`_chandrupatla`) on the de-trended last value
+    (:func:`_detrended`) then isolates the eigenvalue to ``ENERGY_TOL``.
+    The grid is step-halved, and after each halving the finer energy E_k is
     extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15,
     which removes Numerov's h^4 error.  At least three grids are solved:
     the result is the first X_k within ``GRID_TOL`` Hartree of X_{k-1}, with
@@ -534,8 +516,8 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
         # bracket costs sweeps but still proves one end.  Over Z = 1..84
         # with n, l <= 2 the first halving moves each of the 472 bound
         # levels by at most 2.5e-6 of its energy, 4 times inside the first
-        # pad.  First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 took 7808,
-        # 8082, 8111, 8152 and 8244 sweeps over the bound levels, with the
+        # pad.  First pads of 1e-6, 1e-5, 5e-5, 1e-4 and 1e-3 take 7655,
+        # 7914, 7943, 7944 and 8066 sweeps over the bound levels, with the
         # same outcomes; 1e-6 would leave some first halvings outside it.
         # Later shifts shrink by a median 0.0625 per halving: over the same
         # levels each of the 472 grids after the second lands within 0.025

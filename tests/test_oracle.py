@@ -426,14 +426,14 @@ class TestRootSearch:
                              ids=["h_1s", "z29_1s"])
     def test_k_shell_work(self, monkeypatch, z, delta):
         # seeded from the closed form: 12 sweeps (11,212 points) for H 1s and
-        # 15 (12,815) for Z=29 1s over the 401-, 801- and 1601-point meshes
+        # 14 (12,414) for Z=29 1s over the 401-, 801- and 1601-point meshes
         work = _count_sweeps(monkeypatch)
         solve_bound_state(AtomicSystem(z), delta, QuantumState(0, 0))
         assert work["sweeps"] <= 16
         assert work["points"] <= 15_000
 
     def test_first_step_bound_work(self):
-        # Z=54 4p on its 20-Bohr box: 19 sweeps from a 2271-point first
+        # Z=54 4p on its 20-Bohr box: 20 sweeps from a 2271-point first
         # mesh; a plain 401-point one, whose step at the box edge lets trial
         # energies near 1.5 E0 count spurious nodes, takes 77
         res = solve_bound_state(AtomicSystem(54), screening_delta(54, FA), QuantumState(2, 1))
@@ -441,9 +441,9 @@ class TestRootSearch:
         assert res.sweeps <= 24
 
     def test_near_critical_work(self, monkeypatch):
-        # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps Brent
-        # from crowding towards E = 0 (23 sweeps over three grids, against
-        # 32 unseeded with plain bisection)
+        # Z=5 2s lies 0.0101 Ha below zero; geometric bisection keeps the
+        # root finder from crowding towards E = 0 (23 sweeps over three
+        # grids, against 32 unseeded with plain bisection)
         work = _count_sweeps(monkeypatch)
         res = solve_bound_state(AtomicSystem(5), screening_delta(5, FA), QuantumState(1, 0))
         assert res.nodes_found == 1
@@ -510,6 +510,19 @@ class TestRootSearch:
         assert res.nodes_found == 2
         assert abs(res.energy + 28.1957646540) <= 1e-10
 
+    def test_user_grid_work(self, monkeypatch):
+        # grids passed in, meshed by RadialGrid.for_state's step rule at
+        # 1.5 E0: 16 + 16 + 19 sweeps, against 30 + 32 + 32 with Brent's
+        # method in place of Chandrupatla's
+        work = _count_sweeps(monkeypatch)
+        for z, n, l, grid in [(73, 1, 1, RadialGrid(20.0, 4093)),
+                              (49, 1, 0, RadialGrid(240.0, 56733)),
+                              (43, 2, 0, RadialGrid(60.0, 7703))]:
+            res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l),
+                                    grid=grid)
+            assert res.nodes_found == n
+        assert work["sweeps"] <= 60
+
     def test_node_mismatch_raises_nonconvergence(self, monkeypatch):
         # a converged energy whose node count is not n is reported, not returned
         bisect = oracle_mod._bisect_eigenvalue
@@ -545,7 +558,7 @@ class TestRootSearch:
         # sqrt(-2E) r_max ~ 1600: the sweep rescales its tail
         (84, 0, screening_delta(84, FA), 20.0),
     ], ids=["h_2s", "z84_1s_rescaled"])
-    def test_brent_matches_node_count_bisection(self, z, n, delta, r_max):
+    def test_root_matches_node_count_bisection(self, z, n, delta, r_max):
         system, state = AtomicSystem(z), QuantumState(n, 0)
         grid = RadialGrid(r_max=r_max, points=20001)
         energy, nodes = oracle_mod._solve_on_grid(system, delta, state, grid)
@@ -576,21 +589,21 @@ def _counted(f):
     return g, args
 
 
-def _first_grid_brent(monkeypatch, z, n, l):
+def _first_grid_root(monkeypatch, z, n, l):
     """The sweeper of the first grid of Z's level (n, l), and the function
-    and bracket that Brent's method is given there."""
+    and bracket that the root finder is given there."""
     calls, sweepers = [], []
-    brentq, detrended = oracle_mod._brentq, oracle_mod._detrended
+    find_root, detrended = oracle_mod._chandrupatla, oracle_mod._detrended
 
     def recorded(f, lo, hi, xtol):
         calls.append((f, lo, hi))
-        return brentq(f, lo, hi, xtol)
+        return find_root(f, lo, hi, xtol)
 
     def recorded_sweeper(sweep, hi):
         sweepers.append(sweep)
         return detrended(sweep, hi)
 
-    monkeypatch.setattr(oracle_mod, "_brentq", recorded)
+    monkeypatch.setattr(oracle_mod, "_chandrupatla", recorded)
     monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
     system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
     oracle_mod._solve_on_grid(system, delta, state, RadialGrid.for_state(system, state, delta),
@@ -608,61 +621,59 @@ def _cube_root(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x) - 0.1
 
 
-class TestBrent:
-    """The port of scipy's ``brentq`` takes scipy's every iterate."""
+class TestRootFinder:
+    """Chandrupatla's method finds scipy's ``brentq`` root, to its tolerance,
+    and keeps its contract on ends, signs, NaN and the iteration cap."""
 
     @staticmethod
-    def _assert_as_scipy(f, lo, hi, xtol):
+    def _assert_as_brentq(f, lo, hi, xtol):
         from scipy.optimize import brentq
 
         ours, our_args = _counted(f)
         theirs, their_args = _counted(f)
-        root = oracle_mod._brentq(ours, lo, hi, xtol)
-        expected = brentq(theirs, lo, hi, xtol=xtol, rtol=oracle_mod._BRENT_RTOL,
-                          maxiter=oracle_mod._BRENT_MAXITER)
-        assert root.hex() == float(expected).hex()
-        assert [x.hex() for x in our_args] == [float(x).hex() for x in their_args]
-        return our_args
+        root = oracle_mod._chandrupatla(ours, lo, hi, xtol)
+        expected = brentq(theirs, lo, hi, xtol=xtol, rtol=oracle_mod._ROOT_RTOL,
+                          maxiter=oracle_mod._ROOT_MAXITER)
+        assert abs(root - expected) <= xtol + oracle_mod._ROOT_RTOL * abs(expected)
+        return our_args, their_args
 
     @pytest.mark.parametrize("z, n, l", [(14, 1, 0), (29, 0, 0), (54, 2, 1)],
                              ids=["z14_2s", "z29_1s", "z54_4p"])
-    def test_sweep_tail_as_scipy(self, monkeypatch, z, n, l):
-        # the raw last value of Z=14 2s crawls: it spans decades across the
-        # bracket, and Brent mixes bisection and interpolation steps over 15
-        # calls; on the de-trended value that the search passes it takes 9
-        sweep, detrended, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
+    def test_sweep_tail_as_brentq(self, monkeypatch, z, n, l):
+        # the raw last value of Z=14 2s spans decades across the bracket;
+        # the de-trended one that the search passes is close to linear
+        sweep, detrended, lo, hi = _first_grid_root(monkeypatch, z, n, l)
         for f in (sweep.tail, detrended):
-            calls = self._assert_as_scipy(f, lo, hi, oracle_mod.ENERGY_TOL)
+            calls, _ = self._assert_as_brentq(f, lo, hi, oracle_mod.ENERGY_TOL)
             assert len(calls) > 2
 
-    # Each of these takes other iterates under some one-token change of the
-    # step rule: |stry| in place of 2 |stry|, 2 |sbis| in place of 3 |sbis|,
-    # a swap of the ends on equal |f|, or no exit on f = 0.
+    # 8, 18, 9 and 14 calls, against brentq's 8, 16, 9 and 14
     @pytest.mark.parametrize("f, lo, hi", [
         (_wallis, 2.0, 3.0),
         (_cube_root, -1.0, 4.0),
         (lambda x: x * x - 2.0, 0.0, 2.0),
         (lambda x: math.exp(10.0 * x) - 2.0, -3.0, 1.0),
     ], ids=["wallis", "cube_root", "sqrt2", "exp10"])
-    def test_analytic_as_scipy(self, f, lo, hi):
-        self._assert_as_scipy(f, lo, hi, 1e-12)
+    def test_analytic_as_brentq(self, f, lo, hi):
+        ours, theirs = self._assert_as_brentq(f, lo, hi, 1e-12)
+        assert len(ours) <= len(theirs) + 2
 
     @pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (5.0, 2.0)])
     def test_exact_zero_end_returned(self, lo, hi):
         f, args = _counted(lambda x: x - 2.0)
-        assert oracle_mod._brentq(f, lo, hi, 1e-12) == 2.0
+        assert oracle_mod._chandrupatla(f, lo, hi, 1e-12) == 2.0
         assert args == [lo, hi]
 
     def test_zero_end_needs_no_sign_change(self):
         # -0.0 counts as a zero, not as a negative value
-        assert oracle_mod._brentq(lambda x: -0.0 * x, 0.0, 1.0, 1e-12) == 0.0
-        assert oracle_mod._brentq(lambda x: x * x, -1.0, 0.0, 1e-12) == 0.0
+        assert oracle_mod._chandrupatla(lambda x: -0.0 * x, 0.0, 1.0, 1e-12) == 0.0
+        assert oracle_mod._chandrupatla(lambda x: x * x, -1.0, 0.0, 1e-12) == 0.0
 
     @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -x * x - 1.0],
                              ids=["positive", "negative"])
     def test_same_signs_raise(self, f):
         with pytest.raises(ValueError, match="different signs"):
-            oracle_mod._brentq(f, -1.0, 1.0, 1e-12)
+            oracle_mod._chandrupatla(f, -1.0, 1.0, 1e-12)
 
     @pytest.mark.parametrize("f", [
         lambda x: math.nan,
@@ -671,13 +682,13 @@ class TestBrent:
     ], ids=["end", "iterate"])
     def test_nan_raises(self, f):
         with pytest.raises(ValueError, match="NaN"):
-            oracle_mod._brentq(f, -1.0, 2.0, 1e-12)
+            oracle_mod._chandrupatla(f, -1.0, 2.0, 1e-12)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_BRENT_MAXITER", 1)
+        monkeypatch.setattr(oracle_mod, "_ROOT_MAXITER", 1)
         f, args = _counted(_wallis)
         with pytest.raises(RuntimeError, match="after 1 iterations"):
-            oracle_mod._brentq(f, 2.0, 3.0, 1e-12)
+            oracle_mod._chandrupatla(f, 2.0, 3.0, 1e-12)
         assert len(args) == 3
 
 
@@ -688,16 +699,16 @@ _DETREND_IDS = ["z14_2s", "z29_1s", "z54_4p", "z5_2s", "z84_1s"]
 
 
 #: 480 Bohr meshed by ``RadialGrid.for_state``'s step rule for Z=51 3s at
-#: 1.5 E0.  Handed over at lo >= 2 hi, Z=51 3s's bracket spans about 1200
-#: in the de-trend's exponent there, and Brent's extrapolation divides by 0.0.
+#: 1.5 E0.  Handed over at lo >= 2 hi, Z=51 3s's bracket would span about
+#: 1200 in the de-trend's exponent there, where the de-trend factor underflows.
 _WIDE_GRID = RadialGrid(480.0, 81559)
 
 
-def _brent_spans(monkeypatch, system, delta, state, grid):
+def _root_spans(monkeypatch, system, delta, state, grid):
     """(kappa(lo) - kappa(hi)) r_max, kappa = sqrt(-2 E), of every bracket
-    that a solve hands to Brent."""
+    that a solve hands to the root finder."""
     spans, r_max = [], []
-    brentq, detrended = oracle_mod._brentq, oracle_mod._detrended
+    find_root, detrended = oracle_mod._chandrupatla, oracle_mod._detrended
 
     def recorded_sweeper(sweep, hi):
         r_max.append(sweep.r_max)
@@ -705,9 +716,9 @@ def _brent_spans(monkeypatch, system, delta, state, grid):
 
     def recorded(f, lo, hi, xtol):
         spans.append((math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * r_max[-1])
-        return brentq(f, lo, hi, xtol)
+        return find_root(f, lo, hi, xtol)
 
-    monkeypatch.setattr(oracle_mod, "_brentq", recorded)
+    monkeypatch.setattr(oracle_mod, "_chandrupatla", recorded)
     monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
     solve_bound_state(system, delta, state, grid)
     monkeypatch.undo()
@@ -728,24 +739,24 @@ class _LinearTail:
         return energy + 1.7
 
 
-class TestDetrendedBrent:
-    """Brent runs on the last value times exp(-(kappa(E) - kappa(hi)) r_max),
+class TestDetrendedRoot:
+    """The root finder runs on the last value times exp(-(kappa(E) - kappa(hi)) r_max),
     which has the last value's sign and zero."""
 
     @pytest.mark.parametrize("z, n, l, grid", [
         *[(z, n, l, None) for z, n, l in _DETREND_LEVELS],
         (51, 2, 0, _WIDE_GRID),
     ], ids=[*_DETREND_IDS, "z51_3s_480_bohr"])
-    def test_brent_bracket_span_bounded(self, monkeypatch, z, n, l, grid):
+    def test_root_bracket_span_bounded(self, monkeypatch, z, n, l, grid):
         # on every grid of the solve, whether the grid is passed in or not
-        spans = _brent_spans(monkeypatch, AtomicSystem(z), screening_delta(z, FA),
+        spans = _root_spans(monkeypatch, AtomicSystem(z), screening_delta(z, FA),
                              QuantumState(n, l), grid)
         assert len(spans) >= 3
-        assert max(spans) <= oracle_mod._BRENT_SPAN
+        assert max(spans) <= oracle_mod._ROOT_SPAN
 
     def test_crawl_case_takes_few_sweeps(self, monkeypatch):
-        # Z=14 2s on its seeded first grid: 15 sweeps on the raw last value,
-        # 13 of them Brent's, and 9 on the de-trended one
+        # Z=14 2s on its seeded first grid: 14 sweeps on the raw last value,
+        # 12 of them the root finder's, and 9 on the de-trended one
         system, state, delta = AtomicSystem(14), QuantumState(1, 0), screening_delta(14, FA)
         grid = RadialGrid.for_state(system, state, delta)
         work = _count_sweeps(monkeypatch)
@@ -767,7 +778,7 @@ class TestDetrendedBrent:
 
     @pytest.mark.parametrize("z, n, l", _DETREND_LEVELS, ids=_DETREND_IDS)
     def test_finite_nonzero_at_bracket_ends(self, monkeypatch, z, n, l):
-        sweep, detrended, lo, hi = _first_grid_brent(monkeypatch, z, n, l)
+        sweep, detrended, lo, hi = _first_grid_root(monkeypatch, z, n, l)
         for end in (lo, hi):
             value = detrended(end)
             assert math.isfinite(value) and value != 0.0
@@ -778,7 +789,7 @@ class TestDetrendedBrent:
         # de-trended from hi = -1.5, the value at lo = -2 has the factor
         # exp(-(2 - sqrt 3) 1e4) = 0, and a value of 0 would be returned as
         # the root; bisection narrows the bracket to a span of at most
-        # _BRENT_SPAN before Brent sees it
+        # _ROOT_SPAN before the root finder sees it
         energy, nodes = oracle_mod._bisect_eigenvalue(_LinearTail(), 0, -2.0, -1.5)
         assert nodes == 0
         assert abs(energy + 1.7) <= oracle_mod.ENERGY_TOL
@@ -887,10 +898,10 @@ class TestRichardsonExtrapolation:
         assert nodes == n
         assert abs(res.energy - fine) <= 2e-10
 
-    def test_error_bar_above_brent_tolerance(self):
+    def test_error_bar_above_root_tolerance(self):
         # Z=84 2s finishes on 401, 801 and 1601 points, where its last two
         # extrapolations differ by 1.1e-9 Ha: the error bar is the grid's,
-        # not Brent's.  The raw eigenvalue on 256001 points lies 1.6e-11 Ha
+        # not the root finder's.  The raw eigenvalue on 256001 points lies 1.6e-11 Ha
         # from the result
         system, state, delta = AtomicSystem(84), QuantumState(1, 0), screening_delta(84, FA)
         res = solve_bound_state(system, delta, state)
@@ -960,7 +971,7 @@ _BUDGET_UNBOUND = {
 class TestWorkBudget:
     def test_survey_slice_work(self, monkeypatch):
         # Z in {1, 9, 14, 29, 54, 84} by the nine states n, l <= 2, with the
-        # Fermi-Amaldi delta: 560 sweeps of 1,327,820 points in all, against
+        # Fermi-Amaldi delta: 560 sweeps of 1,328,130 points in all, against
         # 664 sweeps of 1,757,040 points with Brent on the raw last value
         # and an 801-point first mesh
         work = _count_sweeps(monkeypatch)
