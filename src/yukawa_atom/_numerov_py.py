@@ -23,16 +23,19 @@ changing any sign.
 
 The band matrix's -1 entries do not depend on the sweep, so the band and the
 right-hand side are kept between sweeps, one pair per thread, grown to the
-largest grid that thread has swept: 8 doubles per point, 1.1 MB for the
-16817-point mesh of Z=75 3s, the largest over Z = 1..84 with n, l <= 2.  A
-sweep writes only -g_i into the band and zeroes the right-hand side.
-Results are bit-identical to allocating both afresh, but allocating them
-afresh on every sweep (a fresh band must also be filled with -1 and its
-pages faulted in) cut the benchmark's ``spectrum`` workload from
+largest grid that thread has swept, and so are t (which then holds |u|),
+1 - t and u: 11 doubles per point, 1.2 MB for the 14129-point mesh of
+Z=84 4d, the largest over Z = 1..84 with n, l <= 2.  A sweep writes -g_i
+into the band, zeroes the right-hand side and allocates only boolean
+temporaries: 0.3-0.4 doubles per point of a 40001-point grid under
+``tracemalloc``, against 4.1 when t, 1 - t, -g and u were allocated afresh.
+Results are bit-identical to allocating everything afresh, but allocating
+the band afresh on every sweep (a fresh band must also be filled with -1
+and its pages faulted in) cut the benchmark's ``spectrum`` workload from
 241/195/181 to 131/122/118 levels/s on the uniform grids of 16001 points
 and more that the eigensolver used before the mesh (seeds 1-3, 10-s runs,
 2-core Xeon) and saved under 0.6 MB of its peak RSS.  On the mesh it still
-costs 7%: 90 solves (n, l <= 2 at ten Z from 1 to 84) took 0.082 s against
+cost 7%: 90 solves (n, l <= 2 at ten Z from 1 to 84) took 0.082 s against
 0.076 s, medians of 8 alternated rounds.  So the buffers stay.
 
 numpy and ``dtbtrs`` are imported on the first sweep, so importing this
@@ -45,12 +48,14 @@ RESCALE_LIMIT = 1e250
 RESCALE_FACTOR = 1e-250
 
 
-#: Each thread's band matrix and right-hand side (see :func:`_workspace`).
+#: Each thread's band matrix, right-hand side and per-point arrays (see
+#: :func:`_workspace`).
 _buffers = threading.local()
 
 
-def _workspace(size):
-    """The band matrix and right-hand side of a ``size``-unknown system.
+def _workspace(points):
+    """The band matrix and right-hand side of a ``points``-point sweep, and
+    three arrays over its points: t (which then holds |u|), 1 - t and u.
 
     Fortran order, so that f2py passes the band uncopied.  Row 0 is the unit
     diagonal, which diag="U" leaves unread.  Row 2 is -1 everywhere:
@@ -58,15 +63,23 @@ def _workspace(size):
     (its even slots, which each sweep writes) and -1, for -d_i, in row
     y_{i+1}.  The -1 entries are written once, when the buffers grow.  A
     solve from grid point k uses the columns from 2k on, which are still
-    Fortran-contiguous.
+    Fortran-contiguous.  The views of the last size asked for are kept, as
+    successive sweeps share their grid.
     """
+    views = getattr(_buffers, "views", None)
+    if views is not None and len(views[4]) == points:
+        return views
+    size = 2 * points - 1
     band = getattr(_buffers, "band", None)
     if band is None or band.shape[1] < size:
         import numpy as np
 
         _buffers.band = band = np.full((3, size), -1.0, order="F")
         _buffers.rhs = np.empty(size)
-    return band[:, :size], _buffers.rhs[:size]
+        _buffers.per_point = np.empty((3, points))
+    _buffers.views = views = (band[:, :size], _buffers.rhs[:size],
+                              *_buffers.per_point[:, :points])
+    return views
 
 
 def _summed_solve(band, rhs, y_first, d_before):
@@ -92,13 +105,18 @@ def count_nodes_sweep(w, r2, energy, h, u0, u1):
     import numpy as np
 
     n = len(w)
-    t = h * h / 12.0 * (w - 2.0 * energy * r2)
-    c = 1.0 - t
-    band, rhs = _workspace(2 * n - 1)
-    # -g_i, computed contiguously and then copied: strided arithmetic is
-    # slower.  (-12 t) / c rounds exactly as -(12 t / c) does.
-    band[1, 0::2] = -12.0 * t / c
-    u = np.empty(n)
+    band, rhs, t, c, u = _workspace(n)
+    # t = h^2 / 12 (w - 2 E r2) and c = 1 - t, in place, with the rounding
+    # of those expressions
+    np.multiply(r2, 2.0 * energy, out=t)
+    np.subtract(w, t, out=t)
+    np.multiply(t, h * h / 12.0, out=t)
+    np.subtract(1.0, t, out=c)
+    # -g_i, written straight into the band's strided row: on meshes of
+    # 401-6401 points a call saved outweighs the strided stores.  (-12 t) / c
+    # rounds exactly as -(12 t / c) does.
+    np.multiply(t, -12.0, out=t)
+    np.divide(t, c, out=band[1, 0::2])
     u[0], u[1] = u0, u1
     start, y, d = 1, c[1] * u1, c[1] * u1 - c[0] * u0
     # Past the first point above the limit the solve may overflow; those
@@ -108,12 +126,13 @@ def count_nodes_sweep(w, r2, energy, h, u0, u1):
             ys, ds = _summed_solve(band[:, 2 * start:], rhs[2 * start:], y, d)
             tail = u[start + 1:]
             np.divide(ys[1:], c[start + 1:], out=tail)
-            over = np.flatnonzero(np.abs(tail) > RESCALE_LIMIT)
+            over = (np.abs(tail, out=t[start + 1:]) > RESCALE_LIMIT).nonzero()[0]
             if not over.size:
                 break
             j = over[0] + 1
             start, y, d = start + j, ys[j] * RESCALE_FACTOR, ds[j - 1] * RESCALE_FACTOR
             u[start] *= RESCALE_FACTOR
 
-    signs = np.signbit(u[u != 0.0])
+    # an exact zero has no sign, so it is skipped, but it rarely occurs
+    signs = np.signbit(u if u.all() else u[u != 0.0])
     return int(np.count_nonzero(signs[1:] != signs[:-1])), float(u[-1])

@@ -18,15 +18,16 @@ kappa = sqrt(-2 E), Chandrupatla's method on that value, with its
 exp(kappa r_max) growth divided out, finds the eigenvalue in a few
 sweeps.  Every grid runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the
 first has ``FIRST_GRID_POINTS`` = 401 points, or as many more as the box's
-edge needs (see :meth:`RadialGrid.for_state`), unless the caller passes a
-grid, and each refinement halves the step.  Numerov's eigenvalue error being O(h^4),
-each grid's eigenvalue plus a fifteenth of its shift from the coarser grid
-is a Richardson extrapolation to zero step; refinement stops once two
+edge needs (see :meth:`RadialGrid.for_state` and :func:`_seed_grid`),
+unless the caller passes a grid, and each refinement halves the step.
+Numerov's eigenvalue error being O(h^4), each grid's eigenvalue plus a
+fifteenth of its shift from the coarser grid is a Richardson
+extrapolation to zero step; refinement stops once two
 successive extrapolations agree within ``GRID_TOL``, and their difference is
 the error estimate.
 
-Every grid starts from the bracket [1.5 E0, -1e-12], with E0 the hydrogenic
-level -A^2/(2 N^2).  Since V = -(A/r) exp(-delta r) is never below -A/r, the
+A grid's search runs inside [1.5 E0, -1e-12], with E0 the hydrogenic level
+-A^2/(2 N^2).  Since V = -(A/r) exp(-delta r) is never below -A/r, the
 comparison theorem puts every screened level above E0, so 1.5 E0 is a proven
 lower end that the search never widens.  The first grid's bracket is
 narrowed by a seed from the paper's third-order closed form, and each finer
@@ -34,7 +35,11 @@ grid's by the previous eigenvalue, moved from the third grid on by the
 sixteenth of the last grid shift that Numerov's h^4 error predicts.  The
 bracket's ends are swept from the top and each is kept only where its node
 count proves it, so a poor seed costs sweeps but cannot change which level is
-found (see :func:`solve_bound_state`).
+found (see :func:`solve_bound_state`).  A solve given no grid first tries a
+mesh sized from the seed bracket alone, whose search stays inside that
+bracket; the mesh is kept only where its own sweeps prove the level inside,
+and otherwise the level is solved as if that mesh had not been tried, at the
+cost of its one or two sweeps.
 
 Since E(A, delta) = A^2 e(delta / A), each level unbinds at one critical
 ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 2;
@@ -44,12 +49,17 @@ passes its entry by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises
 margin the sweep decides.
 
 A solve given no grid uses a box that reaches 30 decay lengths past a
-bound on the level's outer turning point, both taken from the upper bound
-E0 + A delta on its energy, and is never wider than max(20, 30 N^2/A) Bohr
-(see :meth:`RadialGrid.for_state`).
+bound on the level's outer turning point, both taken from an upper bound
+on its energy, and is never wider than max(20, 30 N^2/A) Bohr.  That bound
+is E0 + A delta (see :meth:`RadialGrid.for_state`), or on a seed-sized
+mesh the seed bracket's top end, once the sweeps show it above the level
+(see :func:`_seed_grid`).  The seed's bound is far tighter for the L shells
+up to Z = 24, where E0 + A delta is loose or, up to Z = 20, not negative:
+Z=19 2s finishes on 1601 points in 8 Bohr, not 6393 in 20.
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
-triangular solve per trial energy, on a band matrix kept between sweeps.
+triangular solve per trial energy, on buffers kept between sweeps, from
+start values whose energy-independent part each grid builds once.
 numpy and the sweep's ``dtbtrs`` are imported by the first solve, not with
 this module, so the closed-form commands load no numpy or scipy module.
 Chandrupatla's method is :func:`_chandrupatla`, a few dozen lines on
@@ -147,7 +157,8 @@ class RadialGrid:
 
     @classmethod
     def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float) -> "RadialGrid":
-        """First grid of a solve: a box of 30 decay lengths of the level past
+        """First grid of a solve whose seed bracket does not size one (see
+        :func:`_seed_grid`): a box of 30 decay lengths of the level past
         its turning point, never wider than max(20, 30 N^2 / A) Bohr, on
         ``FIRST_GRID_POINTS`` points or as many more as keep the step
         h <= sqrt(6 / (3 |E0|)) / r_max.
@@ -195,43 +206,42 @@ class OracleResult:
     sweeps: int
 
 
-#: Frobenius series length for the boundary values at the first two points.
-_SERIES_TERMS = 6
-
-
-def _series_start(a: float, delta: float, l: int, energy: float, r0: float,
-                  r1: float) -> tuple[float, float]:
-    """Regular solution near the origin, u = r^(l+1) sum_k c_k r^k, as the
-    mesh's phi = u / sqrt(r) at the grid's first two points r0 and r1; the
-    c_k are built once for both.
+def _series_start(a: float, delta: float, l: int, r0: float, r1: float):
+    """Regular solution near the origin, u = r^(l+1) sum_k c_k r^k for
+    k = 0 .. 5, as the mesh's phi = u / sqrt(r) at the grid's first two
+    points r0 and r1: a function of the trial energy, built once per grid.
 
     The plain r^(l+1) start misses a relative A*r correction at the second
     grid point, which degrades the eigenvalue convergence to first order in
-    the step; the series restores the integrator's full order.
+    the step; the series restores the integrator's full order.  With
+    v(r) = 2A exp(-delta r)/r + 2E expanded as 2A/r + sum_j v_j r^j, the
+    c_k follow from c_0 = 1 and
+    q (q + 2l + 1) c_q = -(2A c_{q-1} + sum_{j=0}^{q-2} v_j c_{q-2-j}).
+    Only v_0 = 2E - 2A delta depends on the energy, so v_1 .. v_3, the
+    divisors, c_1 and r^(l+1/2) are built here, and each call runs the rest
+    of the recurrence, unrolled, in the order of that sum.
     """
-    # v(r) = 2A exp(-delta r)/r + 2E expanded about r = 0; v[j] multiplies r^j
-    # and the 1/r Coulomb piece is kept separately.
     v_coul = 2.0 * a
-    v = [2.0 * energy - 2.0 * a * delta]
-    fac = 1.0
-    for j in range(1, _SERIES_TERMS - 1):
-        fac *= j + 1
-        v.append(2.0 * a * (-delta) ** (j + 1) / fac)
+    v0_shift = 2.0 * a * delta
+    # v_j = 2A (-delta)^(j+1) / (j+1)!
+    v1 = 2.0 * a * (-delta) ** 2 / 2.0
+    v2 = 2.0 * a * (-delta) ** 3 / 6.0
+    v3 = 2.0 * a * (-delta) ** 4 / 24.0
+    d1, d2, d3, d4, d5 = (float(q * (q + 2 * l + 1)) for q in range(1, 6))
+    c1 = -v_coul / d1
+    coul_c1 = v_coul * c1
+    s0, s1 = r0 ** (l + 0.5), r1 ** (l + 0.5)
 
-    c = [1.0]
-    for q in range(1, _SERIES_TERMS):
-        acc = v_coul * c[q - 1]
-        for j in range(0, q - 1):
-            acc += v[j] * c[q - 2 - j]
-        c.append(-acc / (q * (q + 2 * l + 1)))
+    def start(energy: float) -> tuple[float, float]:
+        v0 = 2.0 * energy - v0_shift
+        c2 = -(coul_c1 + v0) / d2
+        c3 = -(v_coul * c2 + v0 * c1 + v1) / d3
+        c4 = -(v_coul * c3 + v0 * c2 + v1 * c1 + v2) / d4
+        c5 = -(v_coul * c4 + v0 * c3 + v1 * c2 + v2 * c1 + v3) / d5
+        return (s0 * (((((c5 * r0 + c4) * r0 + c3) * r0 + c2) * r0 + c1) * r0 + 1.0),
+                s1 * (((((c5 * r1 + c4) * r1 + c3) * r1 + c2) * r1 + c1) * r1 + 1.0))
 
-    def phi(r):
-        poly = 0.0
-        for ck in reversed(c):
-            poly = poly * r + ck
-        return r ** (l + 0.5) * poly
-
-    return phi(r0), phi(r1)
+    return start
 
 
 class _Sweeper:
@@ -248,11 +258,7 @@ class _Sweeper:
         # up to a few 1e-9 Ha
         self.h = grid.step
         r = R_MIN * np.exp(self.h * np.arange(grid.points))
-        self.l = state.l
-        self.a = system.a
-        self.delta = delta
-        self.r0 = r[0]
-        self.r1 = r[1]
+        self.start = _series_start(system.a, delta, state.l, *r[:2].tolist())
         self.r_max = grid.r_max
         # the energy-independent part of phi''/phi, and the r^2 that 2E multiplies
         self.w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * np.exp(-delta * r)
@@ -261,7 +267,7 @@ class _Sweeper:
 
     def _sweep(self, energy: float) -> tuple[int, float]:
         if energy not in self._swept:
-            u0, u1 = _series_start(self.a, self.delta, self.l, energy, self.r0, self.r1)
+            u0, u1 = self.start(energy)
             self._swept[energy] = _numerov_py.count_nodes_sweep(self.w, self.r2, energy, self.h,
                                                                 u0, u1)
         return self._swept[energy]
@@ -389,35 +395,46 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     return _chandrupatla(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
 
 
+class _Unproven(Exception):
+    """A seed-sized mesh's sweeps do not place the level inside its bounds."""
+
+
 def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
-                   tally: list[int] | None = None) -> tuple[float, int]:
+                   tally: list[int] | None = None,
+                   bounds: tuple[float, float] | None = None) -> tuple[float, int]:
     """Eigenvalue and node count on one grid; raises NoBoundState.
 
-    The search starts from lo = 1.5 E0, below the level by the comparison
-    theorem (V >= -A/r puts every level above E0), and hi = -1e-12.  The
-    ends of ``bracket`` are swept from the top: an end with n+1 or more
-    nodes lies above the level and becomes ``hi``, and the first end with
-    at most n nodes lies below it and becomes ``lo``, so the end below that
-    is never swept.  Too few nodes at ``hi`` mean no bound level, which is
-    found before any sweep at the lower end.  The number of trial energies
-    swept is appended to ``tally``.
+    The search runs inside ``bounds`` (lo, hi), by default lo = 1.5 E0,
+    below the level by the comparison theorem (V >= -A/r puts every level
+    above E0), and hi = -1e-12.  The ends of ``bracket``, clipped into
+    them, are swept from the top: an end with n+1 or more nodes lies above
+    the level and becomes ``hi``, and the first end with at most n nodes
+    lies below it and becomes ``lo``, so the end below that is never
+    swept.  Too few nodes at ``hi`` mean no bound level, which is found
+    before any sweep at the lower end.  Bounds passed in are a seed-sized
+    mesh's (see :func:`_seed_grid`): unless hi has n+1 or more nodes and lo
+    at most n, :class:`_Unproven` is raised instead.  The number of trial
+    energies swept is appended to ``tally``, also when the grid raises.
     """
     sweep = _Sweeper(system, delta, state, grid)
     n = state.n
-    lo, hi = 1.5 * coulomb_energy(system.a, state), _E_TOP
-    for end in sorted((min(end, _E_TOP) for end in bracket or ()), reverse=True):
-        if sweep.nodes(end) <= n:
-            lo = end
-            break
-        hi = end
-    if sweep.nodes(hi) < n + 1:
-        raise NoBoundState(
-            f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
-        )
-    energy, nodes = _bisect_eigenvalue(sweep, n, lo, hi)
-    if tally is not None:
-        tally.append(len(sweep._swept))
-    return energy, nodes
+    lo, hi = bounds or (1.5 * coulomb_energy(system.a, state), _E_TOP)
+    try:
+        for end in sorted((min(max(end, lo), hi) for end in bracket or ()), reverse=True):
+            if sweep.nodes(end) <= n:
+                lo = end
+                break
+            hi = end
+        if bounds is not None and not sweep.nodes(hi) > n >= sweep.nodes(lo):
+            raise _Unproven
+        if sweep.nodes(hi) < n + 1:
+            raise NoBoundState(
+                f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
+            )
+        return _bisect_eigenvalue(sweep, n, lo, hi)
+    finally:
+        if tally is not None:
+            tally.append(len(sweep._swept))
 
 
 def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState):
@@ -444,7 +461,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     """Bound-state energy by node-count bracketing, Chandrupatla's method on
     the sweep's last value, and grid refinement.
 
-    Every grid's search starts from [1.5 E0, -1e-12]: the comparison theorem
+    A grid's search runs inside [1.5 E0, -1e-12]: the comparison theorem
     (V >= -A/r) puts the level above E0, and a level must lie below -1e-12
     to count as bound.  The first grid's bracket is the closed-form
     third-order total padded by max(4 |E3|, 1e-6 |total|) and clipped into
@@ -468,12 +485,19 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     max(|X_k - X_{k-1}|, ``ENERGY_TOL``) as its ``estimated_error``, and its
     node count is checked against n.  Raises :class:`NonConvergence`
     (carrying the latest X_k and its last change, or after a single halving
-    X_1 and |X_1 - E_1|) if refinement stalls or that check fails.  The
-    first grid is :meth:`RadialGrid.for_state`'s box and size for
-    ``delta``; a grid passed in starts at its own box and size.  Every grid
-    starts at ``R_MIN``.  The result's ``sweeps`` counts the trial energies
-    swept on every grid, and its ``grid_points`` is the finest grid's size.
-    A delta / A past the state's ``CRITICAL_RATIO`` entry by more than
+    X_1 and |X_1 - E_1|) if refinement stalls or that check fails.  A grid
+    passed in starts at its own box and size.  Otherwise a level whose seed
+    bracket (lo, hi) has hi below -1e-12 is first solved on
+    :func:`_seed_grid`'s mesh, sized from that bracket, and each of its
+    grids searches inside [lo, hi] only.  That mesh is kept only when its
+    own sweeps prove the level inside, with n+1 or more nodes at hi and at
+    most n at lo; otherwise, or if a finer grid finds the level outside
+    [lo, hi], the solve starts again from the seed bracket on
+    :meth:`RadialGrid.for_state`'s box and size for ``delta``, the first
+    grid of every other level.  Every grid starts at ``R_MIN``.  The
+    result's ``sweeps`` counts the trial energies swept on every grid, a
+    dropped seed mesh's included, and its ``grid_points`` is the finest
+    grid's size.  A delta / A past the state's ``CRITICAL_RATIO`` entry by more than
     ``CRITICAL_MARGIN`` of it raises :class:`NoBoundState` before any grid
     is built.
     """
@@ -482,17 +506,56 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     if delta / system.a > critical * (1.0 + CRITICAL_MARGIN):
         raise NoBoundState(f"delta/A = {delta / system.a:.5g} exceeds delta_c/A = {critical} "
                            f"for n={state.n}, l={state.l}")
-    if grid is None:
-        grid = RadialGrid.for_state(system, state, delta)
-
     tally: list[int] = []
     bracket = _seed_bracket(system, delta, state)
+    if grid is None:
+        grid = RadialGrid.for_state(system, state, delta)
+        if bracket is not None and bracket[1] < _E_TOP:
+            try:
+                return _refine(system, delta, state, _seed_grid(system, delta, state, bracket, grid),
+                               bracket, tally, bracket)
+            except _Unproven:
+                pass
+    return _refine(system, delta, state, grid, bracket, tally)
+
+
+def _seed_grid(system: AtomicSystem, delta: float, state: QuantumState,
+               bracket: tuple[float, float], grid: RadialGrid) -> RadialGrid:
+    """First grid sized from the seed bracket (lo, hi) in place of
+    :meth:`RadialGrid.for_state`'s ``grid``, for a search that stays in the
+    bracket.
+
+    Once the sweeps show hi above the level, hi bounds it from above, as
+    E0 + A delta does in ``for_state``: the box reaches A / (-hi) + 30 /
+    sqrt(-2 hi), and is never wider than ``grid``'s.  The step keeps
+    Numerov's t = h^2 (w - 2 E r^2) / 12 <= 0.5 at the box's edge for
+    E = lo, the deepest energy the search sweeps, where ``for_state``
+    takes 1.5 E0.  For the L shells up to Z = 24, whose E0 + A delta is
+    loose or, up to Z = 20, not negative, that box and that step are far
+    tighter than ``for_state``'s.
+    A top end clipped to -1e-12 bounds no box, so :func:`solve_bound_state`
+    sizes no mesh from such a bracket: those levels, the seven whose
+    capped box truncates them among them, keep ``for_state``'s grid.
+    """
+    lo, hi = bracket
+    r_max = min(grid.r_max, system.a / -hi + 30.0 / math.sqrt(-2.0 * hi))
+    f_edge = ((state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
+              - 2.0 * lo * r_max * r_max)
+    steps = math.ceil(math.log(r_max / R_MIN) * math.sqrt(max(f_edge, 0.0) / 6.0))
+    steps = max(FIRST_GRID_POINTS - 1, steps + steps % 2)
+    return RadialGrid(r_max, steps + 1)
+
+
+def _refine(system, delta, state, grid, bracket, tally, bounds=None) -> OracleResult:
+    """:func:`solve_bound_state`'s grid refinement from the first ``grid``
+    and its ``bracket``; each grid's search stays inside ``bounds``, if
+    given, and the trial energies swept are appended to ``tally``."""
     energy = None
     for level in range(MAX_REFINEMENTS + 1):
         if level:
             grid = grid.halved()
         prev_energy = energy
-        energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally)
+        energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally, bounds)
         if not level:
             extrap, error = energy, float("inf")
             centre, pad = energy, max(1e-5 * abs(energy), 1e-9)
@@ -555,7 +618,7 @@ def _critical_ratio(n: int, l: int) -> float:
 
     def levels(delta):
         w = (l + 0.5) ** 2 - 2.0 * r * np.exp(-delta * r)
-        u0, u1 = _series_start(1.0, delta, l, 0.0, r[0], r[1])
+        u0, u1 = _series_start(1.0, delta, l, r[0], r[1])(0.0)
         nodes, last = _numerov_py.count_nodes_sweep(w, r2, 0.0, h, u0, u1)
         _, before = _numerov_py.count_nodes_sweep(w[:-1], r2[:-1], 0.0, h, u0, u1)
         return nodes + (last * (last - decay * before) < 0.0)

@@ -7,7 +7,9 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -324,8 +326,7 @@ class TestNumerovSweep:
         for points in (20001, 40001, 20001):
             sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid(r_max=20.0, points=points))
             for energy in energies:
-                u0, u1 = oracle_mod._series_start(system.a, delta, 0, energy, sweep.r0, sweep.r1)
-                args = (sweep.w, sweep.r2, energy, sweep.h, u0, u1)
+                args = (sweep.w, sweep.r2, energy, sweep.h, *sweep.start(energy))
                 assert _numerov_py.count_nodes_sweep(*args) == _fresh_buffer_sweep(*args)
         assert len(solves) > 3 * len(energies)  # some sweeps rescaled and solved again
 
@@ -358,6 +359,24 @@ class TestNumerovSweep:
         assert not any(thread.is_alive() for thread in threads)
         for k in range(4):
             assert results[k] == 3 * (expected[k:] + expected[:k])
+
+    @pytest.mark.parametrize("energy", [-0.5, -0.01, -50.0], ids=["level", "shallow", "rescaled"])
+    def test_sweep_reuses_per_point_buffers(self, energy):
+        # after a warm-up sweep on this thread, t, 1 - t, -g and u live in
+        # its kept buffers and only boolean temporaries remain: 0.3-0.4
+        # doubles per point, against 4.1 when each sweep allocated its own
+        r, h = _log_mesh(200.0, 40001)
+        w = 0.25 - 2.0 * r
+        args = (w, r * r, energy, h, r[0] ** 0.5, r[1] ** 0.5)
+        _numerov_py.count_nodes_sweep(*args)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _numerov_py.count_nodes_sweep(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * 8 * len(w)
 
     def test_rescaling_raises_no_warning(self):
         with warnings.catch_warnings():
@@ -405,6 +424,32 @@ class TestNumerovSweep:
         e1, _ = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
         e2, _ = oracle_mod._solve_on_grid(system, delta, state, grid.halved(), bracket)
         assert abs(e2 - e1) < 0.1 * oracle_mod.GRID_TOL
+
+
+#: ``_series_start``'s start values before it was split into a per-grid and
+#: a per-energy part, for Z=29 with the Fermi-Amaldi delta at r = 0.1 and
+#: 0.2 Bohr, far enough out that every term of the series moves the last
+#: digits: (l, energy, (phi(0.1), phi(0.2))).
+_SERIES_VALUES = [
+    (0, -5000.0, (-13.65317199728709, -1263.6159325897293)),
+    (0, -341.3, (-0.1774944323739494, -13.34997463859662)),
+    (0, -0.01, (-0.05768319197750113, -1.7122989274031857)),
+    (1, -5000.0, (0.1625250625219594, -47.260486884849236)),
+    (1, -341.3, (0.01244675639534375, -0.44953771014239036)),
+    (1, -0.01, (0.006505863008135685, -0.051496316951297166)),
+    (2, -5000.0, (0.030284575384906462, -2.3095779388226108)),
+    (2, -341.3, (0.002026248327438685, -0.016230522369438838)),
+    (2, -0.01, (0.0012580361692289305, -0.00017389312235617301)),
+]
+
+
+class TestSeriesStart:
+    @pytest.mark.parametrize("l, energy, expected", _SERIES_VALUES)
+    def test_bit_identical_to_unsplit_recurrence(self, l, energy, expected):
+        # deep, near the 1s level and shallow: the per-energy part runs the
+        # recurrence in the same order, so every value is the same double
+        start = oracle_mod._series_start(29.0, screening_delta(29, FA), l, 0.1, 0.2)
+        assert start(energy) == expected
 
 
 def _count_sweeps(monkeypatch):
@@ -576,6 +621,135 @@ class TestRootSearch:
             else:
                 lo = mid
         assert abs(energy - 0.5 * (lo + hi)) <= 2.0 * oracle_mod.ENERGY_TOL
+
+
+#: L shells whose first mesh the seed bracket sizes: (Z, n, l) -> (energy
+#: in Ha with every first mesh from RadialGrid.for_state, on 3033-6393
+#: points, and the points they finish on now).  Z=14's seed brackets reach
+#: down to -6.60 and -4.37 Ha, so their first meshes take 421 and 407
+#: points to keep Numerov's t <= 0.5 at the box's edge.
+_SEEDED_L_SHELLS = {
+    (9, 1, 0): (-0.8111997939271192, 1601),
+    (14, 1, 0): (-4.593396333984717, 1681),
+    (14, 0, 1): (-3.291882368739052, 1625),
+    (19, 1, 0): (-12.31905571335502, 1601),
+    (19, 0, 1): (-10.441874498083587, 1601),
+    (24, 1, 0): (-24.47186019461877, 1601),
+    (24, 0, 1): (-22.058823680811546, 1601),
+}
+
+
+def _seed_mesh_steps(monkeypatch):
+    """Numerov's t = h^2 (w - 2 E r^2) / 12 at the box's edge for every
+    energy swept, from here on, on a seed-sized mesh or its halvings."""
+    steps, bounds_now = [], []
+    solve, sweep = oracle_mod._solve_on_grid, _numerov_py.count_nodes_sweep
+
+    def recorded_solve(system, delta, state, grid, bracket=None, tally=None, bounds=None):
+        bounds_now[:] = [bounds]
+        return solve(system, delta, state, grid, bracket, tally, bounds)
+
+    def recorded_sweep(w, r2, energy, h, u0, u1):
+        if bounds_now[0] is not None:
+            steps.append(h * h / 12.0 * (w[-1] - 2.0 * energy * r2[-1]))
+        return sweep(w, r2, energy, h, u0, u1)
+
+    monkeypatch.setattr(oracle_mod, "_solve_on_grid", recorded_solve)
+    monkeypatch.setattr(_numerov_py, "count_nodes_sweep", recorded_sweep)
+    return steps
+
+
+class TestSeedMesh:
+    """A seeded level's first mesh is sized from its seed bracket, and kept
+    only where that mesh's own sweeps prove the level inside the bracket."""
+
+    @pytest.mark.parametrize("z, n, l", list(_SEEDED_L_SHELLS))
+    def test_l_shells_finish_on_small_meshes(self, z, n, l):
+        # for_state sizes these from 1.5 E0 and from E0 + A delta, which is
+        # not negative up to Z=20 (so the 20-Bohr cap) and loose at Z=24;
+        # their seed brackets give a box of a few decay lengths and a step
+        # for the bracket's lower end
+        before, points = _SEEDED_L_SHELLS[z, n, l]
+        res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
+        assert res.nodes_found == n
+        assert res.grid_points == points
+        assert abs(res.energy - before) <= max(res.estimated_error, oracle_mod.ENERGY_TOL)
+
+    @pytest.mark.parametrize("bracket, discarded", [((-12.0, -11.0), 2), ((-14.0, -13.0), 1)],
+                             ids=["above_level", "below_level"])
+    def test_unproven_bracket_falls_back_to_for_state(self, monkeypatch, bracket, discarded):
+        # Z=19 2s lies at -12.319 Ha.  Above it the bracket's top end has n+1
+        # nodes and its lower end too many; below it the top end already
+        # has too few.  Either way the seed mesh is dropped, and the level is
+        # solved on for_state's grid from that bracket, its sweeps counted
+        system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
+        before, _ = _SEEDED_L_SHELLS[19, 1, 0]
+        first = RadialGrid.for_state(system, state, delta)
+        seed = oracle_mod._seed_grid(system, delta, state, bracket, first)
+        assert seed.points != first.points
+        monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
+        lengths = []
+        sweep = _numerov_py.count_nodes_sweep
+        monkeypatch.setattr(_numerov_py, "count_nodes_sweep",
+                            lambda w, *args: lengths.append(len(w)) or sweep(w, *args))
+        res = solve_bound_state(system, delta, state)
+        assert lengths[:discarded + 1] == [seed.points] * discarded + [first.points]
+        assert res.sweeps == len(lengths)
+        assert res.grid_points == 4 * (first.points - 1) + 1
+        assert abs(res.energy - before) <= max(res.estimated_error, oracle_mod.ENERGY_TOL)
+
+    def test_level_leaving_bracket_on_finer_grid_restarts(self, monkeypatch):
+        # Z=19 2s on the 401-point mesh sized from [-12.5, -12.319057] Ha
+        # lies at -12.3190586, inside the bracket, but on its 801-point
+        # halving at -12.3190559, above the bracket's top end: the solve
+        # starts again on for_state's grid, and the seed meshes' sweeps count
+        system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
+        bracket = (-12.5, -12.319057)
+        before, _ = _SEEDED_L_SHELLS[19, 1, 0]
+        first = RadialGrid.for_state(system, state, delta)
+        seed = oracle_mod._seed_grid(system, delta, state, bracket, first)
+        monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
+        lengths = []
+        sweep = _numerov_py.count_nodes_sweep
+        monkeypatch.setattr(_numerov_py, "count_nodes_sweep",
+                            lambda w, *args: lengths.append(len(w)) or sweep(w, *args))
+        res = solve_bound_state(system, delta, state)
+        restart = lengths.index(first.points)
+        assert lengths[restart - 1] == seed.halved().points
+        assert set(lengths[:restart]) == {seed.points, seed.halved().points}
+        assert res.sweeps == len(lengths)
+        assert res.grid_points == 4 * (first.points - 1) + 1
+        assert abs(res.energy - before) <= max(res.estimated_error, oracle_mod.ENERGY_TOL)
+
+    @pytest.mark.parametrize("z, n, l", _FIRST_STEP_LEVELS)
+    def test_seed_mesh_step_bound(self, monkeypatch, z, n, l):
+        # as TestRadialGrid::test_first_step_bound for for_state's mesh: the
+        # search stays inside the proven seed bracket, whose lower end sizes
+        # the step, so no energy swept there counts spurious nodes at r_max
+        steps = _seed_mesh_steps(monkeypatch)
+        try:
+            solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
+        except NoBoundState:
+            pass
+        assert all(t <= 0.5 for t in steps)
+        if (z, n, l) in _SEEDED_L_SHELLS:
+            assert len(steps) > 10
+
+    def test_seed_bracket_below_level_is_not_used(self):
+        # Z=26 3p: the seed bracket [-10.73, -4.89] Ha lies far below the
+        # level, whose top end the 469-point, 14.9-Bohr seed mesh finds with
+        # too few nodes, so the level is solved on for_state's grid.  A
+        # 64001-point grid in the same 20-Bohr box gives -0.2381217056961269
+        # (4e-15 away) and an 80-Bohr one lands 5.3e-13 away.  Searched from
+        # 1.5 E0 on the seed mesh anyway, whose step is far too coarse
+        # there, the level came out at -0.2381217050, 6.8e-10 off, while
+        # claiming 1e-10
+        system, state, delta = AtomicSystem(26), QuantumState(1, 1), screening_delta(26, FA)
+        lo, hi = oracle_mod._seed_bracket(system, delta, state)
+        res = solve_bound_state(system, delta, state)
+        assert hi < -4.8 and res.energy > -0.3
+        assert abs(res.energy + 0.23812170569612) <= res.estimated_error
+        assert res.grid_points == 4 * (RadialGrid.for_state(system, state, delta).points - 1) + 1
 
 
 def _counted(f):
@@ -865,8 +1039,8 @@ def _record_grid_solves(monkeypatch):
     brackets, energies = [], []
     solve = oracle_mod._solve_on_grid
 
-    def recorded(system, delta, state, grid, bracket=None, tally=None):
-        energy, nodes = solve(system, delta, state, grid, bracket, tally)
+    def recorded(system, delta, state, grid, bracket=None, tally=None, bounds=None):
+        energy, nodes = solve(system, delta, state, grid, bracket, tally, bounds)
         brackets.append(bracket)
         energies.append(energy)
         return energy, nodes
@@ -923,11 +1097,12 @@ class TestRichardsonExtrapolation:
         # one above GRID_TOL and one between ENERGY_TOL and GRID_TOL
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         solve = oracle_mod._solve_on_grid
-        first = RadialGrid.for_state(system, state, delta).points
+        grids = []
 
-        def with_h2_term(system, delta, state, grid, bracket=None, tally=None):
-            energy, nodes = solve(system, delta, state, grid, bracket, tally)
-            return energy + 1e-7 * ((first - 1) / (grid.points - 1)) ** 2, nodes
+        def with_h2_term(system, delta, state, grid, bracket=None, tally=None, bounds=None):
+            grids.append(grid)
+            energy, nodes = solve(system, delta, state, grid, bracket, tally, bounds)
+            return energy + 1e-7 * ((grids[0].points - 1) / (grid.points - 1)) ** 2, nodes
 
         monkeypatch.setattr(oracle_mod, "_solve_on_grid", with_h2_term)
         _, energies = _record_grid_solves(monkeypatch)
@@ -935,7 +1110,7 @@ class TestRichardsonExtrapolation:
         x = _extrapolations(energies)
         changes = [abs(b - a) for a, b in zip(x, x[1:])]
         assert len(energies) == 4
-        assert res.grid_points == (first - 1) * 2 ** (len(energies) - 1) + 1
+        assert res.grid_points == (grids[0].points - 1) * 2 ** (len(energies) - 1) + 1
         assert res.energy == x[-1]
         assert res.estimated_error == changes[-1] > oracle_mod.ENERGY_TOL
         assert all(c >= oracle_mod.GRID_TOL for c in changes[:-1])
@@ -969,11 +1144,32 @@ _BUDGET_UNBOUND = {
 
 
 class TestWorkBudget:
+    def test_survey_work(self, monkeypatch):
+        # Z = 1..84 by the nine states n, l <= 2 with the Fermi-Amaldi
+        # delta: 7937 sweeps of 12,157,715 points, against 7914 sweeps of
+        # 26,360,044 points with every first mesh from RadialGrid.for_state
+        work = _count_sweeps(monkeypatch)
+        outcomes = Counter()
+        for z in range(1, 85):
+            delta = screening_delta(z, FA)
+            for n in range(3):
+                for l in range(3):
+                    try:
+                        res = solve_bound_state(AtomicSystem(z), delta, QuantumState(n, l))
+                    except NoBoundState:
+                        outcomes["unbound"] += 1
+                    else:
+                        outcomes["bound", res.nodes_found == n] += 1
+        assert outcomes == {("bound", True): 472, "unbound": 284}
+        assert work["sweeps"] <= 8000
+        assert work["points"] <= 13_500_000
+
     def test_survey_slice_work(self, monkeypatch):
         # Z in {1, 9, 14, 29, 54, 84} by the nine states n, l <= 2, with the
-        # Fermi-Amaldi delta: 560 sweeps of 1,328,130 points in all, against
-        # 664 sweeps of 1,757,040 points with Brent on the raw last value
-        # and an 801-point first mesh
+        # Fermi-Amaldi delta: 567 sweeps of 820,675 points in all, against
+        # 560 sweeps of 1,328,130 points with every first mesh from
+        # RadialGrid.for_state and 664 sweeps of 1,757,040 points with
+        # Brent on the raw last value and an 801-point first mesh
         work = _count_sweeps(monkeypatch)
         for z, unbound in _BUDGET_UNBOUND.items():
             delta = screening_delta(z, FA)
@@ -986,7 +1182,7 @@ class TestWorkBudget:
                         res = solve_bound_state(AtomicSystem(z), delta, QuantumState(n, l))
                         assert res.nodes_found == n
         assert work["sweeps"] <= 600
-        assert work["points"] <= 1_450_000
+        assert work["points"] <= 900_000
 
 
 #: (label, bracket) for a level at energy e, its lower neighbour at e_below
