@@ -24,8 +24,8 @@ changing any sign.
 The band matrix's -1 entries do not depend on the sweep, so the band and the
 right-hand side are kept between sweeps, one pair per thread, grown to the
 largest grid that thread has swept, and so are t (which then holds |u|),
-1 - t and u: 11 doubles per point, 1.2 MB for the 14129-point mesh of
-Z=84 4d, the largest over Z = 1..84 with n, l <= 2.  A sweep writes -g_i
+1 - t and u: 11 doubles per point, 1.1 MB for the 12449-point mesh of
+Z=74 4p, the largest over Z = 1..84 with n, l <= 2.  A sweep writes -g_i
 into the band, zeroes the right-hand side and allocates only boolean
 temporaries: 0.3-0.4 doubles per point of a 40001-point grid under
 ``tracemalloc``, against 4.1 when t, 1 - t, -g and u were allocated afresh.

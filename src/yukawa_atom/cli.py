@@ -142,6 +142,8 @@ def _parse_z_spec(text: str, shell: str) -> list[int]:
                 lo, hi = int(lo_s), int(hi_s)
             except ValueError:
                 raise ValueError(f"bad Z range {token!r}")
+            if lo > hi:
+                raise ValueError(f"bad Z range {token!r}")
             if restrict_paper:
                 values.extend(z for z in BUNDLED_Z[shell] if lo <= z <= hi)
             else:

@@ -16,30 +16,40 @@ nodes, the sweep's last value has opposite signs there and one zero
 between them; once also (kappa(lo) - kappa(hi)) r_max <= 32, with
 kappa = sqrt(-2 E), Chandrupatla's method on that value, with its
 exp(kappa r_max) growth divided out, finds the eigenvalue in a few
-sweeps.  Every grid runs from ``R_MIN`` = 1e-6 Bohr to its box's edge; the
-first has ``FIRST_GRID_POINTS`` = 401 points, or as many more as the box's
-edge needs (see :meth:`RadialGrid.for_state` and :func:`_seed_grid`),
-unless the caller passes a grid, and each refinement halves the step.
-Numerov's eigenvalue error being O(h^4), each grid's eigenvalue plus a
-fifteenth of its shift from the coarser grid is a Richardson
-extrapolation to zero step; refinement stops once two
-successive extrapolations agree within ``GRID_TOL``, and their difference is
-the error estimate.
+sweeps.  Each refinement halves the grid's step.  Numerov's eigenvalue
+error being O(h^4), each grid's eigenvalue plus a fifteenth of its shift
+from the coarser grid is a Richardson extrapolation to zero step;
+refinement stops once two successive extrapolations agree within
+``GRID_TOL``, and their difference is the error estimate.
 
-A grid's search runs inside [1.5 E0, -1e-12], with E0 the hydrogenic level
--A^2/(2 N^2).  Since V = -(A/r) exp(-delta r) is never below -A/r, the
-comparison theorem puts every screened level above E0, so 1.5 E0 is a proven
-lower end that the search never widens.  The first grid's bracket is
-narrowed by a seed from the paper's third-order closed form, and each finer
-grid's by the previous eigenvalue, moved from the third grid on by the
-sixteenth of the last grid shift that Numerov's h^4 error predicts.  The
-bracket's ends are swept from the top and each is kept only where its node
-count proves it, so a poor seed costs sweeps but cannot change which level is
-found (see :func:`solve_bound_state`).  A solve given no grid first tries a
-mesh sized from the seed bracket alone, whose search stays inside that
-bracket; the mesh is kept only where its own sweeps prove the level inside,
-and otherwise the level is solved as if that mesh had not been tried, at the
-cost of its one or two sweeps.
+Every grid's search runs inside bounds [lo, hi], by default [1.5 E0, -1e-12]
+with E0 the hydrogenic level -A^2/(2 N^2).  Since V = -(A/r) exp(-delta r)
+is never below -A/r, the comparison theorem puts every screened level above
+E0, so 1.5 E0 is a proven lower end; a level must lie below -1e-12 to count
+as bound.  The first grid's bracket is narrowed by a seed from the paper's
+third-order closed form, and each finer grid's by the previous eigenvalue,
+moved from the third grid on by the sixteenth of the last grid shift that
+Numerov's h^4 error predicts.  The bracket's ends are swept from the top and
+each is kept only where its node count proves it, so a poor seed costs
+sweeps but cannot change which level is found.  A grid on which hi has at
+most n nodes, or lo more than n, holds no level with n nodes inside its
+bounds and raises ``NoBoundState``.
+
+A solve given no grid sizes its first mesh from its search bounds (see
+:meth:`RadialGrid.for_state`), from ``R_MIN`` = 1e-6 Bohr to a box edge
+r_max.  With E_up = min(hi, E0 + A delta), an upper bound on the level, the
+box reaches A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay lengths past a bound
+on the level's outer turning point, and is never wider than
+max(20, 30 N^2/A) Bohr.  The mesh has ``FIRST_GRID_POINTS`` = 401 points,
+or as many more as keep Numerov's t = h^2 (w - 2 lo r^2) / 12 <= 0.5 at
+r_max, with w = (l + 1/2)^2 - 2 A r exp(-delta r).  A seeded solve first
+takes its seed bracket as the bounds of every grid; where a grid shows the
+level outside them, it starts again from the default bounds and their mesh,
+at the cost of the sweeps already spent (see :func:`solve_bound_state`).
+The seed's top end is far tighter than E0 + A delta for the L shells up to
+Z = 24, where E0 + A delta is loose or, up to Z = 20, not negative, and its
+lower end far above 1.5 E0: Z=19 2s finishes on 1601 points in 8 Bohr, not
+6393 in 20.
 
 Since E(A, delta) = A^2 e(delta / A), each level unbinds at one critical
 ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 2;
@@ -47,15 +57,6 @@ other states take the 1s entry, the largest.  A solve whose delta / A
 passes its entry by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises
 ``NoBoundState`` before it builds a grid or imports numpy; inside the
 margin the sweep decides.
-
-A solve given no grid uses a box that reaches 30 decay lengths past a
-bound on the level's outer turning point, both taken from an upper bound
-on its energy, and is never wider than max(20, 30 N^2/A) Bohr.  That bound
-is E0 + A delta (see :meth:`RadialGrid.for_state`), or on a seed-sized
-mesh the seed bracket's top end, once the sweeps show it above the level
-(see :func:`_seed_grid`).  The seed's bound is far tighter for the L shells
-up to Z = 24, where E0 + A delta is loose or, up to Z = 20, not negative:
-Z=19 2s finishes on 1601 points in 8 Bohr, not 6393 in 20.
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
 triangular solve per trial energy, on buffers kept between sweeps, from
@@ -156,31 +157,37 @@ class RadialGrid:
             raise ValueError(f"r_max must be finite and above {R_MIN}, got {self.r_max}")
 
     @classmethod
-    def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float) -> "RadialGrid":
-        """First grid of a solve whose seed bracket does not size one (see
-        :func:`_seed_grid`): a box of 30 decay lengths of the level past
-        its turning point, never wider than max(20, 30 N^2 / A) Bohr, on
-        ``FIRST_GRID_POINTS`` points or as many more as keep the step
-        h <= sqrt(6 / (3 |E0|)) / r_max.
+    def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
+                  bounds: tuple[float, float] | None = None) -> "RadialGrid":
+        """First grid of a solve whose search runs inside ``bounds`` (lo, hi),
+        by default [1.5 E0, -1e-12]: a box of 30 decay lengths of the level
+        past its turning point, never wider than max(20, 30 N^2 / A) Bohr,
+        on ``FIRST_GRID_POINTS`` points or as many more as keep Numerov's
+        t <= 0.5 at the box's edge for E = lo.
 
-        Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E_up = E0 + A delta
-        bounds the level from above.  Since V_eff >= -A/r, the outer turning
-        point lies below A / (-E_up) when E_up < 0, and 30 / sqrt(-2 E_up)
-        is at least 30 decay lengths of the level.  A level the bound cannot
-        show to be bound gets the cap.
+        Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E0 + A delta bounds
+        the level from above, as hi does once the search's sweeps show the
+        level below it; E_up is the lower of the two.  Since V_eff >= -A/r,
+        the outer turning point lies below A / (-E_up) when E_up < 0, and
+        30 / sqrt(-2 E_up) is at least 30 decay lengths of the level.  Where
+        E_up is near 0, as with E0 + A delta not negative and hi = -1e-12,
+        the cap takes over.
 
-        Numerov's t = h^2 f / 12 must stay below 1, and on the mesh
-        f ~ -2 E r^2 grows towards the box edge, so a coarse step lets deep
-        trial energies count spurious nodes there.  The bound on h keeps
-        t <= 0.5 at r_max for the search's deepest trial energy, 1.5 E0.
+        Numerov's t = h^2 (w - 2 E r^2) / 12, w = (l + 1/2)^2
+        - 2 A r exp(-delta r), must stay below 1, and on the mesh it grows
+        with -E r^2 towards the box edge, so a coarse step lets deep trial
+        energies count spurious nodes there.  The step keeps t <= 0.5 at
+        r_max for lo, the deepest energy the search sweeps.
         """
-        big_n = state.big_n
         e0 = coulomb_energy(system.a, state)
-        r_max = max(20.0, 30.0 * big_n * big_n / system.a)
-        e_up = e0 + system.a * delta
+        lo, hi = bounds or (1.5 * e0, _E_TOP)
+        r_max = max(20.0, 30.0 * state.big_n ** 2 / system.a)
+        e_up = min(hi, e0 + system.a * delta)
         if e_up < 0.0:
             r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
-        steps = math.ceil(math.log(r_max / R_MIN) * r_max / math.sqrt(6.0 / (3.0 * -e0)))
+        f_edge = ((state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
+                  - 2.0 * lo * r_max * r_max)
+        steps = math.ceil(math.log(r_max / R_MIN) * math.sqrt(max(f_edge, 0.0) / 6.0))
         steps = max(FIRST_GRID_POINTS - 1, steps + steps % 2)
         return cls(r_max, steps + 1)
 
@@ -395,10 +402,6 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     return _chandrupatla(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
 
 
-class _Unproven(Exception):
-    """A seed-sized mesh's sweeps do not place the level inside its bounds."""
-
-
 def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
                    tally: list[int] | None = None,
                    bounds: tuple[float, float] | None = None) -> tuple[float, int]:
@@ -410,11 +413,11 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
     them, are swept from the top: an end with n+1 or more nodes lies above
     the level and becomes ``hi``, and the first end with at most n nodes
     lies below it and becomes ``lo``, so the end below that is never
-    swept.  Too few nodes at ``hi`` mean no bound level, which is found
-    before any sweep at the lower end.  Bounds passed in are a seed-sized
-    mesh's (see :func:`_seed_grid`): unless hi has n+1 or more nodes and lo
-    at most n, :class:`_Unproven` is raised instead.  The number of trial
-    energies swept is appended to ``tally``, also when the grid raises.
+    swept.  Unless hi then has n+1 or more nodes and lo at most n, no level
+    with n nodes lies inside the bounds on this grid, and NoBoundState is
+    raised; hi is swept first, so an unbound level costs no sweep at lo.
+    The number of trial energies swept is appended to ``tally``, also when
+    the grid raises.
     """
     sweep = _Sweeper(system, delta, state, grid)
     n = state.n
@@ -425,9 +428,7 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
                 lo = end
                 break
             hi = end
-        if bounds is not None and not sweep.nodes(hi) > n >= sweep.nodes(lo):
-            raise _Unproven
-        if sweep.nodes(hi) < n + 1:
+        if not sweep.nodes(hi) > n >= sweep.nodes(lo):
             raise NoBoundState(
                 f"no bound state with {n} nodes for A={system.a}, delta={delta}, l={state.l}"
             )
@@ -461,20 +462,22 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     """Bound-state energy by node-count bracketing, Chandrupatla's method on
     the sweep's last value, and grid refinement.
 
-    A grid's search runs inside [1.5 E0, -1e-12]: the comparison theorem
-    (V >= -A/r) puts the level above E0, and a level must lie below -1e-12
-    to count as bound.  The first grid's bracket is the closed-form
-    third-order total padded by max(4 |E3|, 1e-6 |total|) and clipped into
-    that range (none when the total lies outside (1.5 E0, 0)); each finer
-    grid's is the previous energy padded by 1e-5 of it after the first grid;
-    after each later grid it is that grid's energy plus a sixteenth of its
-    shift from the coarser grid (Numerov's next shift), padded by a quarter
-    of that shift.  The bracket ends are swept from the top: an end
-    with n+1 or more nodes becomes the upper end, and the first with at
-    most n nodes the lower end, so the end below it is never swept.  Too
-    few nodes at the upper end raise :class:`NoBoundState`.  Bisection at
-    the geometric midpoint, so that levels near E = 0 take a few sweeps per
-    decade, runs until the ends have n and n+1 nodes and
+    A grid's search runs inside its bounds [lo, hi], by default
+    [1.5 E0, -1e-12]: the comparison theorem (V >= -A/r) puts the level
+    above E0, and a level must lie below -1e-12 to count as bound.  The
+    seed bracket is the closed-form third-order total padded by
+    max(4 |E3|, 1e-6 |total|) and clipped into [1.5 E0, -1e-12] (none when
+    the total lies outside (1.5 E0, 0)).  It narrows the first grid's
+    bracket; each finer grid's is the previous energy padded by 1e-5 of it
+    after the first grid; after each later grid it is that grid's energy
+    plus a sixteenth of its shift from the coarser grid (Numerov's next
+    shift), padded by a quarter of that shift.  The bracket ends are swept
+    from the top: an end with n+1 or more nodes becomes the upper end, and
+    the first with at most n nodes the lower end, so the end below it is
+    never swept.  Unless the upper end then has n+1 or more nodes and the
+    lower end at most n, the grid raises :class:`NoBoundState`.  Bisection
+    at the geometric midpoint, so that levels near E = 0 take a few sweeps
+    per decade, runs until the ends have n and n+1 nodes and
     (kappa(lo) - kappa(hi)) r_max <= 32, kappa = sqrt(-2 E); Chandrupatla's
     method (:func:`_chandrupatla`) on the de-trended last value
     (:func:`_detrended`) then isolates the eigenvalue to ``ENERGY_TOL``.
@@ -485,21 +488,20 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     max(|X_k - X_{k-1}|, ``ENERGY_TOL``) as its ``estimated_error``, and its
     node count is checked against n.  Raises :class:`NonConvergence`
     (carrying the latest X_k and its last change, or after a single halving
-    X_1 and |X_1 - E_1|) if refinement stalls or that check fails.  A grid
-    passed in starts at its own box and size.  Otherwise a level whose seed
-    bracket (lo, hi) has hi below -1e-12 is first solved on
-    :func:`_seed_grid`'s mesh, sized from that bracket, and each of its
-    grids searches inside [lo, hi] only.  That mesh is kept only when its
-    own sweeps prove the level inside, with n+1 or more nodes at hi and at
-    most n at lo; otherwise, or if a finer grid finds the level outside
-    [lo, hi], the solve starts again from the seed bracket on
-    :meth:`RadialGrid.for_state`'s box and size for ``delta``, the first
-    grid of every other level.  Every grid starts at ``R_MIN``.  The
-    result's ``sweeps`` counts the trial energies swept on every grid, a
-    dropped seed mesh's included, and its ``grid_points`` is the finest
-    grid's size.  A delta / A past the state's ``CRITICAL_RATIO`` entry by more than
-    ``CRITICAL_MARGIN`` of it raises :class:`NoBoundState` before any grid
-    is built.
+    X_1 and |X_1 - E_1|) if refinement stalls or that check fails.
+
+    A grid passed in starts at its own box and size, and every grid's search
+    runs inside the default bounds.  Otherwise a seeded level is first
+    solved with its seed bracket as the bounds of every grid, from
+    :meth:`RadialGrid.for_state`'s mesh for those bounds.  If any of those
+    grids raises :class:`NoBoundState`, the solve starts again from the seed
+    bracket with the default bounds and :meth:`RadialGrid.for_state`'s mesh
+    for them, which an unseeded level starts from.  Every grid starts at
+    ``R_MIN``.  The result's ``sweeps`` counts the trial energies swept on
+    every grid, a dropped seed mesh's included, and its ``grid_points`` is
+    the finest grid's size.  A delta / A past the state's ``CRITICAL_RATIO``
+    entry by more than ``CRITICAL_MARGIN`` of it raises
+    :class:`NoBoundState` before any grid is built.
     """
     _check_delta(delta)
     critical = CRITICAL_RATIO.get((state.n, state.l), CRITICAL_RATIO[0, 0])
@@ -509,41 +511,15 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     tally: list[int] = []
     bracket = _seed_bracket(system, delta, state)
     if grid is None:
-        grid = RadialGrid.for_state(system, state, delta)
-        if bracket is not None and bracket[1] < _E_TOP:
+        if bracket is not None:
             try:
-                return _refine(system, delta, state, _seed_grid(system, delta, state, bracket, grid),
+                return _refine(system, delta, state,
+                               RadialGrid.for_state(system, state, delta, bracket),
                                bracket, tally, bracket)
-            except _Unproven:
+            except NoBoundState:
                 pass
+        grid = RadialGrid.for_state(system, state, delta)
     return _refine(system, delta, state, grid, bracket, tally)
-
-
-def _seed_grid(system: AtomicSystem, delta: float, state: QuantumState,
-               bracket: tuple[float, float], grid: RadialGrid) -> RadialGrid:
-    """First grid sized from the seed bracket (lo, hi) in place of
-    :meth:`RadialGrid.for_state`'s ``grid``, for a search that stays in the
-    bracket.
-
-    Once the sweeps show hi above the level, hi bounds it from above, as
-    E0 + A delta does in ``for_state``: the box reaches A / (-hi) + 30 /
-    sqrt(-2 hi), and is never wider than ``grid``'s.  The step keeps
-    Numerov's t = h^2 (w - 2 E r^2) / 12 <= 0.5 at the box's edge for
-    E = lo, the deepest energy the search sweeps, where ``for_state``
-    takes 1.5 E0.  For the L shells up to Z = 24, whose E0 + A delta is
-    loose or, up to Z = 20, not negative, that box and that step are far
-    tighter than ``for_state``'s.
-    A top end clipped to -1e-12 bounds no box, so :func:`solve_bound_state`
-    sizes no mesh from such a bracket: those levels, the seven whose
-    capped box truncates them among them, keep ``for_state``'s grid.
-    """
-    lo, hi = bracket
-    r_max = min(grid.r_max, system.a / -hi + 30.0 / math.sqrt(-2.0 * hi))
-    f_edge = ((state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
-              - 2.0 * lo * r_max * r_max)
-    steps = math.ceil(math.log(r_max / R_MIN) * math.sqrt(max(f_edge, 0.0) / 6.0))
-    steps = max(FIRST_GRID_POINTS - 1, steps + steps % 2)
-    return RadialGrid(r_max, steps + 1)
 
 
 def _refine(system, delta, state, grid, bracket, tally, bounds=None) -> OracleResult:

@@ -111,6 +111,8 @@ class TestTable:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("spec, message", [("3..x", "bad Z range '3..x'"),
+                                               ("5..3,4", "bad Z range '5..3'"),
+                                               ("9..3:paper", "bad Z range '9..3'"),
                                                (",", "empty Z list"),
                                                ("abc", "bad Z value 'abc'")])
     def test_bad_range_and_empty_list_exit_2(self, capsys, spec, message):

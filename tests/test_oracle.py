@@ -203,6 +203,25 @@ class TestRadialGrid:
         assert grid.points >= oracle_mod.FIRST_GRID_POINTS
         assert grid.step**2 * 3.0 * abs(e0) * grid.r_max**2 / 12.0 <= 0.5
 
+    def test_every_first_mesh_step_bound(self):
+        # Numerov's exact t = h^2 (w - 2 E r^2) / 12 at r_max for E = lo,
+        # the deepest trial energy of the bounds the mesh is sized from: the
+        # default [1.5 E0, -1e-12] and every seed bracket.  A step sized
+        # without w left 19 default meshes above 0.5, up to 0.500169 at
+        # Z=50 2p
+        for z in range(1, 85):
+            system, delta = AtomicSystem(z), screening_delta(z, FA)
+            for state in (QuantumState(n, l) for n in range(3) for l in range(3)):
+                default = (1.5 * coulomb_energy(system.a, state), -1e-12)
+                assert (RadialGrid.for_state(system, state, delta, default)
+                        == RadialGrid.for_state(system, state, delta))
+                bracket = oracle_mod._seed_bracket(system, delta, state)
+                for lo, hi in filter(None, [default, bracket]):
+                    grid = RadialGrid.for_state(system, state, delta, (lo, hi))
+                    r = grid.r_max
+                    w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * math.exp(-delta * r)
+                    assert grid.step**2 * (w - 2.0 * lo * r * r) / 12.0 <= 0.5, (z, state, lo, hi)
+
     def test_rejects_even_points(self):
         with pytest.raises(ValueError):
             RadialGrid(r_max=20.0, points=20000)
@@ -556,9 +575,9 @@ class TestRootSearch:
         assert abs(res.energy + 28.1957646540) <= 1e-10
 
     def test_user_grid_work(self, monkeypatch):
-        # grids passed in, meshed by RadialGrid.for_state's step rule at
-        # 1.5 E0: 16 + 16 + 19 sweeps, against 30 + 32 + 32 with Brent's
-        # method in place of Chandrupatla's
+        # grids passed in, meshed for t = h^2 3 |E0| r_max^2 / 12 <= 0.5,
+        # the step rule without w at 1.5 E0: 16 + 16 + 19 sweeps, against
+        # 30 + 32 + 32 with Brent's method in place of Chandrupatla's
         work = _count_sweeps(monkeypatch)
         for z, n, l, grid in [(73, 1, 1, RadialGrid(20.0, 4093)),
                               (49, 1, 0, RadialGrid(240.0, 56733)),
@@ -624,7 +643,7 @@ class TestRootSearch:
 
 
 #: L shells whose first mesh the seed bracket sizes: (Z, n, l) -> (energy
-#: in Ha with every first mesh from RadialGrid.for_state, on 3033-6393
+#: in Ha with no first mesh sized from a seed bracket, on 3033-6393
 #: points, and the points they finish on now).  Z=14's seed brackets reach
 #: down to -6.60 and -4.37 Ha, so their first meshes take 421 and 407
 #: points to keep Numerov's t <= 0.5 at the box's edge.
@@ -636,6 +655,20 @@ _SEEDED_L_SHELLS = {
     (19, 0, 1): (-10.441874498083587, 1601),
     (24, 1, 0): (-24.47186019461877, 1601),
     (24, 0, 1): (-22.058823680811546, 1601),
+}
+
+#: Levels whose seed bracket's top end is clipped to -1e-12, and one with no
+#: seed bracket: (Z, n, l) -> (float.hex of the energy in Ha when only a
+#: bracket below -1e-12 sized a mesh, the points it finished on then, and
+#: the points it finishes on now).  Z=9 2p's and Z=6 2s's meshes are now
+#: stepped for their brackets' lower ends, -1.30 and -4.53 Ha, not 1.5 E0.
+#: Z=5 2s's bracket is [1.5 E0, -1e-12] itself and Z=18 3s has none, so
+#: both keep their meshes and energies.
+_TOP_CLIPPED_LEVELS = {
+    (9, 0, 1): ("-0x1.4106b17830172p-3", 3033, 1601),
+    (6, 1, 0): ("-0x1.3122d5cb04ed2p-4", 2025, 1657),
+    (18, 2, 0): ("-0x1.a7ef8ccd2689ap-10", 4041, 4041),
+    (5, 1, 0): ("-0x1.4bdd3ed5d2941p-7", 2041, 2041),
 }
 
 
@@ -665,9 +698,9 @@ class TestSeedMesh:
 
     @pytest.mark.parametrize("z, n, l", list(_SEEDED_L_SHELLS))
     def test_l_shells_finish_on_small_meshes(self, z, n, l):
-        # for_state sizes these from 1.5 E0 and from E0 + A delta, which is
-        # not negative up to Z=20 (so the 20-Bohr cap) and loose at Z=24;
-        # their seed brackets give a box of a few decay lengths and a step
+        # the default bounds size these from 1.5 E0 and from E0 + A delta,
+        # which is not negative up to Z=20 (so the 20-Bohr cap) and loose at
+        # Z=24; their seed brackets give a box of a few decay lengths and a step
         # for the bracket's lower end
         before, points = _SEEDED_L_SHELLS[z, n, l]
         res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
@@ -675,17 +708,35 @@ class TestSeedMesh:
         assert res.grid_points == points
         assert abs(res.energy - before) <= max(res.estimated_error, oracle_mod.ENERGY_TOL)
 
+    @pytest.mark.parametrize("z, n, l", list(_TOP_CLIPPED_LEVELS))
+    def test_top_clipped_brackets_size_meshes(self, z, n, l):
+        # E0 + A delta is positive for all four, so either bounds give the
+        # box max(20, 30 N^2 / A); the bracket's lower end sizes the step
+        before, points_before, points = _TOP_CLIPPED_LEVELS[z, n, l]
+        system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+        bracket = oracle_mod._seed_bracket(system, delta, state)
+        assert bracket is None if (z, n, l) == (18, 2, 0) else bracket[1] == -1e-12
+        res = solve_bound_state(system, delta, state)
+        assert res.nodes_found == n
+        assert res.grid_points == points
+        if points == points_before:
+            assert res.energy.hex() == before
+        else:
+            assert abs(res.energy - float.fromhex(before)) <= max(res.estimated_error,
+                                                                 oracle_mod.ENERGY_TOL)
+
     @pytest.mark.parametrize("bracket, discarded", [((-12.0, -11.0), 2), ((-14.0, -13.0), 1)],
                              ids=["above_level", "below_level"])
     def test_unproven_bracket_falls_back_to_for_state(self, monkeypatch, bracket, discarded):
         # Z=19 2s lies at -12.319 Ha.  Above it the bracket's top end has n+1
         # nodes and its lower end too many; below it the top end already
         # has too few.  Either way the seed mesh is dropped, and the level is
-        # solved on for_state's grid from that bracket, its sweeps counted
+        # solved on the default bounds' mesh from that bracket, its sweeps
+        # counted
         system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
         before, _ = _SEEDED_L_SHELLS[19, 1, 0]
         first = RadialGrid.for_state(system, state, delta)
-        seed = oracle_mod._seed_grid(system, delta, state, bracket, first)
+        seed = RadialGrid.for_state(system, state, delta, bracket)
         assert seed.points != first.points
         monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
         lengths = []
@@ -702,12 +753,13 @@ class TestSeedMesh:
         # Z=19 2s on the 401-point mesh sized from [-12.5, -12.319057] Ha
         # lies at -12.3190586, inside the bracket, but on its 801-point
         # halving at -12.3190559, above the bracket's top end: the solve
-        # starts again on for_state's grid, and the seed meshes' sweeps count
+        # starts again on the default bounds' mesh, and the seed meshes'
+        # sweeps count
         system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
         bracket = (-12.5, -12.319057)
         before, _ = _SEEDED_L_SHELLS[19, 1, 0]
         first = RadialGrid.for_state(system, state, delta)
-        seed = oracle_mod._seed_grid(system, delta, state, bracket, first)
+        seed = RadialGrid.for_state(system, state, delta, bracket)
         monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
         lengths = []
         sweep = _numerov_py.count_nodes_sweep
@@ -723,9 +775,10 @@ class TestSeedMesh:
 
     @pytest.mark.parametrize("z, n, l", _FIRST_STEP_LEVELS)
     def test_seed_mesh_step_bound(self, monkeypatch, z, n, l):
-        # as TestRadialGrid::test_first_step_bound for for_state's mesh: the
-        # search stays inside the proven seed bracket, whose lower end sizes
-        # the step, so no energy swept there counts spurious nodes at r_max
+        # as TestRadialGrid::test_every_first_mesh_step_bound at lo, for
+        # every energy swept: the search stays inside the proven seed
+        # bracket, whose lower end sizes the step, so no energy swept there
+        # counts spurious nodes at r_max
         steps = _seed_mesh_steps(monkeypatch)
         try:
             solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l))
@@ -738,7 +791,7 @@ class TestSeedMesh:
     def test_seed_bracket_below_level_is_not_used(self):
         # Z=26 3p: the seed bracket [-10.73, -4.89] Ha lies far below the
         # level, whose top end the 469-point, 14.9-Bohr seed mesh finds with
-        # too few nodes, so the level is solved on for_state's grid.  A
+        # too few nodes, so the level is solved on the default mesh.  A
         # 64001-point grid in the same 20-Bohr box gives -0.2381217056961269
         # (4e-15 away) and an 80-Bohr one lands 5.3e-13 away.  Searched from
         # 1.5 E0 on the seed mesh anyway, whose step is far too coarse
@@ -872,9 +925,10 @@ _DETREND_LEVELS = [(14, 1, 0), (29, 0, 0), (54, 2, 1), (5, 1, 0), (84, 0, 0)]
 _DETREND_IDS = ["z14_2s", "z29_1s", "z54_4p", "z5_2s", "z84_1s"]
 
 
-#: 480 Bohr meshed by ``RadialGrid.for_state``'s step rule for Z=51 3s at
-#: 1.5 E0.  Handed over at lo >= 2 hi, Z=51 3s's bracket would span about
-#: 1200 in the de-trend's exponent there, where the de-trend factor underflows.
+#: 480 Bohr meshed for Z=51 3s by the step rule without w at 1.5 E0, as
+#: ``test_user_grid_work``'s grids are.  Handed over at lo >= 2 hi, Z=51
+#: 3s's bracket would span about 1200 in the de-trend's exponent there,
+#: where the de-trend factor underflows.
 _WIDE_GRID = RadialGrid(480.0, 81559)
 
 
@@ -1146,8 +1200,9 @@ _BUDGET_UNBOUND = {
 class TestWorkBudget:
     def test_survey_work(self, monkeypatch):
         # Z = 1..84 by the nine states n, l <= 2 with the Fermi-Amaldi
-        # delta: 7937 sweeps of 12,157,715 points, against 7914 sweeps of
-        # 26,360,044 points with every first mesh from RadialGrid.for_state
+        # delta: 7933 sweeps of 10,826,467 points, against 7937 sweeps of
+        # 12,157,715 points when only seed brackets below -1e-12 sized a
+        # mesh and 7914 sweeps of 26,360,044 points when none did
         work = _count_sweeps(monkeypatch)
         outcomes = Counter()
         for z in range(1, 85):
@@ -1162,14 +1217,15 @@ class TestWorkBudget:
                         outcomes["bound", res.nodes_found == n] += 1
         assert outcomes == {("bound", True): 472, "unbound": 284}
         assert work["sweeps"] <= 8000
-        assert work["points"] <= 13_500_000
+        assert work["points"] <= 11_500_000
 
     def test_survey_slice_work(self, monkeypatch):
         # Z in {1, 9, 14, 29, 54, 84} by the nine states n, l <= 2, with the
-        # Fermi-Amaldi delta: 567 sweeps of 820,675 points in all, against
-        # 560 sweeps of 1,328,130 points with every first mesh from
-        # RadialGrid.for_state and 664 sweeps of 1,757,040 points with
-        # Brent on the raw last value and an 801-point first mesh
+        # Fermi-Amaldi delta: 566 sweeps of 700,260 points in all, against
+        # 567 sweeps of 820,675 points when only seed brackets below -1e-12
+        # sized a mesh, 560 sweeps of 1,328,130 points when none did and
+        # 664 sweeps of 1,757,040 points with Brent on the raw last value
+        # and an 801-point first mesh
         work = _count_sweeps(monkeypatch)
         for z, unbound in _BUDGET_UNBOUND.items():
             delta = screening_delta(z, FA)
@@ -1182,7 +1238,7 @@ class TestWorkBudget:
                         res = solve_bound_state(AtomicSystem(z), delta, QuantumState(n, l))
                         assert res.nodes_found == n
         assert work["sweeps"] <= 600
-        assert work["points"] <= 900_000
+        assert work["points"] <= 760_000
 
 
 #: (label, bracket) for a level at energy e, its lower neighbour at e_below
