@@ -48,6 +48,10 @@ RESCALE_LIMIT = 1e250
 RESCALE_FACTOR = 1e-250
 
 
+#: LAPACK's ``dtbtrs``, bound by the first sweep: an import statement on
+#: every sweep cost about 1 us of a 19-23-us sweep of 401 points (2-core Xeon).
+_dtbtrs = None
+
 #: Each thread's band matrix, right-hand side and per-point arrays (see
 #: :func:`_workspace`).
 _buffers = threading.local()
@@ -87,11 +91,13 @@ def _summed_solve(band, rhs, y_first, d_before):
     y_{i+1} = y_i + d_i from y_0 = ``y_first`` and d_{-1} = ``d_before``,
     with -g_i in the even slots of ``band``'s row 1.  The solution
     overwrites ``rhs``."""
-    from scipy.linalg.lapack import dtbtrs
+    global _dtbtrs
+    if _dtbtrs is None:
+        from scipy.linalg.lapack import dtbtrs as _dtbtrs
 
     rhs[:] = 0.0
     rhs[0], rhs[1] = y_first, d_before
-    x, _ = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
+    x, _ = _dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
     return x[0::2], x[1::2]
 
 

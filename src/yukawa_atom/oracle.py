@@ -52,7 +52,7 @@ lower end far above 1.5 E0: Z=19 2s finishes on 1601 points in 8 Bohr, not
 6393 in 20.
 
 Since E(A, delta) = A^2 e(delta / A), each level unbinds at one critical
-ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 2;
+ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 3;
 other states take the 1s entry, the largest.  A solve whose delta / A
 passes its entry by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises
 ``NoBoundState`` before it builds a grid or imports numpy; inside the
@@ -103,19 +103,23 @@ R_MIN = 1e-6
 #: Fewest points of the first grid of a solve given no grid, and of any grid.
 FIRST_GRID_POINTS = 401
 #: delta_c / A past which the level with n nodes and angular momentum l no
-#: longer binds, for n, l <= 2 (so (1, 0) is 2s), as :func:`_critical_ratio`
+#: longer binds, for n, l <= 3 (so (1, 0) is 2s), as :func:`_critical_ratio`
 #: rebuilds them; Rogers, Graboske & Harwood (Phys. Rev. A 1, 1577 (1970))
-#: give 1s 1.19061 and 3p 0.11271.  A state outside the table takes the 1s
-#: entry, the largest of any state.
+#: give 1s 1.19061 and 3p 0.11271.  The entries with n or l = 3 keep one
+#: more decimal, so that none is rounded by more of itself than 5d is.  A
+#: state outside the table takes the 1s entry, the largest of any state.
 CRITICAL_RATIO = {
     (0, 0): 1.190612, (1, 0): 0.310209, (0, 1): 0.220217,
     (2, 0): 0.139450, (1, 1): 0.112710, (0, 2): 0.091345,
     (2, 1): 0.067885, (1, 2): 0.058105, (2, 2): 0.040024,
+    (3, 0): 0.0788281, (3, 1): 0.0451862, (3, 2): 0.0291667, (0, 3): 0.0498311,
+    (1, 3): 0.0353894, (2, 3): 0.0263507, (3, 3): 0.0203422,
 }
 #: Relative margin past a ``CRITICAL_RATIO`` entry from which a level is
 #: unbound without a sweep: 11 times the entries' largest rounding, 8.8e-6
-#: of 5d's 0.04002435.  :func:`_critical_ratio`'s entries do not move, to
-#: its bisection's 1e-9, when its mesh step of 2e-3 becomes 4e-3 or 1e-3.
+#: of 5d's 0.04002435 (the largest with n or l = 3 is 1.7e-6, of 6d's
+#: 0.02916665).  :func:`_critical_ratio`'s entries do not move, to its
+#: bisection's 1e-9, when its mesh step of 2e-3 becomes 4e-3 or 1e-3.
 CRITICAL_MARGIN = 1e-4
 
 

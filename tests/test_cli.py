@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from yukawa_atom import ScreeningLaw, ScreeningModel, UnitSystem, cli, screening_delta
+from yukawa_atom import (
+    ScreeningLaw,
+    ScreeningModel,
+    UnitSystem,
+    cli,
+    refdata,
+    screening_delta,
+)
 from yukawa_atom.cli import main
 from yukawa_atom.perturbation import HARTREE_EV
 
@@ -509,6 +516,30 @@ class TestConsoleScript:
     def test_python_dash_m(self):
         proc = run_level_json([sys.executable, "-m", "yukawa_atom"])
         assert "RuntimeWarning" not in proc.stderr
+
+
+#: The command shapes of the benchmark's ``tables`` workload.
+WARM_COMMANDS = (
+    [["table", "--shell", shell, "--z", "3..84", "--format", fmt]
+     for shell in ("E00", "E01", "E10", "E11") for fmt in ("table", "csv", "json")]
+    + [["compare", "--shell", shell, "--source", "present_work", "--tolerance", "0.0001",
+        "--format", "json"] for shell in ("E00", "E01", "E10")]
+    + [["level", "--z", "29", "--n", "1", "--l", "0", "--format", "csv"],
+       ["level", "--z", "84", "--n", "0", "--l", "1", "--delta0", "0", "--format", "json"]]
+)
+
+
+def test_warm_commands_print_what_fresh_ones_do(capsys):
+    # a process that has parsed the reference tables prints, byte for byte,
+    # what it printed before it had and what a fresh interpreter prints
+    refdata._parse.cache_clear()
+    cold = [run_cli(capsys, *argv) for argv in WARM_COMMANDS]
+    assert [run_cli(capsys, *argv) for argv in WARM_COMMANDS] == cold
+    assert [code for code, _, _ in cold] == [0] * len(WARM_COMMANDS)
+    for i in (5, 13, 16):  # one table, one compare and one level command
+        proc = subprocess.run([sys.executable, "-m", "yukawa_atom", *WARM_COMMANDS[i]],
+                              capture_output=True, text=True, timeout=120, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == cold[i]
 
 
 #: Run in a fresh process: the closed-form commands, then what they loaded.

@@ -165,6 +165,70 @@ class TestTotalEnergy:
         assert not energy_breakdown(29, QuantumState(0, 0), screening_delta(29, FA)).series_suspect
 
 
+#: (e1, e2, e3, total) in Hartree at the Fermi-Amaldi delta, as the closed
+#: forms round them: a reassociation of any formula moves some of these.
+PINNED_TERMS = {
+    (3, "E00"): (-0.8725813086779937, 0.15275391553672596,
+                 -0.0025698146926351924, -1.9865085039171682),
+    (3, "E01"): (-2.908604362259979, -0.16445671186429545,
+                 -1.868744663305299, -2.8309170335128386),
+    (3, "E10"): (-3.4903252347119746, -0.2302393966100138,
+                 -3.7034740725994766, -5.313150000004731),
+    (3, "E11"): (-7.271510905649947, -17.906698943501333,
+                 -391.7888151652936, -414.23113631052814),
+    (29, "E00"): (-6.488218366026057, 0.40533009784761154,
+                  -0.018427585259205032, -341.30503499799494),
+    (29, "E01"): (-21.62739455342019, 3.0521837949984016,
+                  0.037657873812627085, -38.36627202916652),
+    (29, "E10"): (-25.95287346410423, 4.2730573129977625,
+                  0.02508162011306503, -41.483453675550756),
+    (29, "E11"): (-54.06848638355047, 8.301930935213282,
+                  0.6277950255405393, -6.564701789576226),
+    (84, "E00"): (-13.596632123269542, 0.44199124725098976,
+                  -0.012000551633472741, -3183.5116190727017),
+    (84, "E01"): (-45.322107077565136, 3.8959090567062544,
+                  -0.14730645530504916, -565.9184821212139),
+    (84, "E10"): (-54.38652849307817, 5.454272679388757,
+                  -0.3106284033477398, -573.5878618620872),
+    (84, "E11"): (-113.30526769391285, 18.1354201822011,
+                  0.6315037237617154, -128.883321433),
+}
+
+SHELL_STATES = {"E00": (0, 0), "E01": (0, 1), "E10": (1, 0), "E11": (1, 1)}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("z, shell", list(PINNED_TERMS))
+    def test_pinned_terms(self, z, shell):
+        b = energy_breakdown(float(z), QuantumState(*SHELL_STATES[shell]), screening_delta(z, FA))
+        assert (b.e1, b.e2, b.e3, b.total) == PINNED_TERMS[z, shell]
+
+    @pytest.mark.parametrize("n, l", [(n, l) for n in range(5) for l in range(5)])
+    @pytest.mark.parametrize("a, delta", [(1.0, 0.0), (3.0, DELTA_Z3), (29.0, 2.5),
+                                          (84.0, 3.9), (0.37, 0.11), (1.0, 1.7)])
+    def test_terms_are_the_shift_functions(self, n, l, a, delta):
+        state = QuantumState(n, l)
+        for order in range(4):
+            b = energy_breakdown(a, state, delta, order)
+            assert b.e0 == coulomb_energy(a, state)
+            assert b.shift_const == (a * delta if order else 0.0)
+            assert b.e1 == (first_order_shift(state, delta) if order >= 1 else 0.0)
+            assert b.e2 == (second_order_shift(a, state, delta) if order >= 2 else 0.0)
+            assert b.e3 == (third_order_shift(a, state, delta) if order >= 3 else 0.0)
+
+    def test_power_of_n_past_float_range_only_at_the_order_reading_it(self):
+        # N = 1e60: N^6 leaves the float range and the order-2 products
+        # overflow, but the first order stays finite
+        state = QuantumState(10**60, 0)
+        b = energy_breakdown(1.0, state, 1.0, 1)
+        assert math.isfinite(b.total) and b.e1 == first_order_shift(state, 1.0)
+        for order in (2, 3):
+            with pytest.raises(ValueError, match=f"overflows the order-{order} energy"):
+                energy_breakdown(1.0, state, 1.0, order)
+        with pytest.raises(OverflowError):
+            third_order_shift(1.0, state, 1.0)
+
+
 class TestToKev:
     def test_conversion_constant(self):
         assert to_kev(-1.0) == pytest.approx(-0.027212, rel=1e-12)

@@ -1,6 +1,7 @@
 """Reference dataset loading, validation and comparison tests."""
 
 import csv
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from yukawa_atom import (
     screening_delta,
     to_kev,
 )
+from yukawa_atom import refdata
 from yukawa_atom.cli import BUNDLED_Z
 from yukawa_atom.refdata import bundled_reference_path
 
@@ -272,3 +274,83 @@ class TestCompare:
         # a comparison of nothing would pass any tolerance
         with pytest.raises(MissingReference, match="nothing computed to compare"):
             compare(table1, [], ReferenceSource.PRESENT_WORK)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Count the loader's parses (each builds one ``csv.reader``) from an
+    empty parse cache on."""
+    refdata._parse.cache_clear()
+    count = [0]
+    reader = csv.reader
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting)
+    return count
+
+
+class TestParseCache:
+    """The file is read on every load; its text is parsed once."""
+
+    def test_same_content_parsed_once(self, tmp_path, parses):
+        path = tmp_path / "ref.csv"
+        path.write_text(f"{_HEADER}\n{_GOOD_ROW}\n", encoding="utf-8")
+        first = load_reference(path)
+        copy = tmp_path / "copy.csv"
+        copy.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert load_reference(path) is first
+        assert load_reference(copy) is first
+        assert parses[0] == 1
+
+    def test_rewritten_content_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "ref.csv"
+        path.write_text(f"{_HEADER}\n{_GOOD_ROW}\n", encoding="utf-8")
+        assert [r.energy_kev for r in load_reference(path).rows] == [-0.054]
+        path.write_text(f"{_HEADER}\n3,E00,0,0,present_work,-0.055\n", encoding="utf-8")
+        assert [r.energy_kev for r in load_reference(path).rows] == [-0.055]
+        assert parses[0] == 2
+
+    def test_malformed_file_raises_on_every_load(self, tmp_path, parses):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{_HEADER}\n{_GOOD_ROW}\n4,E22,0,0,present_work,-0.1\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ParseError) as excinfo:
+                load_reference(path)
+            assert excinfo.value.line == 3
+            assert str(excinfo.value) == "line 3: unknown shell label 'E22'"
+        assert parses[0] == 2
+
+    def test_missing_file_raises_the_open_error(self, tmp_path, parses):
+        # also once its text has been parsed: the file is read on every load
+        path = tmp_path / "gone.csv"
+        path.write_text(f"{_HEADER}\n{_GOOD_ROW}\n", encoding="utf-8")
+        load_reference(path)
+        path.unlink()
+        with pytest.raises(FileNotFoundError) as excinfo:
+            load_reference(path)
+        assert str(excinfo.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+    def test_field_size_limit_is_part_of_the_key(self, tmp_path, parses):
+        limit = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text(f"{_HEADER},notes\n{_GOOD_ROW},{'x' * (limit + 1)}\n", encoding="utf-8")
+        try:
+            csv.field_size_limit(limit + 1)
+            assert len(load_reference(path).rows[0].notes) == limit + 1
+        finally:
+            csv.field_size_limit(limit)
+        with pytest.raises(ParseError, match=re.escape(f"field larger than field limit ({limit})")):
+            load_reference(path)
+
+    def test_shared_dataset_is_read_only(self):
+        dataset = load_reference(bundled_reference_path("E00"))
+        key = (3, "E00", ReferenceSource.PRESENT_WORK)
+        with pytest.raises(TypeError):
+            dataset._index[key] = None
+        with pytest.raises(TypeError):
+            del dataset._index[key]
+        assert isinstance(dataset.rows, tuple)
+        assert dataset.get(*key).energy_kev == -0.05405687
