@@ -31,12 +31,9 @@ temporaries: 0.3-0.4 doubles per point of a 40001-point grid under
 ``tracemalloc``, against 4.1 when t, 1 - t, -g and u were allocated afresh.
 Results are bit-identical to allocating everything afresh, but allocating
 the band afresh on every sweep (a fresh band must also be filled with -1
-and its pages faulted in) cut the benchmark's ``spectrum`` workload from
-241/195/181 to 131/122/118 levels/s on the uniform grids of 16001 points
-and more that the eigensolver used before the mesh (seeds 1-3, 10-s runs,
-2-core Xeon) and saved under 0.6 MB of its peak RSS.  On the mesh it still
-cost 7%: 90 solves (n, l <= 2 at ten Z from 1 to 84) took 0.082 s against
-0.076 s, medians of 8 alternated rounds.  So the buffers stay.
+and its pages faulted in) cost 7%: 90 solves (n, l <= 2 at ten Z from 1
+to 84) took 0.082 s against 0.076 s, medians of 8 alternated rounds on a
+2-core Xeon.  So the buffers stay.
 
 numpy and ``dtbtrs`` are imported on the first sweep, so importing this
 module loads neither numpy nor scipy.

@@ -35,11 +35,11 @@ sweeps but cannot change which level is found.  A grid on which hi has at
 most n nodes, or lo more than n, holds no level with n nodes inside its
 bounds and raises ``NoBoundState``.
 
-A solve given no grid sizes its first mesh from its search bounds (see
+Every solve sizes its first mesh from its search bounds (see
 :meth:`RadialGrid.for_state`), from ``R_MIN`` = 1e-6 Bohr to a box edge
-r_max.  With E_up = min(hi, E0 + A delta), an upper bound on the level, the
-box reaches A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay lengths past a bound
-on the level's outer turning point, and is never wider than
+r_max: the caller's, or with E_up = min(hi, E0 + A delta), an upper bound
+on the level, A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay lengths past a
+bound on the level's outer turning point, but never wider than
 max(20, 30 N^2/A) Bohr.  The mesh has ``FIRST_GRID_POINTS`` = 401 points,
 or as many more as keep Numerov's t = h^2 (w - 2 lo r^2) / 12 <= 0.5 at
 r_max, with w = (l + 1/2)^2 - 2 A r exp(-delta r).  A seeded solve first
@@ -100,7 +100,7 @@ MAX_REFINEMENTS = 8
 _E_TOP = -1e-12
 #: Inner end of every radial grid, in Bohr.
 R_MIN = 1e-6
-#: Fewest points of the first grid of a solve given no grid, and of any grid.
+#: Fewest points of any grid, and of the first grid of every solve.
 FIRST_GRID_POINTS = 401
 #: delta_c / A past which the level with n nodes and angular momentum l no
 #: longer binds, for n, l <= 3 (so (1, 0) is 2s), as :func:`_critical_ratio`
@@ -145,6 +145,11 @@ class NonConvergence(RuntimeError):
         self.result = result
 
 
+def _check_r_max(r_max: float) -> None:
+    if not R_MIN < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and above {R_MIN}, got {r_max}")
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Logarithmic radial mesh r_i = ``R_MIN`` exp(i h), i = 0 .. points - 1,
@@ -157,25 +162,25 @@ class RadialGrid:
     def __post_init__(self):
         if self.points < FIRST_GRID_POINTS or self.points % 2 == 0:
             raise ValueError(f"points must be odd and >= {FIRST_GRID_POINTS}, got {self.points}")
-        if not R_MIN < self.r_max < math.inf:
-            raise ValueError(f"r_max must be finite and above {R_MIN}, got {self.r_max}")
+        _check_r_max(self.r_max)
 
     @classmethod
     def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
-                  bounds: tuple[float, float] | None = None) -> "RadialGrid":
+                  bounds: tuple[float, float] | None = None,
+                  r_max: float | None = None) -> "RadialGrid":
         """First grid of a solve whose search runs inside ``bounds`` (lo, hi),
-        by default [1.5 E0, -1e-12]: a box of 30 decay lengths of the level
-        past its turning point, never wider than max(20, 30 N^2 / A) Bohr,
-        on ``FIRST_GRID_POINTS`` points or as many more as keep Numerov's
-        t <= 0.5 at the box's edge for E = lo.
+        by default [1.5 E0, -1e-12]: a box of ``r_max`` Bohr if given, else of
+        30 decay lengths of the level past its turning point, never wider
+        than max(20, 30 N^2 / A) Bohr, on ``FIRST_GRID_POINTS`` points or as
+        many more as keep Numerov's t <= 0.5 at the box's edge for E = lo.
 
-        Since exp(-x) >= 1 - x, V <= -A/r + A delta, so E0 + A delta bounds
-        the level from above, as hi does once the search's sweeps show the
-        level below it; E_up is the lower of the two.  Since V_eff >= -A/r,
-        the outer turning point lies below A / (-E_up) when E_up < 0, and
-        30 / sqrt(-2 E_up) is at least 30 decay lengths of the level.  Where
-        E_up is near 0, as with E0 + A delta not negative and hi = -1e-12,
-        the cap takes over.
+        The default box: since exp(-x) >= 1 - x, V <= -A/r + A delta, so
+        E0 + A delta bounds the level from above, as hi does once the
+        search's sweeps show the level below it; E_up is the lower of the
+        two.  Since V_eff >= -A/r, the outer turning point lies below
+        A / (-E_up) when E_up < 0, and 30 / sqrt(-2 E_up) is at least 30
+        decay lengths of the level.  Where E_up is near 0, as with
+        E0 + A delta not negative and hi = -1e-12, the cap takes over.
 
         Numerov's t = h^2 (w - 2 E r^2) / 12, w = (l + 1/2)^2
         - 2 A r exp(-delta r), must stay below 1, and on the mesh it grows
@@ -185,10 +190,13 @@ class RadialGrid:
         """
         e0 = coulomb_energy(system.a, state)
         lo, hi = bounds or (1.5 * e0, _E_TOP)
-        r_max = max(20.0, 30.0 * state.big_n ** 2 / system.a)
-        e_up = min(hi, e0 + system.a * delta)
-        if e_up < 0.0:
-            r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
+        if r_max is not None:
+            _check_r_max(r_max)
+        else:
+            r_max = max(20.0, 30.0 * state.big_n ** 2 / system.a)
+            e_up = min(hi, e0 + system.a * delta)
+            if e_up < 0.0:
+                r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
         f_edge = ((state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
                   - 2.0 * lo * r_max * r_max)
         steps = math.ceil(math.log(r_max / R_MIN) * math.sqrt(max(f_edge, 0.0) / 6.0))
@@ -462,68 +470,58 @@ def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState):
 
 
 def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
-                      grid: RadialGrid | None = None) -> OracleResult:
+                      r_max: float | None = None) -> OracleResult:
     """Bound-state energy by node-count bracketing, Chandrupatla's method on
-    the sweep's last value, and grid refinement.
+    the sweep's last value, and grid refinement (see the module docstring).
 
-    A grid's search runs inside its bounds [lo, hi], by default
-    [1.5 E0, -1e-12]: the comparison theorem (V >= -A/r) puts the level
-    above E0, and a level must lie below -1e-12 to count as bound.  The
-    seed bracket is the closed-form third-order total padded by
-    max(4 |E3|, 1e-6 |total|) and clipped into [1.5 E0, -1e-12] (none when
-    the total lies outside (1.5 E0, 0)).  It narrows the first grid's
-    bracket; each finer grid's is the previous energy padded by 1e-5 of it
-    after the first grid; after each later grid it is that grid's energy
-    plus a sixteenth of its shift from the coarser grid (Numerov's next
-    shift), padded by a quarter of that shift.  The bracket ends are swept
-    from the top: an end with n+1 or more nodes becomes the upper end, and
-    the first with at most n nodes the lower end, so the end below it is
-    never swept.  Unless the upper end then has n+1 or more nodes and the
-    lower end at most n, the grid raises :class:`NoBoundState`.  Bisection
-    at the geometric midpoint, so that levels near E = 0 take a few sweeps
-    per decade, runs until the ends have n and n+1 nodes and
-    (kappa(lo) - kappa(hi)) r_max <= 32, kappa = sqrt(-2 E); Chandrupatla's
-    method (:func:`_chandrupatla`) on the de-trended last value
-    (:func:`_detrended`) then isolates the eigenvalue to ``ENERGY_TOL``.
-    The grid is step-halved, and after each halving the finer energy E_k is
-    extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15,
-    which removes Numerov's h^4 error.  At least three grids are solved:
-    the result is the first X_k within ``GRID_TOL`` Hartree of X_{k-1}, with
-    max(|X_k - X_{k-1}|, ``ENERGY_TOL``) as its ``estimated_error``, and its
-    node count is checked against n.  Raises :class:`NonConvergence`
-    (carrying the latest X_k and its last change, or after a single halving
-    X_1 and |X_1 - E_1|) if refinement stalls or that check fails.
+    Each grid's search runs inside bounds [lo, hi], by default
+    [1.5 E0, -1e-12], from a bracket: on the first grid the seed
+    (:func:`_seed_bracket`), on each finer one the previous energy moved by
+    the shift that Numerov's h^4 error predicts.  A grid whose sweeps do not
+    prove a level with n nodes inside its bounds raises
+    :class:`NoBoundState` (:func:`_solve_on_grid`).  The grid is
+    step-halved, and after each halving the finer energy E_k is
+    extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15.  At least three grids
+    are solved: the result is the first X_k within ``GRID_TOL`` Hartree of
+    X_{k-1}, with max(|X_k - X_{k-1}|, ``ENERGY_TOL``) as its
+    ``estimated_error``, and its node count is checked against n.  Raises
+    :class:`NonConvergence` (carrying the latest X_k and its last change, or
+    after a single halving X_1 and |X_1 - E_1|) if refinement stalls or that
+    check fails.
 
-    A grid passed in starts at its own box and size, and every grid's search
-    runs inside the default bounds.  Otherwise a seeded level is first
-    solved with its seed bracket as the bounds of every grid, from
-    :meth:`RadialGrid.for_state`'s mesh for those bounds.  If any of those
-    grids raises :class:`NoBoundState`, the solve starts again from the seed
-    bracket with the default bounds and :meth:`RadialGrid.for_state`'s mesh
-    for them, which an unseeded level starts from.  Every grid starts at
-    ``R_MIN``.  The result's ``sweeps`` counts the trial energies swept on
+    Every grid runs from ``R_MIN`` to ``r_max`` Bohr, or to
+    :meth:`RadialGrid.for_state`'s default box, which a weakly bound level
+    can outgrow; either way its mesh is sized for its bounds' lower end.  A
+    seeded level is first solved with its seed bracket as the bounds of
+    every grid, on :meth:`RadialGrid.for_state`'s mesh for them.  If any of
+    those grids raises :class:`NoBoundState`, the solve starts again from
+    the seed bracket with the default bounds and their mesh, as an unseeded
+    level does.  The result's ``sweeps`` counts the trial energies swept on
     every grid, a dropped seed mesh's included, and its ``grid_points`` is
-    the finest grid's size.  A delta / A past the state's ``CRITICAL_RATIO``
-    entry by more than ``CRITICAL_MARGIN`` of it raises
-    :class:`NoBoundState` before any grid is built.
+    the finest grid's size.  A delta / A past the state's
+    ``CRITICAL_RATIO`` entry by more than ``CRITICAL_MARGIN`` of it raises
+    :class:`NoBoundState` before any grid is built.  A NaN or infinite delta
+    or r_max, a negative delta, or an r_max not above ``R_MIN`` raises
+    ValueError before that.
     """
     _check_delta(delta)
+    if r_max is not None:
+        _check_r_max(r_max)
     critical = CRITICAL_RATIO.get((state.n, state.l), CRITICAL_RATIO[0, 0])
     if delta / system.a > critical * (1.0 + CRITICAL_MARGIN):
         raise NoBoundState(f"delta/A = {delta / system.a:.5g} exceeds delta_c/A = {critical} "
                            f"for n={state.n}, l={state.l}")
     tally: list[int] = []
     bracket = _seed_bracket(system, delta, state)
-    if grid is None:
-        if bracket is not None:
-            try:
-                return _refine(system, delta, state,
-                               RadialGrid.for_state(system, state, delta, bracket),
-                               bracket, tally, bracket)
-            except NoBoundState:
-                pass
-        grid = RadialGrid.for_state(system, state, delta)
-    return _refine(system, delta, state, grid, bracket, tally)
+    if bracket is not None:
+        try:
+            return _refine(system, delta, state,
+                           RadialGrid.for_state(system, state, delta, bracket, r_max),
+                           bracket, tally, bracket)
+        except NoBoundState:
+            pass
+    return _refine(system, delta, state, RadialGrid.for_state(system, state, delta, r_max=r_max),
+                   bracket, tally)
 
 
 def _refine(system, delta, state, grid, bracket, tally, bounds=None) -> OracleResult:

@@ -93,20 +93,18 @@ class TestOracleBasics:
     def test_critical_screening_bracket(self):
         # the 1s level unbinds near delta ~ 1.19; a shallow level needs a
         # wide box to be representable
-        wide = RadialGrid(r_max=160.0, points=32001)
-        res = solve_bound_state(AtomicSystem(1), 1.1, QuantumState(0, 0), grid=wide)
+        res = solve_bound_state(AtomicSystem(1), 1.1, QuantumState(0, 0), r_max=160.0)
         assert res.energy < 0.0
         assert res.nodes_found == 0
         with pytest.raises(NoBoundState):
-            solve_bound_state(AtomicSystem(1), 1.3, QuantumState(0, 0), grid=wide)
+            solve_bound_state(AtomicSystem(1), 1.3, QuantumState(0, 0), r_max=160.0)
 
     def test_excited_level_disappears_before_ground(self):
         # 2s unbinds around delta ~ 0.31 while 1s survives
         system = AtomicSystem(1)
-        wide = RadialGrid(r_max=200.0, points=32001)
-        assert solve_bound_state(system, 0.5, QuantumState(0, 0), grid=wide).energy < 0
+        assert solve_bound_state(system, 0.5, QuantumState(0, 0), r_max=200.0).energy < 0
         with pytest.raises(NoBoundState):
-            solve_bound_state(system, 0.5, QuantumState(1, 0), grid=wide)
+            solve_bound_state(system, 0.5, QuantumState(1, 0), r_max=200.0)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
@@ -116,6 +114,19 @@ class TestOracleBasics:
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="screening parameter must be finite"):
             solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0))
+
+    @pytest.mark.parametrize("r_max", [float("nan"), float("inf"), float("-inf"),
+                                       oracle_mod.R_MIN, 0.0, -20.0])
+    @pytest.mark.parametrize("delta", [0.5, 2.0], ids=["bound", "past_critical"])
+    def test_rejects_bad_box(self, monkeypatch, r_max, delta):
+        # checked before the critical-ratio exit, so also where hydrogen
+        # 1s is unbound, and before any sweep
+        work = _count_sweeps(monkeypatch)
+        with pytest.raises(ValueError, match="r_max must be finite and above"):
+            solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0), r_max=r_max)
+        with pytest.raises(ValueError, match="r_max must be finite and above"):
+            RadialGrid.for_state(AtomicSystem(1), QuantumState(0, 0), delta, r_max=r_max)
+        assert work["sweeps"] == 0
 
     def test_closed_form_overflow_leaves_solve_unseeded(self):
         # the third-order total reaches -inf at this delta; the exact
@@ -222,6 +233,19 @@ class TestRadialGrid:
                     r = grid.r_max
                     w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * math.exp(-delta * r)
                     assert grid.step**2 * (w - 2.0 * lo * r * r) / 12.0 <= 0.5, (z, state, lo, hi)
+
+    @pytest.mark.parametrize("r_max", [60.0, 480.0, 3000.0])
+    def test_caller_box_step_bound(self, r_max):
+        # the same exact t at a box the caller sets, for the seed bounds and
+        # the default ones; the box is the caller's in both
+        for z, n, l in [(1, 0, 0), (5, 1, 0), (18, 2, 0), (54, 2, 1), (84, 0, 0), (84, 2, 2)]:
+            system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
+            default = (1.5 * coulomb_energy(system.a, state), -1e-12)
+            for lo, hi in filter(None, [default, oracle_mod._seed_bracket(system, delta, state)]):
+                grid = RadialGrid.for_state(system, state, delta, (lo, hi), r_max)
+                w = (state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
+                assert grid.r_max == r_max
+                assert grid.step**2 * (w - 2.0 * lo * r_max**2) / 12.0 <= 0.5, (z, state, lo)
 
     def test_rejects_even_points(self):
         with pytest.raises(ValueError):
@@ -563,28 +587,52 @@ class TestRootSearch:
 
     def test_just_below_critical_ratio_stays_bound(self):
         # 1.19 < 1.190612: hydrogen 1s still binds, at about -9.0e-8 Ha
-        res = solve_bound_state(AtomicSystem(1), 1.19, QuantumState(0, 0),
-                                grid=RadialGrid(4000.0, 200001))
+        res = solve_bound_state(AtomicSystem(1), 1.19, QuantumState(0, 0), r_max=4000.0)
         assert res.nodes_found == 0
         assert -1e-6 < res.energy < 0.0
 
     def test_wide_grid_solves(self):
         # Z=51 3s on 480 Bohr, against its 240-Bohr solve, -28.1957646540 Ha
         system, state = AtomicSystem(51), QuantumState(2, 0)
-        res = solve_bound_state(system, screening_delta(51, FA), state, grid=_WIDE_GRID)
+        res = solve_bound_state(system, screening_delta(51, FA), state, r_max=_WIDE_BOX)
         assert res.nodes_found == 2
         assert abs(res.energy + 28.1957646540) <= 1e-10
 
+    @pytest.mark.parametrize("z, n, l, r_max, energy", [
+        (5, 1, 0, 288.0, -0.0101907885),
+        (18, 2, 0, 240.0, -0.0025716358),
+        (54, 2, 1, 240.0, -0.0166175566),
+    ], ids=["z5_2s", "z18_3s", "z54_4p"])
+    def test_wide_box_levels(self, z, n, l, r_max, energy):
+        # weakly bound levels in boxes 12 times their default ones, to the
+        # ten decimals their table prints; Z=5 2s on a 288-Bohr grid of
+        # 1601 points, too coarse a step for 1.5 E0, once raised
+        # NoBoundState
+        res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l),
+                                r_max=r_max)
+        assert res.nodes_found == n
+        assert abs(res.energy - energy) <= 5e-11
+
+    @pytest.mark.parametrize("n, ratio, energy", [
+        (0, 0.97, "-3.523756e-04"),
+        (1, 0.99, "-8.380510e-06"),
+        (2, 0.99, "-3.490431e-06"),
+    ], ids=["1s", "2s", "3s"])
+    def test_near_critical_levels_in_3000_bohr(self, n, ratio, energy):
+        # A = 1 at a fraction of delta_c, where the level reaches far past
+        # the default box, to seven significant digits
+        delta = ratio * oracle_mod.CRITICAL_RATIO[n, 0]
+        res = solve_bound_state(AtomicSystem(1), delta, QuantumState(n, 0), r_max=3000.0)
+        assert res.nodes_found == n
+        assert f"{res.energy:.6e}" == energy
+
     def test_user_grid_work(self, monkeypatch):
-        # grids passed in, meshed for t = h^2 3 |E0| r_max^2 / 12 <= 0.5,
-        # the step rule without w at 1.5 E0: 16 + 16 + 19 sweeps, against
-        # 30 + 32 + 32 with Brent's method in place of Chandrupatla's
+        # boxes the caller sets, each meshed by the step rule for its
+        # bounds, the seed bracket's before the default ones
         work = _count_sweeps(monkeypatch)
-        for z, n, l, grid in [(73, 1, 1, RadialGrid(20.0, 4093)),
-                              (49, 1, 0, RadialGrid(240.0, 56733)),
-                              (43, 2, 0, RadialGrid(60.0, 7703))]:
+        for z, n, l, r_max in [(73, 1, 1, 20.0), (49, 1, 0, 240.0), (43, 2, 0, 60.0)]:
             res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l),
-                                    grid=grid)
+                                    r_max=r_max)
             assert res.nodes_found == n
         assert work["sweeps"] <= 60
 
@@ -926,30 +974,30 @@ _DETREND_LEVELS = [(14, 1, 0), (29, 0, 0), (54, 2, 1), (5, 1, 0), (84, 0, 0)]
 _DETREND_IDS = ["z14_2s", "z29_1s", "z54_4p", "z5_2s", "z84_1s"]
 
 
-#: 480 Bohr meshed for Z=51 3s by the step rule without w at 1.5 E0, as
-#: ``test_user_grid_work``'s grids are.  Handed over at lo >= 2 hi, Z=51
-#: 3s's bracket would span about 1200 in the de-trend's exponent there,
-#: where the de-trend factor underflows.
-_WIDE_GRID = RadialGrid(480.0, 81559)
+#: A box 24 times Z=51 3s's default 20 Bohr, twice that of its 240-Bohr
+#: reference solve.  Handed over at lo >= 2 hi, Z=51 3s's bracket would
+#: span about 1200 in the de-trend's exponent there, where the de-trend
+#: factor underflows.
+_WIDE_BOX = 480.0
 
 
-def _root_spans(monkeypatch, system, delta, state, grid):
+def _root_spans(monkeypatch, system, delta, state, r_max):
     """(kappa(lo) - kappa(hi)) r_max, kappa = sqrt(-2 E), of every bracket
     that a solve hands to the root finder."""
-    spans, r_max = [], []
+    spans, edges = [], []
     find_root, detrended = oracle_mod._chandrupatla, oracle_mod._detrended
 
     def recorded_sweeper(sweep, hi):
-        r_max.append(sweep.r_max)
+        edges.append(sweep.r_max)
         return detrended(sweep, hi)
 
     def recorded(f, lo, hi, xtol):
-        spans.append((math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * r_max[-1])
+        spans.append((math.sqrt(-2.0 * lo) - math.sqrt(-2.0 * hi)) * edges[-1])
         return find_root(f, lo, hi, xtol)
 
     monkeypatch.setattr(oracle_mod, "_chandrupatla", recorded)
     monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
-    solve_bound_state(system, delta, state, grid)
+    solve_bound_state(system, delta, state, r_max)
     monkeypatch.undo()
     return spans
 
@@ -972,14 +1020,14 @@ class TestDetrendedRoot:
     """The root finder runs on the last value times exp(-(kappa(E) - kappa(hi)) r_max),
     which has the last value's sign and zero."""
 
-    @pytest.mark.parametrize("z, n, l, grid", [
+    @pytest.mark.parametrize("z, n, l, r_max", [
         *[(z, n, l, None) for z, n, l in _DETREND_LEVELS],
-        (51, 2, 0, _WIDE_GRID),
+        (51, 2, 0, _WIDE_BOX),
     ], ids=[*_DETREND_IDS, "z51_3s_480_bohr"])
-    def test_root_bracket_span_bounded(self, monkeypatch, z, n, l, grid):
-        # on every grid of the solve, whether the grid is passed in or not
+    def test_root_bracket_span_bounded(self, monkeypatch, z, n, l, r_max):
+        # on every grid of the solve, in the default box or a wider one
         spans = _root_spans(monkeypatch, AtomicSystem(z), screening_delta(z, FA),
-                             QuantumState(n, l), grid)
+                             QuantumState(n, l), r_max)
         assert len(spans) >= 3
         assert max(spans) <= oracle_mod._ROOT_SPAN
 
