@@ -23,33 +23,35 @@ refinement stops once two successive extrapolations agree within
 ``GRID_TOL``, and their difference is the error estimate.
 
 Every grid's search runs inside bounds [lo, hi], by default [1.5 E0, -1e-12]
-with E0 the hydrogenic level -A^2/(2 N^2).  Since V = -(A/r) exp(-delta r)
-is never below -A/r, the comparison theorem puts every screened level above
-E0, so 1.5 E0 is a proven lower end; a level must lie below -1e-12 to count
-as bound.  The first grid's bracket is narrowed by a seed from the paper's
-third-order closed form, and each finer grid's by the previous eigenvalue,
-moved from the third grid on by the sixteenth of the last grid shift that
-Numerov's h^4 error predicts.  The bracket's ends are swept from the top and
-each is kept only where its node count proves it, so a poor seed costs
-sweeps but cannot change which level is found.  A grid on which hi has at
-most n nodes, or lo more than n, holds no level with n nodes inside its
-bounds and raises ``NoBoundState``.
+(built once per solve) with E0 the hydrogenic level -A^2/(2 N^2).  Since
+V = -(A/r) exp(-delta r) is never below -A/r, the comparison theorem puts
+every screened level above E0, so 1.5 E0 is a proven lower end; a level
+must lie below -1e-12 to count as bound.  The first grid's bracket is
+narrowed by a seed from the paper's third-order closed form, and each finer
+grid's by the previous eigenvalue, moved from the third grid on by the
+sixteenth of the last grid shift that Numerov's h^4 error predicts.  The
+bracket's ends are swept from the top and each is kept only where its node
+count proves it, so a poor seed costs sweeps but cannot change which level
+is found.  A grid on which hi has at most n nodes, or lo more than n, holds
+no level with n nodes inside its bounds and raises ``NoBoundState``.
 
-Every solve sizes its first mesh from its search bounds (see
-:meth:`RadialGrid.for_state`), from ``R_MIN`` = 1e-6 Bohr to a box edge
-r_max: the caller's, or with E_up = min(hi, E0 + A delta), an upper bound
-on the level, A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay lengths past a
-bound on the level's outer turning point, but never wider than
-max(20, 30 N^2/A) Bohr.  The mesh has ``FIRST_GRID_POINTS`` = 401 points,
-or as many more as keep Numerov's t = h^2 (w - 2 lo r^2) / 12 <= 0.5 at
-r_max, with w = (l + 1/2)^2 - 2 A r exp(-delta r).  A seeded solve first
-takes its seed bracket as the bounds of every grid; where a grid shows the
-level outside them, it starts again from the default bounds and their mesh,
-at the cost of the sweeps already spent (see :func:`solve_bound_state`).
-The seed's top end is far tighter than E0 + A delta for the L shells up to
-Z = 24, where E0 + A delta is loose or, up to Z = 20, not negative, and its
-lower end far above 1.5 E0: Z=19 2s finishes on 1601 points in 8 Bohr, not
-6393 in 20.
+Every solve sizes its first mesh, of the internal type ``RadialGrid``, from
+its search bounds (see :meth:`RadialGrid.for_state`), from ``R_MIN`` = 1e-6
+Bohr to a box edge r_max: the caller's, checked once per solve, or with
+E_up = min(hi, E0 + A delta), an upper bound on the level,
+A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay lengths past a bound on the
+level's outer turning point, but never wider than max(20, 30 N^2/A) Bohr.
+The mesh has ``FIRST_GRID_POINTS`` = 401 points, or as many more as keep
+Numerov's t = h^2 (w - 2 lo r^2) / 12 <= 0.5 at r_max, with
+w = (l + 1/2)^2 - 2 A r exp(-delta r); a caller's box whose mesh would pass
+``MAX_FIRST_GRID_POINTS`` is refused.  A seeded solve first takes its seed
+bracket as the bounds of every grid; where a grid shows the level outside
+them, it starts again from the default bounds and their mesh, at the cost
+of the sweeps already spent (see :func:`solve_bound_state`).  The seed's
+top end is far tighter than E0 + A delta for the L shells up to Z = 24,
+where E0 + A delta is loose or, up to Z = 20, not negative, and its lower
+end far above 1.5 E0: Z=19 2s finishes on 1601 points in 8 Bohr, not 6393
+in 20.
 
 Since E(A, delta) = A^2 e(delta / A), each level unbinds at one critical
 ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 3;
@@ -70,7 +72,7 @@ Chandrupatla's method is :func:`_chandrupatla`, a few dozen lines on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _numerov_py
 from .perturbation import (
@@ -84,7 +86,6 @@ from .perturbation import (
 __all__ = [
     "NoBoundState",
     "NonConvergence",
-    "RadialGrid",
     "OracleResult",
     "solve_bound_state",
     "numerov_backend",
@@ -102,6 +103,8 @@ _E_TOP = -1e-12
 R_MIN = 1e-6
 #: Fewest points of any grid, and of the first grid of every solve.
 FIRST_GRID_POINTS = 401
+#: Most points of the first mesh for the default bounds in a caller's box.
+MAX_FIRST_GRID_POINTS = 2**20 + 1
 #: delta_c / A past which the level with n nodes and angular momentum l no
 #: longer binds, for n, l <= 3 (so (1, 0) is 2s), as :func:`_critical_ratio`
 #: rebuilds them; Rogers, Graboske & Harwood (Phys. Rev. A 1, 1577 (1970))
@@ -145,34 +148,23 @@ class NonConvergence(RuntimeError):
         self.result = result
 
 
-def _check_r_max(r_max: float) -> None:
-    if not R_MIN < r_max < math.inf:
-        raise ValueError(f"r_max must be finite and above {R_MIN}, got {r_max}")
-
-
 @dataclass(frozen=True)
 class RadialGrid:
-    """Logarithmic radial mesh r_i = ``R_MIN`` exp(i h), i = 0 .. points - 1,
-    whose last point is ``r_max``.  ``r_max`` must be finite and above
-    ``R_MIN``; ``points`` must be odd and at least ``FIRST_GRID_POINTS``."""
+    """The solver's internal logarithmic mesh r_i = ``R_MIN`` exp(i h),
+    i = 0 .. points - 1, whose last point is ``r_max``; :meth:`for_state`
+    and :meth:`halved` keep it odd and of at least ``FIRST_GRID_POINTS``."""
 
     r_max: float
     points: int
 
-    def __post_init__(self):
-        if self.points < FIRST_GRID_POINTS or self.points % 2 == 0:
-            raise ValueError(f"points must be odd and >= {FIRST_GRID_POINTS}, got {self.points}")
-        _check_r_max(self.r_max)
-
     @classmethod
     def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
-                  bounds: tuple[float, float] | None = None,
-                  r_max: float | None = None) -> "RadialGrid":
-        """First grid of a solve whose search runs inside ``bounds`` (lo, hi),
-        by default [1.5 E0, -1e-12]: a box of ``r_max`` Bohr if given, else of
-        30 decay lengths of the level past its turning point, never wider
-        than max(20, 30 N^2 / A) Bohr, on ``FIRST_GRID_POINTS`` points or as
-        many more as keep Numerov's t <= 0.5 at the box's edge for E = lo.
+                  bounds: tuple[float, float], r_max: float | None = None) -> "RadialGrid":
+        """First grid of a solve whose search runs inside ``bounds`` (lo, hi):
+        a box of ``r_max`` Bohr if given, else of 30 decay lengths of the
+        level past its turning point, never wider than max(20, 30 N^2 / A)
+        Bohr, on ``FIRST_GRID_POINTS`` points or as many more as keep
+        Numerov's t <= 0.5 at the box's edge for E = lo.
 
         The default box: since exp(-x) >= 1 - x, V <= -A/r + A delta, so
         E0 + A delta bounds the level from above, as hi does once the
@@ -188,11 +180,9 @@ class RadialGrid:
         energies count spurious nodes there.  The step keeps t <= 0.5 at
         r_max for lo, the deepest energy the search sweeps.
         """
-        e0 = coulomb_energy(system.a, state)
-        lo, hi = bounds or (1.5 * e0, _E_TOP)
-        if r_max is not None:
-            _check_r_max(r_max)
-        else:
+        lo, hi = bounds
+        if r_max is None:
+            e0 = coulomb_energy(system.a, state)
             r_max = max(20.0, 30.0 * state.big_n ** 2 / system.a)
             e_up = min(hi, e0 + system.a * delta)
             if e_up < 0.0:
@@ -209,7 +199,7 @@ class RadialGrid:
         return math.log(self.r_max / R_MIN) / (self.points - 1)
 
     def halved(self) -> "RadialGrid":
-        return replace(self, points=2 * (self.points - 1) + 1)
+        return RadialGrid(self.r_max, 2 * self.points - 1)
 
 
 @dataclass(frozen=True)
@@ -414,26 +404,23 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     return _chandrupatla(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
 
 
-def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | None = None,
-                   tally: list[int] | None = None,
-                   bounds: tuple[float, float] | None = None) -> tuple[float, int]:
+def _solve_on_grid(system, delta, state, grid, bounds: tuple[float, float],
+                   bracket: tuple[float, float] | None, tally: list[int]) -> tuple[float, int]:
     """Eigenvalue and node count on one grid; raises NoBoundState.
 
-    The search runs inside ``bounds`` (lo, hi), by default lo = 1.5 E0,
-    below the level by the comparison theorem (V >= -A/r puts every level
-    above E0), and hi = -1e-12.  The ends of ``bracket``, clipped into
-    them, are swept from the top: an end with n+1 or more nodes lies above
-    the level and becomes ``hi``, and the first end with at most n nodes
-    lies below it and becomes ``lo``, so the end below that is never
-    swept.  Unless hi then has n+1 or more nodes and lo at most n, no level
-    with n nodes lies inside the bounds on this grid, and NoBoundState is
-    raised; hi is swept first, so an unbound level costs no sweep at lo.
+    The search runs inside ``bounds`` (lo, hi).  The ends of ``bracket``, if
+    any, clipped into them, are swept from the top: an end with n+1 or more
+    nodes lies above the level and becomes ``hi``, and the first end with at
+    most n nodes lies below it and becomes ``lo``, so the end below that is
+    never swept.  Unless hi then has n+1 or more nodes and lo at most n, no
+    level with n nodes lies inside the bounds on this grid, and NoBoundState
+    is raised; hi is swept first, so an unbound level costs no sweep at lo.
     The number of trial energies swept is appended to ``tally``, also when
     the grid raises.
     """
     sweep = _Sweeper(system, delta, state, grid)
     n = state.n
-    lo, hi = bounds or (1.5 * coulomb_energy(system.a, state), _E_TOP)
+    lo, hi = bounds
     try:
         for end in sorted((min(max(end, lo), hi) for end in bracket or ()), reverse=True):
             if sweep.nodes(end) <= n:
@@ -446,27 +433,27 @@ def _solve_on_grid(system, delta, state, grid, bracket: tuple[float, float] | No
             )
         return _bisect_eigenvalue(sweep, n, lo, hi)
     finally:
-        if tally is not None:
-            tally.append(len(sweep._swept))
+        tally.append(len(sweep._swept))
 
 
-def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState):
+def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState,
+                  bounds: tuple[float, float]):
     """First-grid bracket around the closed-form third-order total, or None.
 
-    The half-width is max(4 |E3|, 1e-6 |total|), clipped into
-    [1.5 E0, -1e-12]: unclipped, a divergent series would send the sweep to
-    deep energies where it rescales again and again.  No bracket is
-    seeded when the total lies outside (1.5 E0, 0) or overflows.
+    The half-width is max(4 |E3|, 1e-6 |total|), clipped into the default
+    ``bounds`` [1.5 E0, -1e-12]: unclipped, a divergent series would send
+    the sweep to deep energies where it rescales again and again.  No
+    bracket is seeded when the total lies outside (1.5 E0, 0) or overflows.
     """
     try:
         b = energy_breakdown(system.a, state, delta, 3)
     except ValueError:
         return None
-    floor = 1.5 * b.e0
-    if not floor < b.total < 0.0:
+    lo, hi = bounds
+    if not lo < b.total < 0.0:
         return None
     pad = max(4.0 * abs(b.e3), 1e-6 * abs(b.total))
-    return max(b.total - pad, floor), min(b.total + pad, _E_TOP)
+    return max(b.total - pad, lo), min(b.total + pad, hi)
 
 
 def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
@@ -474,11 +461,11 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     """Bound-state energy by node-count bracketing, Chandrupatla's method on
     the sweep's last value, and grid refinement (see the module docstring).
 
-    Each grid's search runs inside bounds [lo, hi], by default
-    [1.5 E0, -1e-12], from a bracket: on the first grid the seed
-    (:func:`_seed_bracket`), on each finer one the previous energy moved by
-    the shift that Numerov's h^4 error predicts.  A grid whose sweeps do not
-    prove a level with n nodes inside its bounds raises
+    Each grid's search runs inside bounds [lo, hi], the default ones
+    [1.5 E0, -1e-12] built here once, from a bracket: on the first grid the
+    seed (:func:`_seed_bracket`), on each finer one the previous energy
+    moved by the shift that Numerov's h^4 error predicts.  A grid whose
+    sweeps do not prove a level with n nodes inside its bounds raises
     :class:`NoBoundState` (:func:`_solve_on_grid`).  The grid is
     step-halved, and after each halving the finer energy E_k is
     extrapolated to X_k = E_k + (E_k - E_{k-1}) / 15.  At least three grids
@@ -489,51 +476,55 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     after a single halving X_1 and |X_1 - E_1|) if refinement stalls or that
     check fails.
 
-    Every grid runs from ``R_MIN`` to ``r_max`` Bohr, or to
-    :meth:`RadialGrid.for_state`'s default box, which a weakly bound level
-    can outgrow; either way its mesh is sized for its bounds' lower end.  A
-    seeded level is first solved with its seed bracket as the bounds of
-    every grid, on :meth:`RadialGrid.for_state`'s mesh for them.  If any of
+    Every grid runs from ``R_MIN`` to ``r_max`` Bohr, or to the default box,
+    which a weakly bound level can outgrow; either way :func:`_refine` sizes
+    the first mesh for its bounds' lower end.  A seeded level is first
+    refined with its seed bracket as the bounds of every grid; if any of
     those grids raises :class:`NoBoundState`, the solve starts again from
-    the seed bracket with the default bounds and their mesh, as an unseeded
-    level does.  The result's ``sweeps`` counts the trial energies swept on
-    every grid, a dropped seed mesh's included, and its ``grid_points`` is
-    the finest grid's size.  A delta / A past the state's
-    ``CRITICAL_RATIO`` entry by more than ``CRITICAL_MARGIN`` of it raises
-    :class:`NoBoundState` before any grid is built.  A NaN or infinite delta
-    or r_max, a negative delta, or an r_max not above ``R_MIN`` raises
-    ValueError before that.
+    the seed bracket with the default bounds, as an unseeded level does.
+    The result's ``sweeps`` counts the trial energies swept on every grid, a
+    dropped seed mesh's included, and its ``grid_points`` is the finest
+    grid's size.  A delta / A past the state's ``CRITICAL_RATIO`` entry by
+    more than ``CRITICAL_MARGIN`` of it raises :class:`NoBoundState` before
+    any grid is built.  Before that, ValueError is raised for a NaN,
+    infinite or negative delta, and for an r_max not finite and above
+    ``R_MIN``, or whose first mesh for the default bounds, the largest
+    either pass builds, would pass ``MAX_FIRST_GRID_POINTS`` points.
     """
     _check_delta(delta)
+    default = (1.5 * coulomb_energy(system.a, state), _E_TOP)
     if r_max is not None:
-        _check_r_max(r_max)
+        if not R_MIN < r_max < math.inf:
+            raise ValueError(f"r_max must be finite and above {R_MIN}, got {r_max}")
+        points = RadialGrid.for_state(system, state, delta, default, r_max).points
+        if points > MAX_FIRST_GRID_POINTS:
+            raise ValueError(f"r_max = {r_max} Bohr needs a first mesh of {points} points, "
+                             f"more than {MAX_FIRST_GRID_POINTS}")
     critical = CRITICAL_RATIO.get((state.n, state.l), CRITICAL_RATIO[0, 0])
     if delta / system.a > critical * (1.0 + CRITICAL_MARGIN):
         raise NoBoundState(f"delta/A = {delta / system.a:.5g} exceeds delta_c/A = {critical} "
                            f"for n={state.n}, l={state.l}")
     tally: list[int] = []
-    bracket = _seed_bracket(system, delta, state)
+    bracket = _seed_bracket(system, delta, state, default)
     if bracket is not None:
         try:
-            return _refine(system, delta, state,
-                           RadialGrid.for_state(system, state, delta, bracket, r_max),
-                           bracket, tally, bracket)
+            return _refine(system, delta, state, bracket, r_max, bracket, tally)
         except NoBoundState:
             pass
-    return _refine(system, delta, state, RadialGrid.for_state(system, state, delta, r_max=r_max),
-                   bracket, tally)
+    return _refine(system, delta, state, default, r_max, bracket, tally)
 
 
-def _refine(system, delta, state, grid, bracket, tally, bounds=None) -> OracleResult:
-    """:func:`solve_bound_state`'s grid refinement from the first ``grid``
-    and its ``bracket``; each grid's search stays inside ``bounds``, if
-    given, and the trial energies swept are appended to ``tally``."""
+def _refine(system, delta, state, bounds, r_max, bracket, tally) -> OracleResult:
+    """:func:`solve_bound_state`'s grid refinement inside ``bounds`` in the box
+    ``r_max`` (None for the default), from the first grid's ``bracket``;
+    the trial energies swept are appended to ``tally``."""
+    grid = RadialGrid.for_state(system, state, delta, bounds, r_max)
     energy = None
     for level in range(MAX_REFINEMENTS + 1):
         if level:
             grid = grid.halved()
         prev_energy = energy
-        energy, nodes = _solve_on_grid(system, delta, state, grid, bracket, tally, bounds)
+        energy, nodes = _solve_on_grid(system, delta, state, grid, bounds, bracket, tally)
         if not level:
             extrap, error = energy, float("inf")
             centre, pad = energy, max(1e-5 * abs(energy), 1e-9)

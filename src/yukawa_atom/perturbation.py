@@ -12,7 +12,7 @@ to keV only at output boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -113,10 +113,11 @@ class UnitSystem:
 class EnergyBreakdown:
     """Per-order decomposition of a level energy, in Hartree.
 
-    ``total`` always equals e0 + shift_const + e1 + e2 + e3 where terms above
-    the requested order are stored as exact zeros.  ``series_suspect`` is set when
-    the corrections sum to more than half the Coulomb term, the empirical
-    signature of the series breaking down.
+    ``total`` is always e0 + shift_const + e1 + e2 + e3, summed in that
+    order, where terms above the requested order are stored as exact zeros.
+    ``series_suspect`` is true when the corrections sum to more than half
+    the Coulomb term, the empirical signature of the series breaking down.
+    Both are computed from the five stored terms, not stored.
     """
 
     e0: float
@@ -124,16 +125,14 @@ class EnergyBreakdown:
     e1: float
     e2: float
     e3: float
-    total: float = field(init=False)
-    series_suspect: bool = field(init=False)
 
-    def __post_init__(self):
-        total = self.e0 + self.shift_const + self.e1 + self.e2 + self.e3
-        object.__setattr__(self, "total", total)
-        corrections = abs(self.e1 + self.e2 + self.e3)
-        object.__setattr__(
-            self, "series_suspect", corrections > SERIES_SUSPECT_RATIO * abs(self.e0)
-        )
+    @property
+    def total(self) -> float:
+        return self.e0 + self.shift_const + self.e1 + self.e2 + self.e3
+
+    @property
+    def series_suspect(self) -> bool:
+        return abs(self.e1 + self.e2 + self.e3) > SERIES_SUSPECT_RATIO * abs(self.e0)
 
 
 def _check_delta(delta: float) -> None:

@@ -74,6 +74,16 @@ class TestLevel:
 
 
 class TestTable:
+    @pytest.mark.parametrize("shell", ["E00", "E01", "E10"])
+    def test_paper_z_list_matches_bundled_table(self, shell):
+        # the Z lists of ``--z paper`` and the bundled tables' present-work
+        # rows state one fact twice; E11 has no table and takes E01's list
+        rows = refdata.load_reference(refdata.bundled_reference_path(shell)).rows
+        bundled = {row.z for row in rows if row.shell_label == shell
+                   and row.source is refdata.ReferenceSource.PRESENT_WORK}
+        assert cli.BUNDLED_Z[shell] == tuple(sorted(bundled))
+        assert cli.BUNDLED_Z["E11"] == cli.BUNDLED_Z["E01"]
+
     def test_paper_z_list_has_22_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--shell", "E00", "--format", "csv")
         assert code == 0

@@ -20,7 +20,6 @@ from yukawa_atom import (
     NoBoundState,
     NonConvergence,
     QuantumState,
-    RadialGrid,
     ScreeningLaw,
     ScreeningModel,
     coulomb_energy,
@@ -30,9 +29,31 @@ from yukawa_atom import (
 )
 from yukawa_atom import oracle as oracle_mod
 from yukawa_atom import _numerov_py
+from yukawa_atom.oracle import RadialGrid
 from yukawa_atom.wavefunctions import _exponent_coefficients
 
 FA = ScreeningModel()
+
+
+def _default_bounds(system, state):
+    """The eigensolver's default search bounds [1.5 E0, -1e-12]."""
+    return 1.5 * coulomb_energy(system.a, state), -1e-12
+
+
+def _default_grid(system, state, delta, r_max=None):
+    """The first mesh of a solve's default bounds."""
+    return RadialGrid.for_state(system, state, delta, _default_bounds(system, state), r_max)
+
+
+def _seed(system, delta, state):
+    """The seed bracket of a solve, clipped into the default bounds."""
+    return oracle_mod._seed_bracket(system, delta, state, _default_bounds(system, state))
+
+
+def _grid_solve(system, delta, state, grid, bracket=None):
+    """One grid's search inside the default bounds, from ``bracket``."""
+    return oracle_mod._solve_on_grid(system, delta, state, grid, _default_bounds(system, state),
+                                     bracket, [])
 
 
 def _all_states_up_to(big_n_max):
@@ -116,23 +137,47 @@ class TestOracleBasics:
             solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0))
 
     @pytest.mark.parametrize("r_max", [float("nan"), float("inf"), float("-inf"),
-                                       oracle_mod.R_MIN, 0.0, -20.0])
+                                       oracle_mod.R_MIN, 1e-7, 0.0, -20.0])
     @pytest.mark.parametrize("delta", [0.5, 2.0], ids=["bound", "past_critical"])
     def test_rejects_bad_box(self, monkeypatch, r_max, delta):
         # checked before the critical-ratio exit, so also where hydrogen
-        # 1s is unbound, and before any sweep
+        # 1s is unbound, and before any sweep; an infinite box would give a
+        # NaN step, a RuntimeWarning and a false NoBoundState
         work = _count_sweeps(monkeypatch)
         with pytest.raises(ValueError, match="r_max must be finite and above"):
             solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0), r_max=r_max)
-        with pytest.raises(ValueError, match="r_max must be finite and above"):
-            RadialGrid.for_state(AtomicSystem(1), QuantumState(0, 0), delta, r_max=r_max)
+        assert work["sweeps"] == 0
+
+    @pytest.mark.parametrize("r_max, points", [(4000.0, 3714409), (1e5, None), (1e6, None)])
+    def test_refuses_box_past_mesh_ceiling(self, monkeypatch, r_max, points):
+        # Z=84 1s: its mesh for 1.5 E0 grows as r_max sqrt(|E0|) ln(r_max), to
+        # about 106M points at 1e5 Bohr and 1.16e9 at 1e6, each halving
+        # doubling that
+        work = _count_sweeps(monkeypatch)
+        with pytest.raises(ValueError, match=rf"r_max = {r_max} Bohr needs a first mesh of "
+                                             rf"{points or '[0-9]+'} points, more than 1048577"):
+            solve_bound_state(AtomicSystem(84), screening_delta(84, FA), QuantumState(0, 0),
+                              r_max=r_max)
+        assert work["sweeps"] == 0
+
+    def test_mesh_ceiling_is_inclusive(self, monkeypatch):
+        # H 2s in 60 Bohr solves with the ceiling at its default-bounds mesh,
+        # and is refused, unswept, one point below it
+        system, state = AtomicSystem(1), QuantumState(1, 0)
+        points = _default_grid(system, state, 0.0, 60.0).points
+        monkeypatch.setattr(oracle_mod, "MAX_FIRST_GRID_POINTS", points)
+        assert solve_bound_state(system, 0.0, state, r_max=60.0).energy == pytest.approx(-0.125)
+        monkeypatch.setattr(oracle_mod, "MAX_FIRST_GRID_POINTS", points - 1)
+        work = _count_sweeps(monkeypatch)
+        with pytest.raises(ValueError, match=f"needs a first mesh of {points} points"):
+            solve_bound_state(system, 0.0, state, r_max=60.0)
         assert work["sweeps"] == 0
 
     def test_closed_form_overflow_leaves_solve_unseeded(self):
         # the third-order total reaches -inf at this delta; the exact
         # potential has no bound level
         system, state = AtomicSystem(3), QuantumState(0, 0)
-        assert oracle_mod._seed_bracket(system, 1.5e51, state) is None
+        assert _seed(system, 1.5e51, state) is None
         with pytest.raises(NoBoundState):
             solve_bound_state(system, 1.5e51, state)
 
@@ -177,31 +222,31 @@ class TestRadialGrid:
     def test_default_box_holds_thirty_decay_lengths(self):
         # delta = 0: E_up is the exact level -1/18, so the box is the
         # turning-point bound 18 plus 30 * 3 Bohr
-        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(1, 1), 0.0)
+        g = _default_grid(AtomicSystem(1), QuantumState(1, 1), 0.0)
         assert g.r_max == pytest.approx(108.0)
 
     def test_default_box_from_screened_upper_bound(self):
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
         e_up = coulomb_energy(system.a, state) + system.a * delta
-        g = RadialGrid.for_state(system, state, delta)
+        g = _default_grid(system, state, delta)
         assert g.r_max == pytest.approx(system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
 
     def test_default_box_past_turning_point_at_high_n(self):
         # H N=14 s: outer turning point 2 N^2, decay length N
         big_n = 14
-        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(big_n - 1, 0), 0.0)
+        g = _default_grid(AtomicSystem(1), QuantumState(big_n - 1, 0), 0.0)
         assert g.r_max >= 2.0 * big_n**2 + 30.0 * big_n - 1e-9
 
     def test_default_box_capped_near_threshold(self):
         # E_up = -1e-7: 30 / sqrt(-2 E_up) alone would be 67000 Bohr
-        g = RadialGrid.for_state(AtomicSystem(1), QuantumState(0, 0), 0.4999999)
+        g = _default_grid(AtomicSystem(1), QuantumState(0, 0), 0.4999999)
         assert g.r_max == 30.0
 
     def test_default_box_when_bound_unproven(self):
         # E0 + A delta > 0: the box is the cap max(20, 30 N^2 / A)
-        z5_2s = RadialGrid.for_state(AtomicSystem(5), QuantumState(1, 0), screening_delta(5, FA))
-        z9_2p = RadialGrid.for_state(AtomicSystem(9), QuantumState(0, 1), screening_delta(9, FA))
+        z5_2s = _default_grid(AtomicSystem(5), QuantumState(1, 0), screening_delta(5, FA))
+        z9_2p = _default_grid(AtomicSystem(9), QuantumState(0, 1), screening_delta(9, FA))
         assert z5_2s.r_max == pytest.approx(24.0)
         assert z9_2p.r_max == 20.0
 
@@ -210,7 +255,7 @@ class TestRadialGrid:
         # Numerov's t = h^2 f / 12 at the box edge, for the search's deepest
         # trial energy 1.5 E0, where f ~ 3 |E0| r^2
         system, state = AtomicSystem(z), QuantumState(n, l)
-        grid = RadialGrid.for_state(system, state, screening_delta(z, FA))
+        grid = _default_grid(system, state, screening_delta(z, FA))
         e0 = coulomb_energy(system.a, state)
         assert grid.points >= oracle_mod.FIRST_GRID_POINTS
         assert grid.step**2 * 3.0 * abs(e0) * grid.r_max**2 / 12.0 <= 0.5
@@ -224,11 +269,8 @@ class TestRadialGrid:
         for z in range(1, 85):
             system, delta = AtomicSystem(z), screening_delta(z, FA)
             for state in (QuantumState(n, l) for n in range(3) for l in range(3)):
-                default = (1.5 * coulomb_energy(system.a, state), -1e-12)
-                assert (RadialGrid.for_state(system, state, delta, default)
-                        == RadialGrid.for_state(system, state, delta))
-                bracket = oracle_mod._seed_bracket(system, delta, state)
-                for lo, hi in filter(None, [default, bracket]):
+                bracket = _seed(system, delta, state)
+                for lo, hi in filter(None, [_default_bounds(system, state), bracket]):
                     grid = RadialGrid.for_state(system, state, delta, (lo, hi))
                     r = grid.r_max
                     w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * math.exp(-delta * r)
@@ -240,35 +282,27 @@ class TestRadialGrid:
         # the default ones; the box is the caller's in both
         for z, n, l in [(1, 0, 0), (5, 1, 0), (18, 2, 0), (54, 2, 1), (84, 0, 0), (84, 2, 2)]:
             system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-            default = (1.5 * coulomb_energy(system.a, state), -1e-12)
-            for lo, hi in filter(None, [default, oracle_mod._seed_bracket(system, delta, state)]):
+            seed = _seed(system, delta, state)
+            for lo, hi in filter(None, [_default_bounds(system, state), seed]):
                 grid = RadialGrid.for_state(system, state, delta, (lo, hi), r_max)
                 w = (state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
                 assert grid.r_max == r_max
                 assert grid.step**2 * (w - 2.0 * lo * r_max**2) / 12.0 <= 0.5, (z, state, lo)
 
-    def test_rejects_even_points(self):
-        with pytest.raises(ValueError):
-            RadialGrid(r_max=20.0, points=20000)
-
-    def test_rejects_small_grids(self):
-        with pytest.raises(ValueError):
-            RadialGrid(r_max=20.0, points=399)
-
-    def test_accepts_first_grid_floor(self):
+    @pytest.mark.parametrize("r_max", [None, 60.0, 480.0])
+    def test_meshes_odd_and_past_first_grid_floor(self, r_max):
+        # the step rule gives an even step count of at least 400, and each
+        # halving of an odd mesh is odd, so no mesh needs checking when built
         assert oracle_mod.FIRST_GRID_POINTS == 401
-        assert RadialGrid(r_max=20.0, points=401).points == 401
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="r_max must be finite and above"):
-            RadialGrid(r_max=oracle_mod.R_MIN, points=4001)
-
-    @pytest.mark.parametrize("r_max", [float("inf"), float("nan"), 1e-7])
-    def test_rejects_box_not_past_r_min(self, r_max):
-        # an infinite box would give a NaN step, a RuntimeWarning and a false
-        # NoBoundState for hydrogen 1s
-        with pytest.raises(ValueError, match="r_max must be finite and above"):
-            RadialGrid(r_max=r_max, points=4001)
+        for z in (1, 5, 18, 54, 84):
+            system, delta = AtomicSystem(z), screening_delta(z, FA)
+            for state in (QuantumState(n, l) for n in range(3) for l in range(3)):
+                for bounds in filter(None, [_default_bounds(system, state),
+                                            _seed(system, delta, state)]):
+                    grid = RadialGrid.for_state(system, state, delta, bounds, r_max)
+                    for _ in range(3):
+                        assert grid.points % 2 == 1 and grid.points >= 401
+                        grid = grid.halved()
 
     def test_halving_preserves_oddness(self):
         g = RadialGrid(r_max=20.0, points=20001)
@@ -431,7 +465,7 @@ class TestNumerovSweep:
             # Z=84 1s in 20 Bohr: sqrt(-2E) r_max ~ 1600, so sweeps near the level rescale
             system, state = AtomicSystem(84), QuantumState(0, 0)
             grid = RadialGrid(r_max=20.0, points=20001)
-            _, nodes = oracle_mod._solve_on_grid(system, screening_delta(84, FA), state, grid)
+            _, nodes = _grid_solve(system, screening_delta(84, FA), state, grid)
             assert nodes == 0
 
     def test_node_count_steps_at_hydrogen_levels(self):
@@ -463,10 +497,10 @@ class TestNumerovSweep:
         # recurrence by 5.9e-7
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
-        grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 40001)
+        grid = RadialGrid(_default_grid(system, state, delta).r_max, 40001)
         bracket = (-3183.5114, -3183.5113)
-        e1, _ = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
-        e2, _ = oracle_mod._solve_on_grid(system, delta, state, grid.halved(), bracket)
+        e1, _ = _grid_solve(system, delta, state, grid, bracket)
+        e2, _ = _grid_solve(system, delta, state, grid.halved(), bracket)
         assert abs(e2 - e1) < 0.1 * oracle_mod.GRID_TOL
 
 
@@ -552,12 +586,11 @@ class TestRootSearch:
         # lie past their critical ratios, which solve_bound_state answers
         # unswept, so its first grid's search runs here directly
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-        bracket = oracle_mod._seed_bracket(system, delta, state)
+        bracket = _seed(system, delta, state)
         assert (bracket is not None) == seeded
         work = _count_sweeps(monkeypatch)
         with pytest.raises(NoBoundState):
-            oracle_mod._solve_on_grid(system, delta, state,
-                                      RadialGrid.for_state(system, state, delta), bracket)
+            _grid_solve(system, delta, state, _default_grid(system, state, delta), bracket)
         assert 0 < work["sweeps"] <= 2
         with pytest.raises(NoBoundState):
             solve_bound_state(system, delta, state)
@@ -573,7 +606,7 @@ class TestRootSearch:
         # search never widens its lower end 1.5 E0; the sweep agrees
         system, state = AtomicSystem(z), QuantumState(n, l)
         delta = screening_delta(z, FA)
-        sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid.for_state(system, state, delta))
+        sweep = oracle_mod._Sweeper(system, delta, state, _default_grid(system, state, delta))
         assert sweep.nodes(1.5 * coulomb_energy(system.a, state)) <= state.n
 
     @pytest.mark.parametrize("delta", [1e6, 1e7, 1e62, 1e100])
@@ -674,7 +707,7 @@ class TestRootSearch:
     def test_root_matches_node_count_bisection(self, z, n, delta, r_max):
         system, state = AtomicSystem(z), QuantumState(n, 0)
         grid = RadialGrid(r_max=r_max, points=20001)
-        energy, nodes = oracle_mod._solve_on_grid(system, delta, state, grid)
+        energy, nodes = _grid_solve(system, delta, state, grid)
         assert nodes == n
 
         sweep = oracle_mod._Sweeper(system, delta, state, grid)
@@ -724,19 +757,20 @@ _TOP_CLIPPED_LEVELS = {
 def _seed_mesh_steps(monkeypatch):
     """Numerov's t = h^2 (w - 2 E r^2) / 12 at the box's edge for every
     energy swept, from here on, on a seed-sized mesh or its halvings."""
-    steps, bounds_now = [], []
-    solve, sweep = oracle_mod._solve_on_grid, _numerov_py.count_nodes_sweep
+    steps, seeded = [], []
+    refine, sweep = oracle_mod._refine, _numerov_py.count_nodes_sweep
 
-    def recorded_solve(system, delta, state, grid, bracket=None, tally=None, bounds=None):
-        bounds_now[:] = [bounds]
-        return solve(system, delta, state, grid, bracket, tally, bounds)
+    def recorded_refine(system, delta, state, bounds, r_max, bracket, tally):
+        # the seeded pass refines inside its own seed bracket
+        seeded[:] = [bounds is bracket]
+        return refine(system, delta, state, bounds, r_max, bracket, tally)
 
     def recorded_sweep(w, r2, energy, h, u0, u1):
-        if bounds_now[0] is not None:
+        if seeded[0]:
             steps.append(h * h / 12.0 * (w[-1] - 2.0 * energy * r2[-1]))
         return sweep(w, r2, energy, h, u0, u1)
 
-    monkeypatch.setattr(oracle_mod, "_solve_on_grid", recorded_solve)
+    monkeypatch.setattr(oracle_mod, "_refine", recorded_refine)
     monkeypatch.setattr(_numerov_py, "count_nodes_sweep", recorded_sweep)
     return steps
 
@@ -763,7 +797,7 @@ class TestSeedMesh:
         # box max(20, 30 N^2 / A); the bracket's lower end sizes the step
         before, points_before, points = _TOP_CLIPPED_LEVELS[z, n, l]
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-        bracket = oracle_mod._seed_bracket(system, delta, state)
+        bracket = _seed(system, delta, state)
         assert bracket is None if (z, n, l) == (18, 2, 0) else bracket[1] == -1e-12
         res = solve_bound_state(system, delta, state)
         assert res.nodes_found == n
@@ -784,7 +818,7 @@ class TestSeedMesh:
         # counted
         system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
         before, _ = _SEEDED_L_SHELLS[19, 1, 0]
-        first = RadialGrid.for_state(system, state, delta)
+        first = _default_grid(system, state, delta)
         seed = RadialGrid.for_state(system, state, delta, bracket)
         assert seed.points != first.points
         monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
@@ -807,7 +841,7 @@ class TestSeedMesh:
         system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
         bracket = (-12.5, -12.319057)
         before, _ = _SEEDED_L_SHELLS[19, 1, 0]
-        first = RadialGrid.for_state(system, state, delta)
+        first = _default_grid(system, state, delta)
         seed = RadialGrid.for_state(system, state, delta, bracket)
         monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
         lengths = []
@@ -847,11 +881,11 @@ class TestSeedMesh:
         # there, the level came out at -0.2381217050, 6.8e-10 off, while
         # claiming 1e-10
         system, state, delta = AtomicSystem(26), QuantumState(1, 1), screening_delta(26, FA)
-        lo, hi = oracle_mod._seed_bracket(system, delta, state)
+        lo, hi = _seed(system, delta, state)
         res = solve_bound_state(system, delta, state)
         assert hi < -4.8 and res.energy > -0.3
         assert abs(res.energy + 0.23812170569612) <= res.estimated_error
-        assert res.grid_points == 4 * (RadialGrid.for_state(system, state, delta).points - 1) + 1
+        assert res.grid_points == 4 * (_default_grid(system, state, delta).points - 1) + 1
 
 
 def _counted(f):
@@ -882,8 +916,8 @@ def _first_grid_root(monkeypatch, z, n, l):
     monkeypatch.setattr(oracle_mod, "_chandrupatla", recorded)
     monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
     system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-    oracle_mod._solve_on_grid(system, delta, state, RadialGrid.for_state(system, state, delta),
-                              oracle_mod._seed_bracket(system, delta, state))
+    _grid_solve(system, delta, state, _default_grid(system, state, delta),
+                _seed(system, delta, state))
     monkeypatch.undo()
     (sweep,), ((f, lo, hi),) = sweepers, calls
     return sweep, f, lo, hi
@@ -1035,21 +1069,20 @@ class TestDetrendedRoot:
         # Z=14 2s on its seeded first grid: 14 sweeps on the raw last value,
         # 12 of them the root finder's, and 9 on the de-trended one
         system, state, delta = AtomicSystem(14), QuantumState(1, 0), screening_delta(14, FA)
-        grid = RadialGrid.for_state(system, state, delta)
+        grid = _default_grid(system, state, delta)
         work = _count_sweeps(monkeypatch)
-        _, nodes = oracle_mod._solve_on_grid(system, delta, state, grid,
-                                             oracle_mod._seed_bracket(system, delta, state))
+        _, nodes = _grid_solve(system, delta, state, grid, _seed(system, delta, state))
         assert nodes == 1
         assert work["sweeps"] <= 10
 
     @pytest.mark.parametrize("z, n, l", _DETREND_LEVELS, ids=_DETREND_IDS)
     def test_same_eigenvalue_as_raw_tail(self, monkeypatch, z, n, l):
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-        grid = RadialGrid.for_state(system, state, delta)
-        bracket = oracle_mod._seed_bracket(system, delta, state)
-        energy, nodes = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
+        grid = _default_grid(system, state, delta)
+        bracket = _seed(system, delta, state)
+        energy, nodes = _grid_solve(system, delta, state, grid, bracket)
         monkeypatch.setattr(oracle_mod, "_detrended", lambda sweep, hi: sweep.tail)
-        raw_energy, raw_nodes = oracle_mod._solve_on_grid(system, delta, state, grid, bracket)
+        raw_energy, raw_nodes = _grid_solve(system, delta, state, grid, bracket)
         assert nodes == raw_nodes == n
         assert abs(energy - raw_energy) <= oracle_mod.ENERGY_TOL
 
@@ -1102,10 +1135,9 @@ class TestCriticalRatio:
         critical = oracle_mod.CRITICAL_RATIO[n, l]
         above, below = critical * (1 + 2e-4), critical * (1 - 2e-4)
         with pytest.raises(NoBoundState):
-            oracle_mod._solve_on_grid(system, above, state, RadialGrid(40.0 / above, 8001))
+            _grid_solve(system, above, state, RadialGrid(40.0 / above, 8001))
         if l:
-            energy, nodes = oracle_mod._solve_on_grid(system, below, state,
-                                                      RadialGrid(40.0 / below, 8001))
+            energy, nodes = _grid_solve(system, below, state, RadialGrid(40.0 / below, 8001))
             assert nodes == n and energy < 0.0
 
     @pytest.mark.parametrize("n, l", _TABLED_STATES)
@@ -1166,8 +1198,8 @@ def _record_grid_solves(monkeypatch):
     brackets, energies = [], []
     solve = oracle_mod._solve_on_grid
 
-    def recorded(system, delta, state, grid, bracket=None, tally=None, bounds=None):
-        energy, nodes = solve(system, delta, state, grid, bracket, tally, bounds)
+    def recorded(system, delta, state, grid, bounds, bracket, tally):
+        energy, nodes = solve(system, delta, state, grid, bounds, bracket, tally)
         brackets.append(bracket)
         energies.append(energy)
         return energy, nodes
@@ -1193,9 +1225,9 @@ class TestRichardsonExtrapolation:
         # it by 1.2e-7 at Z=84 1s (1601 points) and 1.0e-9 at Z=29 2p (2833).
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         res = solve_bound_state(system, delta, state)
-        fine_grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 256001)
+        fine_grid = RadialGrid(_default_grid(system, state, delta).r_max, 256001)
         bracket = (res.energy - 1e-7, res.energy + 1e-7)
-        fine, nodes = oracle_mod._solve_on_grid(system, delta, state, fine_grid, bracket)
+        fine, nodes = _grid_solve(system, delta, state, fine_grid, bracket)
         assert nodes == n
         assert abs(res.energy - fine) <= 2e-10
 
@@ -1207,9 +1239,9 @@ class TestRichardsonExtrapolation:
         system, state, delta = AtomicSystem(84), QuantumState(1, 0), screening_delta(84, FA)
         res = solve_bound_state(system, delta, state)
         assert res.estimated_error > oracle_mod.ENERGY_TOL
-        fine_grid = RadialGrid(RadialGrid.for_state(system, state, delta).r_max, 256001)
+        fine_grid = RadialGrid(_default_grid(system, state, delta).r_max, 256001)
         bracket = (res.energy - 1e-7, res.energy + 1e-7)
-        fine, nodes = oracle_mod._solve_on_grid(system, delta, state, fine_grid, bracket)
+        fine, nodes = _grid_solve(system, delta, state, fine_grid, bracket)
         assert nodes == 1
         assert abs(res.energy - fine) <= res.estimated_error
 
@@ -1226,9 +1258,9 @@ class TestRichardsonExtrapolation:
         solve = oracle_mod._solve_on_grid
         grids = []
 
-        def with_h2_term(system, delta, state, grid, bracket=None, tally=None, bounds=None):
+        def with_h2_term(system, delta, state, grid, bounds, bracket, tally):
             grids.append(grid)
-            energy, nodes = solve(system, delta, state, grid, bracket, tally, bounds)
+            energy, nodes = solve(system, delta, state, grid, bounds, bracket, tally)
             return energy + 1e-7 * ((grids[0].points - 1) / (grid.points - 1)) ** 2, nodes
 
         monkeypatch.setattr(oracle_mod, "_solve_on_grid", with_h2_term)
@@ -1339,7 +1371,7 @@ class TestStaleBracket:
         system, grid = AtomicSystem(z), RadialGrid(r_max=r_max, points=20001)
 
         def solve(k, bracket=None):
-            return oracle_mod._solve_on_grid(system, delta, QuantumState(k, 0), grid, bracket)
+            return _grid_solve(system, delta, QuantumState(k, 0), grid, bracket)
 
         energy, nodes = solve(n)
         bracket = _BRACKETS[label](energy, solve(n - 1)[0], solve(n + 1)[0])
