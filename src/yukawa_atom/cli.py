@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .oracle import NoBoundState, NonConvergence, solve_bound_state
 from .perturbation import (
@@ -83,44 +84,62 @@ def _json_value(value):
     return value
 
 
-# An indent sends ``json.dumps`` to Python's pure encoder, about three times
-# slower than the C encoder that a flat object with these separators gets;
-# _render lays the flat objects out as ``indent=2`` would, byte for byte.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-_SUMMARY_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+def _json_literal(value) -> str:
+    """``json.dumps(_json_value(value))``, written straight from the 9-digit
+    text where that text is already the shortest repr of the float it names:
+    positional texts, and exponent texts of normal values below 1e-4."""
+    if isinstance(value, float):
+        text = f"{value:.9g}"
+        if "e" not in text:
+            if "." in text:
+                return text
+            if math.isfinite(value):
+                return text + ".0"
+        elif "e-" in text and abs(value) >= sys.float_info.min:
+            return text
+        return json.dumps(_json_value(value))
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
-def _indented(flat: str, pad: str) -> str:
-    """An encoded flat object opened onto its own lines, closing at ``pad``."""
-    return flat if flat == "{}" else "{\n" + pad + "  " + flat[1:-1] + "\n" + pad + "}"
+def _json_object(members, pad: str) -> str:
+    """Encoded ``"key": value`` members laid out as ``json.dumps(..., indent=2)``
+    lays out an object that closes at ``pad``."""
+    return "{\n  " + pad + (",\n  " + pad).join(members) + "\n" + pad + "}" if members else "{}"
 
 
 def _render(rows, columns, fmt, summary=None):
-    stream = sys.stdout
     if fmt == "json":
-        encoded = [_indented(_ROW_ENCODER.encode({k: _json_value(r.get(k)) for k in columns}),
-                             "    ") for r in rows]
-        text = '{\n  "rows": ' + ("[\n    " + ",\n    ".join(encoded) + "\n  ]" if rows else "[]")
+        keyed = [(encode_basestring_ascii(k) + ": ", k) for k in columns]
+        objects = [_json_object([key + _json_literal(r.get(k)) for key, k in keyed], "    ")
+                   for r in rows]
+        text = '{\n  "rows": ' + ("[\n    " + ",\n    ".join(objects) + "\n  ]" if rows else "[]")
         if summary is not None:
-            flat = _SUMMARY_ENCODER.encode({k: _json_value(v) for k, v in summary.items()})
-            text += ',\n  "summary": ' + _indented(flat, "  ")
-        stream.write(text + "\n}\n")
-        return
-    if fmt == "csv":
-        stream.write(",".join(columns) + "\n")
-        for r in rows:
-            stream.write(",".join(_fmt(r.get(k)) for k in columns) + "\n")
+            text += ',\n  "summary": ' + _json_object(
+                [encode_basestring_ascii(k) + ": " + _json_literal(v) for k, v in summary.items()],
+                "  ")
+        lines = [text + "\n}"]
+    elif fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join([_fmt(r.get(k)) for k in columns]) for r in rows]
         if summary is not None:
-            stream.write("# " + ", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n")
-        return
-    cells = [[_fmt(r.get(k)) for k in columns] for r in rows]
-    widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
-              for i, c in enumerate(columns)]
-    stream.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-    for row in cells:
-        stream.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
-    if summary is not None:
-        stream.write(", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n")
+            lines.append("# " + ", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
+    else:
+        cells = [[_fmt(r.get(k)) for k in columns] for r in rows]
+        widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
+                  for i, c in enumerate(columns)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                 for row in [columns, *cells]]
+        if summary is not None:
+            lines.append(", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _parse_z_spec(text: str, shell: str) -> list[int]:
@@ -210,8 +229,9 @@ def cmd_table(args) -> int:
     n, l = SHELL_QUANTUM_NUMBERS[args.shell]
     state = QuantumState(n, l)
     z_list = _parse_z_spec(args.z, args.shell)
-    rows = [{"shell": args.shell, **_breakdown_row(z, state, args.order, model, units)}
-            for z in z_list]
+    rows = [_breakdown_row(z, state, args.order, model, units) for z in z_list]
+    for row in rows:
+        row["shell"] = args.shell
     _render(rows, ["shell"] + _BREAKDOWN_COLUMNS, args.format)
     return 0
 
@@ -280,8 +300,8 @@ def cmd_compare(args) -> int:
             if not z_values:
                 raise MissingReference(
                     f"no {source.value} reference rows for shell {args.shell}")
-        computed = [(z, args.shell,
-                     _breakdown_row(z, state, args.order, model, units)["total_kev"])
+        computed = [(z, args.shell, to_kev(energy_breakdown(
+                        float(z), state, screening_delta(z, model), args.order).total, units))
                     for z in z_values]
         rows, summary = compare_datasets(dataset, computed, source)
     except (OSError, ParseError, MissingReference) as exc:

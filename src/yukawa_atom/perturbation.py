@@ -166,13 +166,28 @@ def coulomb_energy(a: float, state: QuantumState) -> float:
 def first_order_shift(state: QuantumState, delta: float) -> float:
     """First correction -(3N^2 - L) delta^2 / 4; independent of A."""
     _check_delta(delta)
-    big_n = float(state.big_n)
-    return -(3.0 * big_n**2 - state.big_l) * delta**2 / 4.0
+    return _first_order(state, delta)
 
 
 def second_order_shift(a: float, state: QuantumState, delta: float) -> float:
     """Second correction, one positive delta^3 and one negative delta^4 term."""
     _check_delta(delta)
+    return _second_order(a, state, delta)
+
+
+def third_order_shift(a: float, state: QuantumState, delta: float) -> float:
+    """Third correction: delta^4, delta^5 and delta^6 terms."""
+    _check_delta(delta)
+    return _third_order(a, state, delta)
+
+
+def _first_order(state: QuantumState, delta: float) -> float:
+    # the formulas behind the public shifts, for a delta already checked
+    big_n = float(state.big_n)
+    return -(3.0 * big_n**2 - state.big_l) * delta**2 / 4.0
+
+
+def _second_order(a: float, state: QuantumState, delta: float) -> float:
     big_n = float(state.big_n)
     bracket = 5.0 * big_n**2 - 3.0 * state.big_l + 1.0
     return (
@@ -181,9 +196,7 @@ def second_order_shift(a: float, state: QuantumState, delta: float) -> float:
     )
 
 
-def third_order_shift(a: float, state: QuantumState, delta: float) -> float:
-    """Third correction: delta^4, delta^5 and delta^6 terms."""
-    _check_delta(delta)
+def _third_order(a: float, state: QuantumState, delta: float) -> float:
     big_n = float(state.big_n)
     big_l = float(state.big_l)
     b1 = 5.0 * big_n**2 - 3.0 * big_l
@@ -210,9 +223,9 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
         b = EnergyBreakdown(
             e0=coulomb_energy(a, state),
             shift_const=a * delta if order >= 1 else 0.0,
-            e1=first_order_shift(state, delta) if order >= 1 else 0.0,
-            e2=second_order_shift(a, state, delta) if order >= 2 else 0.0,
-            e3=third_order_shift(a, state, delta) if order >= 3 else 0.0,
+            e1=_first_order(state, delta) if order >= 1 else 0.0,
+            e2=_second_order(a, state, delta) if order >= 2 else 0.0,
+            e3=_third_order(a, state, delta) if order >= 3 else 0.0,
         )
     except OverflowError:
         b = None

@@ -25,8 +25,9 @@ only once per process: a small cache keyed on the text and on
 ``csv.field_size_limit()`` hands every later load of the same text the same
 :class:`ReferenceDataset`, whose rows and index are read-only.  A file that
 fails to parse is not cached and raises again on every load.  On a 2-core
-Xeon a load that parses takes about 0.5 ms, most of a warm ``compare``
-command, and a load that finds its text cached about 0.07 ms.
+Xeon a load that parses takes about 0.5 ms and a load that finds its text
+cached about 0.07 ms.  :func:`bundled_reference_path` resolves each bundled
+file's path once per process; the file itself is still read on every load.
 """
 
 from __future__ import annotations
@@ -209,8 +210,10 @@ def compare(dataset: ReferenceDataset, computed, source: ReferenceSource):
                   "max_rel_diff": worst["rel_diff"], "worst_z": worst["z"]}
 
 
+@functools.cache
 def bundled_reference_path(shell_label: str) -> Path:
-    """Reference file for one shell; E11 has no published table."""
+    """Reference file for one shell, resolved once per process; E11 has no
+    published table."""
     try:
         name = _BUNDLED_FILES[shell_label]
     except KeyError:

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from yukawa_atom import (
@@ -179,9 +181,13 @@ class TestDeterminism:
         ([{"z": 9, "shell": "Ångström µ \"q\"\n", "total": float("nan"), "note": "x"}],
          {"source": "ü", "max_abs_diff": 1e300}),
         ([{"z": 1, "shell": "E01", "total": 0.1, "note": ""}], {}),
+        ([{"z": True, "shell": False, "total": -12.0, "note": 5e-324},
+          {"z": -7, "shell": None, "total": 999999999.5, "note": float("-inf")}],
+         {"flag": True, "x": np.float64(1 / 3), "y": np.float64(-2.0), "big": 1e16}),
+        ([{"z": 10**30, "total": np.float64(1.5e-7)}], {"tiny": -sys.float_info.min}),
     ])
     def test_json_layout_is_json_dumps_indent_2(self, capsys, rows, summary):
-        # the rows are encoded flat and laid out by hand, byte for byte
+        # every literal is written directly and laid out by hand, byte for byte
         columns = ["z", "shell", "total", "note"]
         cli._render(rows, columns, "json", summary)
         payload = {"rows": [{k: cli._json_value(r.get(k)) for k in columns} for r in rows]}
@@ -189,12 +195,63 @@ class TestDeterminism:
             payload["summary"] = {k: cli._json_value(v) for k, v in summary.items()}
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("csv", "x,y\n0.333333333,-2\n"),
+        ("table", "x            y\n0.333333333  -2\n"),
+    ])
+    def test_numpy_float_prints_nine_digits(self, capsys, fmt, expected):
+        cli._render([{"x": np.float64(1 / 3), "y": np.float64(-2.0)}], ["x", "y"], fmt)
+        assert capsys.readouterr().out == expected
+
     def test_nine_significant_digit_formatting(self, capsys):
         _, out, _ = run_cli(capsys, "level", "--z", "3", "--n", "0", "--l", "0",
                             "--format", "csv")
         total = parse_csv(out)[0]["total_hartree"]
         assert total == f"{float(total):.9g}"
         assert total.startswith("-1.9865085")
+
+
+#: Floats at each switch of the JSON literal: ``repr`` against the 9-digit
+#: text, positional against exponent, normal against subnormal.
+JSON_EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 123456789.0, 12.5, 999999999.0, 999999999.4, 999999999.5,
+    1e9, -1e9, 1e15, 1e16, 1e17, 1e-4, 1e-5, 9.9999999995e-5, 9.99999999e-5, 0.1,
+    5e-324, -5e-324, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+    2.2250738585e-308, sys.float_info.max, -sys.float_info.max,
+    float("inf"), float("-inf"), float("nan"),
+]
+
+
+class TestJsonLiteral:
+    """``_json_literal`` writes what ``json.dumps`` writes for the 9-digit value."""
+
+    @staticmethod
+    def expected(value):
+        return json.dumps(cli._json_value(value))
+
+    @pytest.mark.parametrize("value", JSON_EDGE_FLOATS)
+    def test_edge_floats(self, value):
+        assert cli._json_literal(value) == self.expected(value)
+        assert cli._json_literal(np.float64(value)) == self.expected(value)
+
+    def test_random_bit_patterns(self):
+        # full-range doubles; the same mantissas at exponents around 1e-4..1e9;
+        # and subnormals of every magnitude
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 2**64, size=35_000, dtype=np.uint64)
+        near = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (
+            rng.integers(1023 - 40, 1023 + 60, size=bits.size, dtype=np.uint64) << np.uint64(52))
+        tiny = bits >> rng.integers(12, 64, size=bits.size, dtype=np.uint64)
+        values = np.concatenate([bits, near, tiny]).view(np.float64).tolist()
+        literals = list(map(cli._json_literal, values))
+        if literals != json.dumps(list(map(cli._json_value, values)))[1:-1].split(", "):
+            value = next(v for v, lit in zip(values, literals) if lit != self.expected(v))
+            pytest.fail(f"{value.hex()}: {cli._json_literal(value)} != {self.expected(value)}")
+
+    @pytest.mark.parametrize("value", [None, True, False, 0, -84, 2**70, "", "E00",
+                                       "Ångström \"q\"\n\t\\", "\U0001f600"])
+    def test_other_types(self, value):
+        assert cli._json_literal(value) == json.dumps(value)
 
 
 class TestReusedParser:
@@ -550,6 +607,34 @@ def test_warm_commands_print_what_fresh_ones_do(capsys):
         proc = subprocess.run([sys.executable, "-m", "yukawa_atom", *WARM_COMMANDS[i]],
                               capture_output=True, text=True, timeout=120, env=child_env())
         assert (proc.returncode, proc.stdout, proc.stderr) == cold[i]
+
+
+class TestRenderedOutput:
+    @pytest.mark.parametrize("argv", [argv for argv in WARM_COMMANDS if argv[-1] == "json"],
+                             ids=lambda argv: "-".join(argv[:3]))
+    def test_warm_json_is_json_dumps_indent_2(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("screening", [s.value for s in ScreeningLaw])
+    @pytest.mark.parametrize("order", ["0", "1", "2", "3"])
+    @pytest.mark.parametrize("shell", ["E00", "E01", "E10"])
+    def test_compare_totals_are_table_totals(self, capsys, shell, order, screening):
+        config = ("--order", order, "--screening", screening, "--format", "json")
+        _, out, _ = run_cli(capsys, "compare", "--shell", shell, *config)
+        computed = {r["z"]: r["computed_kev"] for r in json.loads(out)["rows"]}
+        z_list = ",".join(map(str, computed))
+        _, out, _ = run_cli(capsys, "table", "--shell", shell, "--z", z_list, *config)
+        assert {r["z"]: r["total_kev"] for r in json.loads(out)["rows"]} == computed
+
+    def test_no_bound_state_row(self, capsys):
+        # Z=4 2s is unbound: the row leaves eight of its fifteen keys missing
+        code, out, _ = run_cli(capsys, "verify", "--z", "4", "--state", "1,0", "--format", "json")
+        assert code == 0
+        row, = json.loads(out)["rows"]
+        assert row["flag"] == "NO_BOUND_STATE"
+        assert sum(v is None for v in row.values()) == 8
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 #: Run in a fresh process: the closed-form commands, then what they loaded.

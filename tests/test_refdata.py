@@ -2,6 +2,7 @@
 
 import csv
 import re
+from pathlib import Path
 
 import pytest
 
@@ -93,8 +94,23 @@ class TestBundledTables:
         assert BUNDLED_Z["E11"] == BUNDLED_Z["E10"]
 
     def test_no_reference_for_e11(self):
-        with pytest.raises(MissingReference):
-            bundled_reference_path("E11")
+        for _ in range(2):
+            with pytest.raises(MissingReference):
+                bundled_reference_path("E11")
+
+    def test_path_resolved_once_file_read_every_load(self, monkeypatch):
+        assert bundled_reference_path("E00") is bundled_reference_path("E00")
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        for _ in range(2):
+            load_reference(bundled_reference_path("E00"))
+        assert reads == [bundled_reference_path("E00")] * 2
 
 
 class TestLoaderValidation:
