@@ -21,25 +21,19 @@ where it passes ``RESCALE_LIMIT``, and the rest of the grid is solved again
 from there; this keeps deep trial energies inside the float range without
 changing any sign.
 
-The band matrix's -1 entries do not depend on the sweep, so the band and the
-right-hand side are kept between sweeps, one pair per thread, grown to the
-largest grid that thread has swept, and so are t (which then holds |u|),
-1 - t and u: 11 doubles per point, 1.1 MB for the 12449-point mesh of
-Z=74 4p, the largest over Z = 1..84 with n, l <= 2.  A sweep writes -g_i
-into the band, zeroes the right-hand side and allocates only boolean
-temporaries: 0.3-0.4 doubles per point of a 40001-point grid under
-``tracemalloc``, against 4.1 when t, 1 - t, -g and u were allocated afresh.
-Results are bit-identical to allocating everything afresh, but allocating
-the band afresh on every sweep (a fresh band must also be filled with -1
-and its pages faulted in) cost 7%: 90 solves (n, l <= 2 at ten Z from 1
-to 84) took 0.082 s against 0.076 s, medians of 8 alternated rounds on a
-2-core Xeon.  So the buffers stay.
+A mesh's sweeps share one :func:`workspace`, 11 doubles per point, which
+the caller builds once per mesh; the kernel keeps nothing between calls,
+so a workspace is freed with its mesh and threads share no buffer.  A sweep
+writes -g_i into the band, zeroes the right-hand side and allocates only
+boolean temporaries: 0.3-0.4 doubles per point of a 40001-point mesh under
+``tracemalloc``, against 4.1 with t, 1 - t, -g and u allocated afresh.  A
+band allocated afresh per sweep gives the same bits but cost 7%: 90 solves
+(n, l <= 2 at ten Z from 1 to 84) took 0.082 s against 0.076 s, medians of
+8 alternated rounds on a 2-core Xeon.
 
 numpy and ``dtbtrs`` are imported on the first sweep, so importing this
 module loads neither numpy nor scipy.
 """
-
-import threading
 
 RESCALE_LIMIT = 1e250
 RESCALE_FACTOR = 1e-250
@@ -49,38 +43,24 @@ RESCALE_FACTOR = 1e-250
 #: every sweep cost about 1 us of a 19-23-us sweep of 401 points (2-core Xeon).
 _dtbtrs = None
 
-#: Each thread's band matrix, right-hand side and per-point arrays (see
-#: :func:`_workspace`).
-_buffers = threading.local()
 
-
-def _workspace(points):
-    """The band matrix and right-hand side of a ``points``-point sweep, and
-    three arrays over its points: t (which then holds |u|), 1 - t and u.
+def workspace(points):
+    """The sweep buffers of a ``points``-point mesh: the band matrix, the
+    right-hand side, and t (which then holds |u|), 1 - t and u.
 
     Fortran order, so that f2py passes the band uncopied.  Row 0 is the unit
     diagonal, which diag="U" leaves unread.  Row 2 is -1 everywhere:
     -d_{i-1} in row d_i and -y_i in row y_{i+1}.  Row 1 holds -g_i in row d_i
     (its even slots, which each sweep writes) and -1, for -d_i, in row
-    y_{i+1}.  The -1 entries are written once, when the buffers grow.  A
-    solve from grid point k uses the columns from 2k on, which are still
-    Fortran-contiguous.  The views of the last size asked for are kept, as
-    successive sweeps share their grid.
+    y_{i+1}.  The -1 entries are written here, once.  A solve from grid
+    point k uses the columns from 2k on, which are still
+    Fortran-contiguous.
     """
-    views = getattr(_buffers, "views", None)
-    if views is not None and len(views[4]) == points:
-        return views
-    size = 2 * points - 1
-    band = getattr(_buffers, "band", None)
-    if band is None or band.shape[1] < size:
-        import numpy as np
+    import numpy as np
 
-        _buffers.band = band = np.full((3, size), -1.0, order="F")
-        _buffers.rhs = np.empty(size)
-        _buffers.per_point = np.empty((3, points))
-    _buffers.views = views = (band[:, :size], _buffers.rhs[:size],
-                              *_buffers.per_point[:, :points])
-    return views
+    size = 2 * points - 1
+    band = np.full((3, size), -1.0, order="F")
+    return band, np.empty(size), np.empty(points), np.empty(points), np.empty(points)
 
 
 def _summed_solve(band, rhs, y_first, d_before):
@@ -98,17 +78,20 @@ def _summed_solve(band, rhs, y_first, d_before):
     return x[0::2], x[1::2]
 
 
-def count_nodes_sweep(w, r2, energy, h, u0, u1):
+def count_nodes_sweep(w, r2, energy, h, u0, u1, work):
     """Outward Numerov sweep of u'' = (w - 2 E r2) u in steps of ``h``, from
     the start values ``u0`` and ``u1``; returns (sign changes, last value).
 
     ``w`` and ``r2`` are arrays over the grid: on the eigensolver's
     logarithmic mesh, w = (l + 1/2)^2 - 2 A r exp(-delta r) and r2 = r^2.
+    ``work`` is the grid's :func:`workspace`, which the sweep overwrites.
+    ``bench/spans.py`` looks this function up through the module and counts
+    a sweep's points as ``len(args[0])``, so ``w`` stays first.
     """
     import numpy as np
 
     n = len(w)
-    band, rhs, t, c, u = _workspace(n)
+    band, rhs, t, c, u = work
     # t = h^2 / 12 (w - 2 E r2) and c = 1 - t, in place, with the rounding
     # of those expressions
     np.multiply(r2, 2.0 * energy, out=t)

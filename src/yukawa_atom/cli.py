@@ -69,6 +69,10 @@ BUNDLED_Z = {
     "E11": _L_SHELL_Z,
 }
 
+#: Most values one 'a..b' Z range may hold.  A longer one is refused before
+#: it is built: 3..1000000000 would need gigabytes for its list alone.
+_MAX_Z_RANGE = 100_000
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -165,6 +169,8 @@ def _parse_z_spec(text: str, shell: str) -> list[int]:
                 raise ValueError(f"bad Z range {token!r}")
             if restrict_paper:
                 values.extend(z for z in BUNDLED_Z[shell] if lo <= z <= hi)
+            elif hi - lo >= _MAX_Z_RANGE:
+                raise ValueError(f"Z range {token!r} holds more than {_MAX_Z_RANGE} values")
             else:
                 values.extend(range(lo, hi + 1))
         else:

@@ -35,15 +35,14 @@ count proves it, so a poor seed costs sweeps but cannot change which level
 is found.  A grid on which hi has at most n nodes, or lo more than n, holds
 no level with n nodes inside its bounds and raises ``NoBoundState``.
 
-Every solve sizes its first mesh, of the internal type ``RadialGrid``, from
-its search bounds (see :meth:`RadialGrid.for_state`), from ``R_MIN`` = 1e-6
-Bohr to a box edge r_max: the caller's, checked once per solve, or with
-E_up = min(hi, E0 + A delta), an upper bound on the level,
-A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay lengths past a bound on the
-level's outer turning point, but never wider than max(20, 30 N^2/A) Bohr.
-The mesh has ``FIRST_GRID_POINTS`` = 401 points, or as many more as keep
-Numerov's t = h^2 (w - 2 lo r^2) / 12 <= 0.5 at r_max, with
-w = (l + 1/2)^2 - 2 A r exp(-delta r); a caller's box whose mesh would pass
+Every solve sizes its first mesh from its search bounds (see
+:func:`_first_mesh`), from ``R_MIN`` = 1e-6 Bohr to a box edge r_max: the
+caller's, checked once per solve, or with E_up = min(hi, E0 + A delta), an
+upper bound on the level, A / (-E_up) + 30 / sqrt(-2 E_up), 30 decay
+lengths past a bound on the level's outer turning point, but never wider
+than max(20, 30 N^2/A) Bohr.  The mesh has ``FIRST_GRID_POINTS`` = 401
+points, or as many more as keep Numerov's t = h^2 (w - 2 lo r^2) / 12 <= 0.5
+at r_max, with w = (l + 1/2)^2 - 2 A r exp(-delta r); a caller's box whose mesh would pass
 ``MAX_FIRST_GRID_POINTS`` is refused.  A seeded solve first takes its seed
 bracket as the bounds of every grid; where a grid shows the level outside
 them, it starts again from the default bounds and their mesh, at the cost
@@ -61,8 +60,9 @@ passes its entry by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises
 margin the sweep decides.
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
-triangular solve per trial energy, on buffers kept between sweeps, from
-start values whose energy-independent part each grid builds once.
+triangular solve per trial energy.  One :class:`_Sweeper` per mesh builds
+its r^2, w, start values and sweep buffers once, 13 doubles per point; a
+solve holds one mesh at a time and none once it returns.
 numpy and the sweep's ``dtbtrs`` are imported by the first solve, not with
 this module, so the closed-form commands load no numpy or scipy module.
 Chandrupatla's method is :func:`_chandrupatla`, a few dozen lines on
@@ -148,58 +148,41 @@ class NonConvergence(RuntimeError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """The solver's internal logarithmic mesh r_i = ``R_MIN`` exp(i h),
-    i = 0 .. points - 1, whose last point is ``r_max``; :meth:`for_state`
-    and :meth:`halved` keep it odd and of at least ``FIRST_GRID_POINTS``."""
+def _first_mesh(system: AtomicSystem, state: QuantumState, delta: float,
+                bounds: tuple[float, float], r_max: float | None = None) -> tuple[float, int]:
+    """(r_max, points) of the first mesh of a solve whose search runs inside
+    ``bounds`` (lo, hi): a box of ``r_max`` Bohr if given, else of 30 decay
+    lengths of the level past its turning point, never wider than
+    max(20, 30 N^2 / A) Bohr, on ``FIRST_GRID_POINTS`` points or as many
+    more as keep Numerov's t <= 0.5 at the box's edge for E = lo.  The
+    point count is odd, so that every halving keeps it odd.
 
-    r_max: float
-    points: int
+    The default box: since exp(-x) >= 1 - x, V <= -A/r + A delta, so
+    E0 + A delta bounds the level from above, as hi does once the
+    search's sweeps show the level below it; E_up is the lower of the
+    two.  Since V_eff >= -A/r, the outer turning point lies below
+    A / (-E_up) when E_up < 0, and 30 / sqrt(-2 E_up) is at least 30
+    decay lengths of the level.  Where E_up is near 0, as with
+    E0 + A delta not negative and hi = -1e-12, the cap takes over.
 
-    @classmethod
-    def for_state(cls, system: AtomicSystem, state: QuantumState, delta: float,
-                  bounds: tuple[float, float], r_max: float | None = None) -> "RadialGrid":
-        """First grid of a solve whose search runs inside ``bounds`` (lo, hi):
-        a box of ``r_max`` Bohr if given, else of 30 decay lengths of the
-        level past its turning point, never wider than max(20, 30 N^2 / A)
-        Bohr, on ``FIRST_GRID_POINTS`` points or as many more as keep
-        Numerov's t <= 0.5 at the box's edge for E = lo.
-
-        The default box: since exp(-x) >= 1 - x, V <= -A/r + A delta, so
-        E0 + A delta bounds the level from above, as hi does once the
-        search's sweeps show the level below it; E_up is the lower of the
-        two.  Since V_eff >= -A/r, the outer turning point lies below
-        A / (-E_up) when E_up < 0, and 30 / sqrt(-2 E_up) is at least 30
-        decay lengths of the level.  Where E_up is near 0, as with
-        E0 + A delta not negative and hi = -1e-12, the cap takes over.
-
-        Numerov's t = h^2 (w - 2 E r^2) / 12, w = (l + 1/2)^2
-        - 2 A r exp(-delta r), must stay below 1, and on the mesh it grows
-        with -E r^2 towards the box edge, so a coarse step lets deep trial
-        energies count spurious nodes there.  The step keeps t <= 0.5 at
-        r_max for lo, the deepest energy the search sweeps.
-        """
-        lo, hi = bounds
-        if r_max is None:
-            e0 = coulomb_energy(system.a, state)
-            r_max = max(20.0, 30.0 * state.big_n ** 2 / system.a)
-            e_up = min(hi, e0 + system.a * delta)
-            if e_up < 0.0:
-                r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
-        f_edge = ((state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
-                  - 2.0 * lo * r_max * r_max)
-        steps = math.ceil(math.log(r_max / R_MIN) * math.sqrt(max(f_edge, 0.0) / 6.0))
-        steps = max(FIRST_GRID_POINTS - 1, steps + steps % 2)
-        return cls(r_max, steps + 1)
-
-    @property
-    def step(self) -> float:
-        """The mesh's step h in x = ln r."""
-        return math.log(self.r_max / R_MIN) / (self.points - 1)
-
-    def halved(self) -> "RadialGrid":
-        return RadialGrid(self.r_max, 2 * self.points - 1)
+    Numerov's t = h^2 (w - 2 E r^2) / 12, w = (l + 1/2)^2
+    - 2 A r exp(-delta r), must stay below 1, and on the mesh it grows
+    with -E r^2 towards the box edge, so a coarse step lets deep trial
+    energies count spurious nodes there.  The step keeps t <= 0.5 at
+    r_max for lo, the deepest energy the search sweeps.
+    """
+    lo, hi = bounds
+    if r_max is None:
+        e0 = coulomb_energy(system.a, state)
+        r_max = max(20.0, 30.0 * state.big_n ** 2 / system.a)
+        e_up = min(hi, e0 + system.a * delta)
+        if e_up < 0.0:
+            r_max = min(r_max, system.a / -e_up + 30.0 / math.sqrt(-2.0 * e_up))
+    f_edge = ((state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
+              - 2.0 * lo * r_max * r_max)
+    steps = math.ceil(math.log(r_max / R_MIN) * math.sqrt(max(f_edge, 0.0) / 6.0))
+    steps = max(FIRST_GRID_POINTS - 1, steps + steps % 2)
+    return r_max, steps + 1
 
 
 @dataclass(frozen=True)
@@ -254,32 +237,36 @@ def _series_start(a: float, delta: float, l: int, r0: float, r1: float):
 
 
 class _Sweeper:
-    """Node count and last value of the outward solution for one (potential,
-    grid) pair at varying trial energy; each energy is swept once.  The
-    sweep runs phi = u / sqrt(r), which has u's nodes and tail sign."""
+    """One mesh r_i = ``R_MIN`` exp(i h), i = 0 .. points - 1, to ``r_max``,
+    with its potential, start values and sweep buffers, all built once: the
+    node count and last value of the outward solution at varying trial
+    energy, each energy swept once into ``swept``.  The sweep runs
+    phi = u / sqrt(r), which has u's nodes and tail sign."""
 
     def __init__(self, system: AtomicSystem, delta: float, state: QuantumState,
-                 grid: RadialGrid):
+                 r_max: float, points: int):
         import numpy as np
 
         # i h, not a linspace of ln r: near |x| ~ 14 a linspace's spacing
         # rounds at about 1e-12 relative, which moves heavy K shells by
         # up to a few 1e-9 Ha
-        self.h = grid.step
-        r = R_MIN * np.exp(self.h * np.arange(grid.points))
+        self.h = math.log(r_max / R_MIN) / (points - 1)
+        r = R_MIN * np.exp(self.h * np.arange(points))
         self.start = _series_start(system.a, delta, state.l, *r[:2].tolist())
-        self.r_max = grid.r_max
+        self.r_max = r_max
         # the energy-independent part of phi''/phi, and the r^2 that 2E multiplies
         self.w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * np.exp(-delta * r)
-        self.r2 = r * r
-        self._swept: dict[float, tuple[int, float]] = {}
+        # r^2 in r's own buffer: building the mesh takes one array fewer
+        self.r2 = np.multiply(r, r, out=r)
+        self.work = _numerov_py.workspace(points)
+        self.swept: dict[float, tuple[int, float]] = {}
 
     def _sweep(self, energy: float) -> tuple[int, float]:
-        if energy not in self._swept:
+        if energy not in self.swept:
             u0, u1 = self.start(energy)
-            self._swept[energy] = _numerov_py.count_nodes_sweep(self.w, self.r2, energy, self.h,
-                                                                u0, u1)
-        return self._swept[energy]
+            self.swept[energy] = _numerov_py.count_nodes_sweep(self.w, self.r2, energy, self.h,
+                                                               u0, u1, self.work)
+        return self.swept[energy]
 
     def nodes(self, energy: float) -> int:
         return self._sweep(energy)[0]
@@ -404,9 +391,9 @@ def _bisect_eigenvalue(sweep: _Sweeper, n: int, lo: float, hi: float) -> tuple[f
     return _chandrupatla(_detrended(sweep, hi), lo, hi, ENERGY_TOL), n
 
 
-def _solve_on_grid(system, delta, state, grid, bounds: tuple[float, float],
+def _solve_on_grid(system, delta, state, sweep: _Sweeper, bounds: tuple[float, float],
                    bracket: tuple[float, float] | None, tally: list[int]) -> tuple[float, int]:
-    """Eigenvalue and node count on one grid; raises NoBoundState.
+    """Eigenvalue and node count on the mesh of ``sweep``; raises NoBoundState.
 
     The search runs inside ``bounds`` (lo, hi).  The ends of ``bracket``, if
     any, clipped into them, are swept from the top: an end with n+1 or more
@@ -418,7 +405,6 @@ def _solve_on_grid(system, delta, state, grid, bounds: tuple[float, float],
     The number of trial energies swept is appended to ``tally``, also when
     the grid raises.
     """
-    sweep = _Sweeper(system, delta, state, grid)
     n = state.n
     lo, hi = bounds
     try:
@@ -433,7 +419,7 @@ def _solve_on_grid(system, delta, state, grid, bounds: tuple[float, float],
             )
         return _bisect_eigenvalue(sweep, n, lo, hi)
     finally:
-        tally.append(len(sweep._swept))
+        tally.append(len(sweep.swept))
 
 
 def _seed_bracket(system: AtomicSystem, delta: float, state: QuantumState,
@@ -496,7 +482,7 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
     if r_max is not None:
         if not R_MIN < r_max < math.inf:
             raise ValueError(f"r_max must be finite and above {R_MIN}, got {r_max}")
-        points = RadialGrid.for_state(system, state, delta, default, r_max).points
+        points = _first_mesh(system, state, delta, default, r_max)[1]
         if points > MAX_FIRST_GRID_POINTS:
             raise ValueError(f"r_max = {r_max} Bohr needs a first mesh of {points} points, "
                              f"more than {MAX_FIRST_GRID_POINTS}")
@@ -517,14 +503,18 @@ def solve_bound_state(system: AtomicSystem, delta: float, state: QuantumState,
 def _refine(system, delta, state, bounds, r_max, bracket, tally) -> OracleResult:
     """:func:`solve_bound_state`'s grid refinement inside ``bounds`` in the box
     ``r_max`` (None for the default), from the first grid's ``bracket``;
-    the trial energies swept are appended to ``tally``."""
-    grid = RadialGrid.for_state(system, state, delta, bounds, r_max)
+    the trial energies swept are appended to ``tally``.  A halving takes
+    the mesh from p to 2 p - 1 points, and each mesh's sweeper is a
+    temporary, freed before the next one is built."""
+    r_max, points = _first_mesh(system, state, delta, bounds, r_max)
     energy = None
     for level in range(MAX_REFINEMENTS + 1):
         if level:
-            grid = grid.halved()
+            points = 2 * points - 1
         prev_energy = energy
-        energy, nodes = _solve_on_grid(system, delta, state, grid, bounds, bracket, tally)
+        energy, nodes = _solve_on_grid(system, delta, state,
+                                       _Sweeper(system, delta, state, r_max, points),
+                                       bounds, bracket, tally)
         if not level:
             extrap, error = energy, float("inf")
             centre, pad = energy, max(1e-5 * abs(energy), 1e-9)
@@ -536,7 +526,7 @@ def _refine(system, delta, state, bounds, r_max, bracket, tally) -> OracleResult
             prev_extrap, extrap = extrap, energy + shift / 15.0
             error = abs(extrap - (energy if level == 1 else prev_extrap))
             if level > 1 and error < GRID_TOL:
-                result = OracleResult(extrap, nodes, max(error, ENERGY_TOL), grid.points,
+                result = OracleResult(extrap, nodes, max(error, ENERGY_TOL), points,
                                       sum(tally))
                 if nodes != state.n:
                     raise NonConvergence(
@@ -558,7 +548,7 @@ def _refine(system, delta, state, bounds, r_max, bracket, tally) -> OracleResult
     raise NonConvergence(
         f"grid refinement stalled after {MAX_REFINEMENTS} halvings "
         f"(last change {error:.3e} Hartree)",
-        OracleResult(extrap, nodes, error, grid.points, sum(tally)),
+        OracleResult(extrap, nodes, error, points, sum(tally)),
     )
 
 
@@ -584,12 +574,13 @@ def _critical_ratio(n: int, l: int) -> float:
     r = R_MIN * np.exp(h * np.arange(math.ceil(math.log(40.0 / lo / R_MIN) / h) + 1))
     r2 = r * r
     decay = math.exp(-(l + 0.5) * h)
+    work, work_before = _numerov_py.workspace(len(r)), _numerov_py.workspace(len(r) - 1)
 
     def levels(delta):
         w = (l + 0.5) ** 2 - 2.0 * r * np.exp(-delta * r)
         u0, u1 = _series_start(1.0, delta, l, r[0], r[1])(0.0)
-        nodes, last = _numerov_py.count_nodes_sweep(w, r2, 0.0, h, u0, u1)
-        _, before = _numerov_py.count_nodes_sweep(w[:-1], r2[:-1], 0.0, h, u0, u1)
+        nodes, last = _numerov_py.count_nodes_sweep(w, r2, 0.0, h, u0, u1, work)
+        _, before = _numerov_py.count_nodes_sweep(w[:-1], r2[:-1], 0.0, h, u0, u1, work_before)
         return nodes + (last * (last - decay * before) < 0.0)
 
     if not levels(lo) > n >= levels(hi):

@@ -12,6 +12,7 @@ to keV only at output boundaries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,8 +57,7 @@ class AtomicSystem:
     a: float | None = None
 
     def __post_init__(self):
-        if self.z < 1:
-            raise ValueError(f"atomic number must be >= 1, got {self.z}")
+        _check_z(self.z)
         if self.a is None:
             object.__setattr__(self, "a", float(self.z))
         if not (math.isfinite(self.a) and self.a > 0):
@@ -141,14 +141,21 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
 
 
+def _check_z(z: int) -> None:
+    """Reject an atomic number below 1 or too large to convert to a float."""
+    if z < 1:
+        raise ValueError(f"atomic number must be >= 1, got {z}")
+    if not z <= sys.float_info.max:
+        raise ValueError(f"atomic number must be at most {sys.float_info.max:.6g}")
+
+
 def screening_delta(z: int, model: ScreeningModel) -> float:
     """Screening parameter in inverse Bohr radii for atomic number ``z``.
 
     Thomas-Fermi: delta0 * Z^(1/3).  The Fermi-Amaldi-corrected form carries
     an extra (1 - 1/Z)^(2/3), vanishing exactly at Z = 1.
     """
-    if z < 1:
-        raise ValueError(f"atomic number must be >= 1, got {z}")
+    _check_z(z)
     delta = model.delta0 * z ** (1.0 / 3.0)
     if model.variant is ScreeningLaw.FERMI_AMALDI:
         delta *= (1.0 - 1.0 / z) ** (2.0 / 3.0)

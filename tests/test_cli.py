@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,30 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+@contextmanager
+def memory_cap(extra=1 << 30):
+    """Cap this process's address space at its present size plus ``extra``
+    bytes, where the platform tells that size, so that an input the CLI
+    must refuse before allocating raises MemoryError instead of taking the
+    machine's memory if the refusal is ever lost."""
+    try:
+        import resource
+
+        with open("/proc/self/status") as status:
+            size = next(int(line.split()[1]) * 1024 for line in status
+                        if line.startswith("VmSize:"))
+    except (ImportError, OSError, StopIteration):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(hard, size + extra)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestLevel:
@@ -537,13 +562,23 @@ class TestSharedOptions:
         ((*LEVEL_ARGV, "--hartree-ev", "1e308", "--format", "csv"), "is not a finite keV value"),
         (("compare", "--shell", "E00", "--tolerance", "nan"), "tolerance must be finite"),
         (("compare", "--shell", "E00", "--tolerance", "-1"), "tolerance must be finite"),
+        # Z past the float range once raised OverflowError (exit 1)
+        (("level", "--z", "1" + "0" * 400, "--n", "0", "--l", "0"),
+         "atomic number must be at most 1.79769e+308"),
+        (("table", "--shell", "E00", "--z", "1" + "0" * 400),
+         "atomic number must be at most 1.79769e+308"),
+        (("verify", "--z", "1" + "0" * 400), "atomic number must be at most 1.79769e+308"),
+        # its list alone would take gigabytes (MemoryError, exit 1, or killed)
+        (("table", "--shell", "E00", "--z", "3..1000000000"),
+         "Z range '3..1000000000' holds more than 100000 values"),
     ], ids=["level-delta0-nan", "level-delta0-inf", "level-hartree-ev-nan",
             "level-hartree-ev-inf", "table-delta0-nan", "compare-hartree-ev-inf",
             "verify-delta0-inf", "level-delta0-1e200", "level-delta0-1.4e51",
             "verify-delta0-1e200", "level-hartree-ev-1e308", "compare-tolerance-nan",
-            "compare-tolerance-negative"])
+            "compare-tolerance-negative", "level-z-1e400", "table-z-1e400", "verify-z-1e400",
+            "table-z-range-1e9"])
     def test_non_finite_value_exits_2(self, capsys, argv, message):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), memory_cap():
             warnings.simplefilter("error")
             with pytest.raises(SystemExit) as excinfo:
                 main(list(argv))

@@ -29,7 +29,6 @@ from yukawa_atom import (
 )
 from yukawa_atom import oracle as oracle_mod
 from yukawa_atom import _numerov_py
-from yukawa_atom.oracle import RadialGrid
 from yukawa_atom.wavefunctions import _exponent_coefficients
 
 FA = ScreeningModel()
@@ -40,9 +39,14 @@ def _default_bounds(system, state):
     return 1.5 * coulomb_energy(system.a, state), -1e-12
 
 
-def _default_grid(system, state, delta, r_max=None):
-    """The first mesh of a solve's default bounds."""
-    return RadialGrid.for_state(system, state, delta, _default_bounds(system, state), r_max)
+def _default_mesh(system, state, delta, r_max=None):
+    """(r_max, points) of the first mesh of a solve's default bounds."""
+    return oracle_mod._first_mesh(system, state, delta, _default_bounds(system, state), r_max)
+
+
+def _step(r_max, points):
+    """The step h in ln r of the eigensolver's mesh of ``points`` points to ``r_max``."""
+    return math.log(r_max / oracle_mod.R_MIN) / (points - 1)
 
 
 def _seed(system, delta, state):
@@ -50,9 +54,11 @@ def _seed(system, delta, state):
     return oracle_mod._seed_bracket(system, delta, state, _default_bounds(system, state))
 
 
-def _grid_solve(system, delta, state, grid, bracket=None):
-    """One grid's search inside the default bounds, from ``bracket``."""
-    return oracle_mod._solve_on_grid(system, delta, state, grid, _default_bounds(system, state),
+def _grid_solve(system, delta, state, mesh, bracket=None):
+    """One search inside the default bounds on the mesh (r_max, points), from
+    ``bracket``."""
+    sweep = oracle_mod._Sweeper(system, delta, state, *mesh)
+    return oracle_mod._solve_on_grid(system, delta, state, sweep, _default_bounds(system, state),
                                      bracket, [])
 
 
@@ -164,7 +170,7 @@ class TestOracleBasics:
         # H 2s in 60 Bohr solves with the ceiling at its default-bounds mesh,
         # and is refused, unswept, one point below it
         system, state = AtomicSystem(1), QuantumState(1, 0)
-        points = _default_grid(system, state, 0.0, 60.0).points
+        _, points = _default_mesh(system, state, 0.0, 60.0)
         monkeypatch.setattr(oracle_mod, "MAX_FIRST_GRID_POINTS", points)
         assert solve_bound_state(system, 0.0, state, r_max=60.0).energy == pytest.approx(-0.125)
         monkeypatch.setattr(oracle_mod, "MAX_FIRST_GRID_POINTS", points - 1)
@@ -193,6 +199,58 @@ class TestOracleBasics:
             gc.enable()
         assert left == []
 
+    def test_solve_keeps_no_memory(self):
+        # H 1s just below its critical ratio, in a 4000-Bohr box, finishes on
+        # 176,881 points.  Only the result outlives the solve (840 bytes),
+        # where a per-thread buffer cache once held 15.6 MB.  The peak, 13.25
+        # doubles per point, is the finest mesh's r^2, w and 11-double sweep
+        # buffers: a finer mesh built while the coarser one was still held
+        # peaked at 19.5 (27.6 MB)
+        solve_bound_state(AtomicSystem(1), 0.5, QuantumState(0, 0))  # numpy and LAPACK loaded
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = solve_bound_state(AtomicSystem(1), 1.19, QuantumState(0, 0), r_max=4000.0)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert res.grid_points == 176_881
+        assert held <= 4096
+        assert peak <= 14 * 8 * res.grid_points
+
+    def test_concurrent_solves_bit_identical(self):
+        # four threads solve four levels, a wide box among them, each thread
+        # in its own order, so that meshes of different sizes are swept at
+        # once; each result is the serial one, bit for bit
+        levels = [(29, 0, 0, None), (84, 0, 2, None), (5, 1, 0, None), (51, 2, 0, _WIDE_BOX)]
+
+        def solve(z, n, l, r_max):
+            res = solve_bound_state(AtomicSystem(z), screening_delta(z, FA), QuantumState(n, l),
+                                    r_max)
+            return (res.energy.hex(), res.estimated_error.hex(), res.grid_points, res.sweeps,
+                    res.nodes_found)
+
+        expected = [solve(*level) for level in levels]
+        results = {}
+
+        def worker(k):
+            order = levels[k:] + levels[:k]
+            results[k] = [solve(*level) for _ in range(2) for level in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k in range(4):
+            assert results[k] == 2 * (expected[k:] + expected[:k])
+
     def test_nonconvergence_carries_best_estimate(self, monkeypatch):
         # one halving and a zero tolerance stall Z=29 1s after two grids; the
         # single extrapolation is carried, with its own correction as its error
@@ -218,47 +276,47 @@ _FIRST_STEP_LEVELS = sorted(
 )
 
 
-class TestRadialGrid:
+class TestFirstMesh:
     def test_default_box_holds_thirty_decay_lengths(self):
         # delta = 0: E_up is the exact level -1/18, so the box is the
         # turning-point bound 18 plus 30 * 3 Bohr
-        g = _default_grid(AtomicSystem(1), QuantumState(1, 1), 0.0)
-        assert g.r_max == pytest.approx(108.0)
+        r_max, _ = _default_mesh(AtomicSystem(1), QuantumState(1, 1), 0.0)
+        assert r_max == pytest.approx(108.0)
 
     def test_default_box_from_screened_upper_bound(self):
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
         e_up = coulomb_energy(system.a, state) + system.a * delta
-        g = _default_grid(system, state, delta)
-        assert g.r_max == pytest.approx(system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
+        r_max, _ = _default_mesh(system, state, delta)
+        assert r_max == pytest.approx(system.a / -e_up + 30.0 / np.sqrt(-2.0 * e_up))
 
     def test_default_box_past_turning_point_at_high_n(self):
         # H N=14 s: outer turning point 2 N^2, decay length N
         big_n = 14
-        g = _default_grid(AtomicSystem(1), QuantumState(big_n - 1, 0), 0.0)
-        assert g.r_max >= 2.0 * big_n**2 + 30.0 * big_n - 1e-9
+        r_max, _ = _default_mesh(AtomicSystem(1), QuantumState(big_n - 1, 0), 0.0)
+        assert r_max >= 2.0 * big_n**2 + 30.0 * big_n - 1e-9
 
     def test_default_box_capped_near_threshold(self):
         # E_up = -1e-7: 30 / sqrt(-2 E_up) alone would be 67000 Bohr
-        g = _default_grid(AtomicSystem(1), QuantumState(0, 0), 0.4999999)
-        assert g.r_max == 30.0
+        r_max, _ = _default_mesh(AtomicSystem(1), QuantumState(0, 0), 0.4999999)
+        assert r_max == 30.0
 
     def test_default_box_when_bound_unproven(self):
         # E0 + A delta > 0: the box is the cap max(20, 30 N^2 / A)
-        z5_2s = _default_grid(AtomicSystem(5), QuantumState(1, 0), screening_delta(5, FA))
-        z9_2p = _default_grid(AtomicSystem(9), QuantumState(0, 1), screening_delta(9, FA))
-        assert z5_2s.r_max == pytest.approx(24.0)
-        assert z9_2p.r_max == 20.0
+        z5_2s, _ = _default_mesh(AtomicSystem(5), QuantumState(1, 0), screening_delta(5, FA))
+        z9_2p, _ = _default_mesh(AtomicSystem(9), QuantumState(0, 1), screening_delta(9, FA))
+        assert z5_2s == pytest.approx(24.0)
+        assert z9_2p == 20.0
 
     @pytest.mark.parametrize("z, n, l", _FIRST_STEP_LEVELS)
     def test_first_step_bound(self, z, n, l):
         # Numerov's t = h^2 f / 12 at the box edge, for the search's deepest
         # trial energy 1.5 E0, where f ~ 3 |E0| r^2
         system, state = AtomicSystem(z), QuantumState(n, l)
-        grid = _default_grid(system, state, screening_delta(z, FA))
+        r_max, points = _default_mesh(system, state, screening_delta(z, FA))
         e0 = coulomb_energy(system.a, state)
-        assert grid.points >= oracle_mod.FIRST_GRID_POINTS
-        assert grid.step**2 * 3.0 * abs(e0) * grid.r_max**2 / 12.0 <= 0.5
+        assert points >= oracle_mod.FIRST_GRID_POINTS
+        assert _step(r_max, points)**2 * 3.0 * abs(e0) * r_max**2 / 12.0 <= 0.5
 
     def test_every_first_mesh_step_bound(self):
         # Numerov's exact t = h^2 (w - 2 E r^2) / 12 at r_max for E = lo,
@@ -271,10 +329,10 @@ class TestRadialGrid:
             for state in (QuantumState(n, l) for n in range(3) for l in range(3)):
                 bracket = _seed(system, delta, state)
                 for lo, hi in filter(None, [_default_bounds(system, state), bracket]):
-                    grid = RadialGrid.for_state(system, state, delta, (lo, hi))
-                    r = grid.r_max
+                    r, points = oracle_mod._first_mesh(system, state, delta, (lo, hi))
                     w = (state.l + 0.5) ** 2 - 2.0 * system.a * r * math.exp(-delta * r)
-                    assert grid.step**2 * (w - 2.0 * lo * r * r) / 12.0 <= 0.5, (z, state, lo, hi)
+                    assert _step(r, points)**2 * (w - 2.0 * lo * r * r) / 12.0 <= 0.5, \
+                        (z, state, lo, hi)
 
     @pytest.mark.parametrize("r_max", [60.0, 480.0, 3000.0])
     def test_caller_box_step_bound(self, r_max):
@@ -284,10 +342,11 @@ class TestRadialGrid:
             system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
             seed = _seed(system, delta, state)
             for lo, hi in filter(None, [_default_bounds(system, state), seed]):
-                grid = RadialGrid.for_state(system, state, delta, (lo, hi), r_max)
+                box, points = oracle_mod._first_mesh(system, state, delta, (lo, hi), r_max)
                 w = (state.l + 0.5) ** 2 - 2.0 * system.a * r_max * math.exp(-delta * r_max)
-                assert grid.r_max == r_max
-                assert grid.step**2 * (w - 2.0 * lo * r_max**2) / 12.0 <= 0.5, (z, state, lo)
+                assert box == r_max
+                assert _step(r_max, points)**2 * (w - 2.0 * lo * r_max**2) / 12.0 <= 0.5, \
+                    (z, state, lo)
 
     @pytest.mark.parametrize("r_max", [None, 60.0, 480.0])
     def test_meshes_odd_and_past_first_grid_floor(self, r_max):
@@ -299,14 +358,25 @@ class TestRadialGrid:
             for state in (QuantumState(n, l) for n in range(3) for l in range(3)):
                 for bounds in filter(None, [_default_bounds(system, state),
                                             _seed(system, delta, state)]):
-                    grid = RadialGrid.for_state(system, state, delta, bounds, r_max)
-                    for _ in range(3):
-                        assert grid.points % 2 == 1 and grid.points >= 401
-                        grid = grid.halved()
+                    _, points = oracle_mod._first_mesh(system, state, delta, bounds, r_max)
+                    assert points % 2 == 1 and points >= 401
 
-    def test_halving_preserves_oddness(self):
-        g = RadialGrid(r_max=20.0, points=20001)
-        assert g.halved().points == 40001
+    def test_refinement_halves_the_step(self, monkeypatch):
+        # Z=84 1s: each finer mesh has 2 p - 1 points in the same box, so
+        # its step is half the coarser one's and its points stay odd
+        meshes = []
+        sweeper = oracle_mod._Sweeper
+
+        def recorded(system, delta, state, r_max, points):
+            meshes.append((r_max, points))
+            return sweeper(system, delta, state, r_max, points)
+
+        monkeypatch.setattr(oracle_mod, "_Sweeper", recorded)
+        res = solve_bound_state(AtomicSystem(84), screening_delta(84, FA), QuantumState(0, 0))
+        assert len(meshes) >= 3 and res.grid_points == meshes[-1][1]
+        for (box, points), (finer_box, finer_points) in zip(meshes, meshes[1:]):
+            assert finer_box == box and finer_points == 2 * points - 1
+            assert _step(finer_box, finer_points) == pytest.approx(_step(box, points) / 2)
 
 
 def _scalar_sweep(w, r2, energy, h, u0, u1):
@@ -329,7 +399,7 @@ def _scalar_sweep(w, r2, energy, h, u0, u1):
 
 def _log_mesh(r_max, points):
     """The eigensolver's mesh from ``R_MIN`` to ``r_max`` Bohr, and its step."""
-    h = RadialGrid(r_max, points).step
+    h = _step(r_max, points)
     return oracle_mod.R_MIN * np.exp(h * np.arange(points)), h
 
 
@@ -344,8 +414,8 @@ def _hydrogen_sweep_args(l):
 
 def _fresh_buffer_sweep(w, r2, energy, h, u0, u1):
     """The sweep with its band matrix and right-hand side allocated afresh
-    for every solve: the reference the kernel's reused buffers must match
-    bit for bit."""
+    for every solve: the reference that the kernel, on a mesh's reused
+    workspace, must match bit for bit."""
     from scipy.linalg.lapack import dtbtrs
 
     n = len(w)
@@ -384,15 +454,17 @@ class TestNumerovSweep:
         # either side of the first two levels, and deep enough to rescale
         levels = [-0.5 / (k + l + 1) ** 2 for k in range(2)]
         energies = [f * e for e in levels for f in (1.001, 0.999)] + [-50.0]
+        work = _numerov_py.workspace(len(w))
         for energy in energies:
-            nodes, tail = _numerov_py.count_nodes_sweep(w, r2, energy, h, u0, u1)
+            nodes, tail = _numerov_py.count_nodes_sweep(w, r2, energy, h, u0, u1, work)
             ref_nodes, ref_tail = _scalar_sweep(w, r2, energy, h, u0, u1)
             assert nodes == ref_nodes
             assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
 
     def test_reused_buffers_bit_identical(self, monkeypatch):
-        # a smaller grid after a larger one solves in a slice of the larger
-        # grid's buffers; Z=84 1s in 20 Bohr rescales near its level
+        # every sweep on a mesh reuses its sweeper's workspace, after sweeps
+        # at other energies, some of which rescaled and solved again from
+        # the rescaled point; Z=84 1s in 20 Bohr rescales near its level
         solves = []
         solve = _numerov_py._summed_solve
         monkeypatch.setattr(_numerov_py, "_summed_solve",
@@ -401,52 +473,23 @@ class TestNumerovSweep:
         delta = screening_delta(84, FA)
         level = -3183.5114
         energies = (1.001 * level, level, 0.999 * level, 0.5 * level, 4.0 * level)
-        for points in (20001, 40001, 20001):
-            sweep = oracle_mod._Sweeper(system, delta, state, RadialGrid(r_max=20.0, points=points))
-            for energy in energies:
+        for points in (20001, 40001):
+            sweep = oracle_mod._Sweeper(system, delta, state, 20.0, points)
+            for energy in (*energies, *reversed(energies)):
                 args = (sweep.w, sweep.r2, energy, sweep.h, *sweep.start(energy))
-                assert _numerov_py.count_nodes_sweep(*args) == _fresh_buffer_sweep(*args)
-        assert len(solves) > 3 * len(energies)  # some sweeps rescaled and solved again
-
-    def test_concurrent_threads_bit_identical(self):
-        # each thread keeps its own buffers, so threads sweeping grids of
-        # different sizes at once cannot write into one another's band
-        cases = []
-        for points, l in ((20001, 0), (40001, 1), (30001, 2), (20001, 1)):
-            r, h = _log_mesh(200.0, points)
-            w = (l + 0.5) ** 2 - 2.0 * r
-            for energy in (-0.5 / (l + 1) ** 2, -50.0):
-                cases.append((w, r * r, energy, h, r[0] ** (l + 0.5), r[1] ** (l + 0.5)))
-        expected = [_fresh_buffer_sweep(*args) for args in cases]
-        results = {}
-
-        def worker(k):
-            order = cases[k:] + cases[:k]
-            results[k] = [_numerov_py.count_nodes_sweep(*args) for _ in range(3) for args in order]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for k in range(4):
-            assert results[k] == 3 * (expected[k:] + expected[:k])
+                reused = _numerov_py.count_nodes_sweep(*args, sweep.work)
+                assert reused == _fresh_buffer_sweep(*args)
+        assert len(solves) > 4 * len(energies)  # some sweeps rescaled and solved again
 
     @pytest.mark.parametrize("energy", [-0.5, -0.01, -50.0], ids=["level", "shallow", "rescaled"])
     def test_sweep_reuses_per_point_buffers(self, energy):
-        # after a warm-up sweep on this thread, t, 1 - t, -g and u live in
-        # its kept buffers and only boolean temporaries remain: 0.3-0.4
-        # doubles per point, against 4.1 when each sweep allocated its own
+        # with the mesh's workspace built, t, 1 - t, -g and u live in it and
+        # only boolean temporaries remain: 0.3-0.4 doubles per point,
+        # against 4.1 when each sweep allocated its own
         r, h = _log_mesh(200.0, 40001)
         w = 0.25 - 2.0 * r
-        args = (w, r * r, energy, h, r[0] ** 0.5, r[1] ** 0.5)
-        _numerov_py.count_nodes_sweep(*args)
+        args = (w, r * r, energy, h, r[0] ** 0.5, r[1] ** 0.5, _numerov_py.workspace(len(w)))
+        _numerov_py.count_nodes_sweep(*args)  # binds dtbtrs
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -461,11 +504,11 @@ class TestNumerovSweep:
             warnings.simplefilter("error")
             for l in range(3):
                 w, r2, h, u0, u1 = _hydrogen_sweep_args(l)
-                assert _numerov_py.count_nodes_sweep(w, r2, -50.0, h, u0, u1)[0] == 0
+                work = _numerov_py.workspace(len(w))
+                assert _numerov_py.count_nodes_sweep(w, r2, -50.0, h, u0, u1, work)[0] == 0
             # Z=84 1s in 20 Bohr: sqrt(-2E) r_max ~ 1600, so sweeps near the level rescale
             system, state = AtomicSystem(84), QuantumState(0, 0)
-            grid = RadialGrid(r_max=20.0, points=20001)
-            _, nodes = _grid_solve(system, screening_delta(84, FA), state, grid)
+            _, nodes = _grid_solve(system, screening_delta(84, FA), state, (20.0, 20001))
             assert nodes == 0
 
     def test_node_count_steps_at_hydrogen_levels(self):
@@ -473,9 +516,10 @@ class TestNumerovSweep:
         r, h = _log_mesh(200.0, 20001)
         w = 0.25 - 2.0 * r
         u0, u1 = (x ** 0.5 * (1.0 - x) for x in r[:2])
+        work = _numerov_py.workspace(len(w))
 
         def sweep(energy):
-            return _numerov_py.count_nodes_sweep(w, r * r, energy, h, u0, u1)
+            return _numerov_py.count_nodes_sweep(w, r * r, energy, h, u0, u1, work)
 
         for k in range(4):
             level = -0.5 / (k + 1) ** 2
@@ -497,10 +541,10 @@ class TestNumerovSweep:
         # recurrence by 5.9e-7
         system, state = AtomicSystem(84), QuantumState(0, 0)
         delta = screening_delta(84, FA)
-        grid = RadialGrid(_default_grid(system, state, delta).r_max, 40001)
+        r_max, _ = _default_mesh(system, state, delta)
         bracket = (-3183.5114, -3183.5113)
-        e1, _ = _grid_solve(system, delta, state, grid, bracket)
-        e2, _ = _grid_solve(system, delta, state, grid.halved(), bracket)
+        e1, _ = _grid_solve(system, delta, state, (r_max, 40001), bracket)
+        e2, _ = _grid_solve(system, delta, state, (r_max, 80001), bracket)
         assert abs(e2 - e1) < 0.1 * oracle_mod.GRID_TOL
 
 
@@ -590,7 +634,7 @@ class TestRootSearch:
         assert (bracket is not None) == seeded
         work = _count_sweeps(monkeypatch)
         with pytest.raises(NoBoundState):
-            _grid_solve(system, delta, state, _default_grid(system, state, delta), bracket)
+            _grid_solve(system, delta, state, _default_mesh(system, state, delta), bracket)
         assert 0 < work["sweeps"] <= 2
         with pytest.raises(NoBoundState):
             solve_bound_state(system, delta, state)
@@ -606,7 +650,7 @@ class TestRootSearch:
         # search never widens its lower end 1.5 E0; the sweep agrees
         system, state = AtomicSystem(z), QuantumState(n, l)
         delta = screening_delta(z, FA)
-        sweep = oracle_mod._Sweeper(system, delta, state, _default_grid(system, state, delta))
+        sweep = oracle_mod._Sweeper(system, delta, state, *_default_mesh(system, state, delta))
         assert sweep.nodes(1.5 * coulomb_energy(system.a, state)) <= state.n
 
     @pytest.mark.parametrize("delta", [1e6, 1e7, 1e62, 1e100])
@@ -706,11 +750,10 @@ class TestRootSearch:
     ], ids=["h_2s", "z84_1s_rescaled"])
     def test_root_matches_node_count_bisection(self, z, n, delta, r_max):
         system, state = AtomicSystem(z), QuantumState(n, 0)
-        grid = RadialGrid(r_max=r_max, points=20001)
-        energy, nodes = _grid_solve(system, delta, state, grid)
+        energy, nodes = _grid_solve(system, delta, state, (r_max, 20001))
         assert nodes == n
 
-        sweep = oracle_mod._Sweeper(system, delta, state, grid)
+        sweep = oracle_mod._Sweeper(system, delta, state, r_max, 20001)
         lo, hi = 2.0 * coulomb_energy(system.a, state), -1e-12
         assert sweep.nodes(lo) <= n and sweep.nodes(hi) >= n + 1
         while hi - lo > 0.1 * oracle_mod.ENERGY_TOL:
@@ -765,10 +808,10 @@ def _seed_mesh_steps(monkeypatch):
         seeded[:] = [bounds is bracket]
         return refine(system, delta, state, bounds, r_max, bracket, tally)
 
-    def recorded_sweep(w, r2, energy, h, u0, u1):
+    def recorded_sweep(w, r2, energy, h, u0, u1, work):
         if seeded[0]:
             steps.append(h * h / 12.0 * (w[-1] - 2.0 * energy * r2[-1]))
-        return sweep(w, r2, energy, h, u0, u1)
+        return sweep(w, r2, energy, h, u0, u1, work)
 
     monkeypatch.setattr(oracle_mod, "_refine", recorded_refine)
     monkeypatch.setattr(_numerov_py, "count_nodes_sweep", recorded_sweep)
@@ -810,7 +853,7 @@ class TestSeedMesh:
 
     @pytest.mark.parametrize("bracket, discarded", [((-12.0, -11.0), 2), ((-14.0, -13.0), 1)],
                              ids=["above_level", "below_level"])
-    def test_unproven_bracket_falls_back_to_for_state(self, monkeypatch, bracket, discarded):
+    def test_unproven_bracket_falls_back_to_default_mesh(self, monkeypatch, bracket, discarded):
         # Z=19 2s lies at -12.319 Ha.  Above it the bracket's top end has n+1
         # nodes and its lower end too many; below it the top end already
         # has too few.  Either way the seed mesh is dropped, and the level is
@@ -818,18 +861,18 @@ class TestSeedMesh:
         # counted
         system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
         before, _ = _SEEDED_L_SHELLS[19, 1, 0]
-        first = _default_grid(system, state, delta)
-        seed = RadialGrid.for_state(system, state, delta, bracket)
-        assert seed.points != first.points
+        _, first = _default_mesh(system, state, delta)
+        _, seed = oracle_mod._first_mesh(system, state, delta, bracket)
+        assert seed != first
         monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
         lengths = []
         sweep = _numerov_py.count_nodes_sweep
         monkeypatch.setattr(_numerov_py, "count_nodes_sweep",
                             lambda w, *args: lengths.append(len(w)) or sweep(w, *args))
         res = solve_bound_state(system, delta, state)
-        assert lengths[:discarded + 1] == [seed.points] * discarded + [first.points]
+        assert lengths[:discarded + 1] == [seed] * discarded + [first]
         assert res.sweeps == len(lengths)
-        assert res.grid_points == 4 * (first.points - 1) + 1
+        assert res.grid_points == 4 * (first - 1) + 1
         assert abs(res.energy - before) <= max(res.estimated_error, oracle_mod.ENERGY_TOL)
 
     def test_level_leaving_bracket_on_finer_grid_restarts(self, monkeypatch):
@@ -841,24 +884,24 @@ class TestSeedMesh:
         system, state, delta = AtomicSystem(19), QuantumState(1, 0), screening_delta(19, FA)
         bracket = (-12.5, -12.319057)
         before, _ = _SEEDED_L_SHELLS[19, 1, 0]
-        first = _default_grid(system, state, delta)
-        seed = RadialGrid.for_state(system, state, delta, bracket)
+        _, first = _default_mesh(system, state, delta)
+        _, seed = oracle_mod._first_mesh(system, state, delta, bracket)
         monkeypatch.setattr(oracle_mod, "_seed_bracket", lambda *args: bracket)
         lengths = []
         sweep = _numerov_py.count_nodes_sweep
         monkeypatch.setattr(_numerov_py, "count_nodes_sweep",
                             lambda w, *args: lengths.append(len(w)) or sweep(w, *args))
         res = solve_bound_state(system, delta, state)
-        restart = lengths.index(first.points)
-        assert lengths[restart - 1] == seed.halved().points
-        assert set(lengths[:restart]) == {seed.points, seed.halved().points}
+        restart = lengths.index(first)
+        assert lengths[restart - 1] == 2 * seed - 1
+        assert set(lengths[:restart]) == {seed, 2 * seed - 1}
         assert res.sweeps == len(lengths)
-        assert res.grid_points == 4 * (first.points - 1) + 1
+        assert res.grid_points == 4 * (first - 1) + 1
         assert abs(res.energy - before) <= max(res.estimated_error, oracle_mod.ENERGY_TOL)
 
     @pytest.mark.parametrize("z, n, l", _FIRST_STEP_LEVELS)
     def test_seed_mesh_step_bound(self, monkeypatch, z, n, l):
-        # as TestRadialGrid::test_every_first_mesh_step_bound at lo, for
+        # as TestFirstMesh::test_every_first_mesh_step_bound at lo, for
         # every energy swept: the search stays inside the proven seed
         # bracket, whose lower end sizes the step, so no energy swept there
         # counts spurious nodes at r_max
@@ -885,7 +928,7 @@ class TestSeedMesh:
         res = solve_bound_state(system, delta, state)
         assert hi < -4.8 and res.energy > -0.3
         assert abs(res.energy + 0.23812170569612) <= res.estimated_error
-        assert res.grid_points == 4 * (_default_grid(system, state, delta).points - 1) + 1
+        assert res.grid_points == 4 * (_default_mesh(system, state, delta)[1] - 1) + 1
 
 
 def _counted(f):
@@ -916,7 +959,7 @@ def _first_grid_root(monkeypatch, z, n, l):
     monkeypatch.setattr(oracle_mod, "_chandrupatla", recorded)
     monkeypatch.setattr(oracle_mod, "_detrended", recorded_sweeper)
     system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-    _grid_solve(system, delta, state, _default_grid(system, state, delta),
+    _grid_solve(system, delta, state, _default_mesh(system, state, delta),
                 _seed(system, delta, state))
     monkeypatch.undo()
     (sweep,), ((f, lo, hi),) = sweepers, calls
@@ -1069,20 +1112,20 @@ class TestDetrendedRoot:
         # Z=14 2s on its seeded first grid: 14 sweeps on the raw last value,
         # 12 of them the root finder's, and 9 on the de-trended one
         system, state, delta = AtomicSystem(14), QuantumState(1, 0), screening_delta(14, FA)
-        grid = _default_grid(system, state, delta)
+        mesh = _default_mesh(system, state, delta)
         work = _count_sweeps(monkeypatch)
-        _, nodes = _grid_solve(system, delta, state, grid, _seed(system, delta, state))
+        _, nodes = _grid_solve(system, delta, state, mesh, _seed(system, delta, state))
         assert nodes == 1
         assert work["sweeps"] <= 10
 
     @pytest.mark.parametrize("z, n, l", _DETREND_LEVELS, ids=_DETREND_IDS)
     def test_same_eigenvalue_as_raw_tail(self, monkeypatch, z, n, l):
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
-        grid = _default_grid(system, state, delta)
+        mesh = _default_mesh(system, state, delta)
         bracket = _seed(system, delta, state)
-        energy, nodes = _grid_solve(system, delta, state, grid, bracket)
+        energy, nodes = _grid_solve(system, delta, state, mesh, bracket)
         monkeypatch.setattr(oracle_mod, "_detrended", lambda sweep, hi: sweep.tail)
-        raw_energy, raw_nodes = _grid_solve(system, delta, state, grid, bracket)
+        raw_energy, raw_nodes = _grid_solve(system, delta, state, mesh, bracket)
         assert nodes == raw_nodes == n
         assert abs(energy - raw_energy) <= oracle_mod.ENERGY_TOL
 
@@ -1135,9 +1178,9 @@ class TestCriticalRatio:
         critical = oracle_mod.CRITICAL_RATIO[n, l]
         above, below = critical * (1 + 2e-4), critical * (1 - 2e-4)
         with pytest.raises(NoBoundState):
-            _grid_solve(system, above, state, RadialGrid(40.0 / above, 8001))
+            _grid_solve(system, above, state, (40.0 / above, 8001))
         if l:
-            energy, nodes = _grid_solve(system, below, state, RadialGrid(40.0 / below, 8001))
+            energy, nodes = _grid_solve(system, below, state, (40.0 / below, 8001))
             assert nodes == n and energy < 0.0
 
     @pytest.mark.parametrize("n, l", _TABLED_STATES)
@@ -1198,8 +1241,8 @@ def _record_grid_solves(monkeypatch):
     brackets, energies = [], []
     solve = oracle_mod._solve_on_grid
 
-    def recorded(system, delta, state, grid, bounds, bracket, tally):
-        energy, nodes = solve(system, delta, state, grid, bounds, bracket, tally)
+    def recorded(system, delta, state, sweep, bounds, bracket, tally):
+        energy, nodes = solve(system, delta, state, sweep, bounds, bracket, tally)
         brackets.append(bracket)
         energies.append(energy)
         return energy, nodes
@@ -1225,9 +1268,9 @@ class TestRichardsonExtrapolation:
         # it by 1.2e-7 at Z=84 1s (1601 points) and 1.0e-9 at Z=29 2p (2833).
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         res = solve_bound_state(system, delta, state)
-        fine_grid = RadialGrid(_default_grid(system, state, delta).r_max, 256001)
+        fine_mesh = (_default_mesh(system, state, delta)[0], 256001)
         bracket = (res.energy - 1e-7, res.energy + 1e-7)
-        fine, nodes = _grid_solve(system, delta, state, fine_grid, bracket)
+        fine, nodes = _grid_solve(system, delta, state, fine_mesh, bracket)
         assert nodes == n
         assert abs(res.energy - fine) <= 2e-10
 
@@ -1239,9 +1282,9 @@ class TestRichardsonExtrapolation:
         system, state, delta = AtomicSystem(84), QuantumState(1, 0), screening_delta(84, FA)
         res = solve_bound_state(system, delta, state)
         assert res.estimated_error > oracle_mod.ENERGY_TOL
-        fine_grid = RadialGrid(_default_grid(system, state, delta).r_max, 256001)
+        fine_mesh = (_default_mesh(system, state, delta)[0], 256001)
         bracket = (res.energy - 1e-7, res.energy + 1e-7)
-        fine, nodes = _grid_solve(system, delta, state, fine_grid, bracket)
+        fine, nodes = _grid_solve(system, delta, state, fine_mesh, bracket)
         assert nodes == 1
         assert abs(res.energy - fine) <= res.estimated_error
 
@@ -1256,12 +1299,12 @@ class TestRichardsonExtrapolation:
         # one above GRID_TOL and one between ENERGY_TOL and GRID_TOL
         system, state, delta = AtomicSystem(z), QuantumState(n, l), screening_delta(z, FA)
         solve = oracle_mod._solve_on_grid
-        grids = []
+        points = []
 
-        def with_h2_term(system, delta, state, grid, bounds, bracket, tally):
-            grids.append(grid)
-            energy, nodes = solve(system, delta, state, grid, bounds, bracket, tally)
-            return energy + 1e-7 * ((grids[0].points - 1) / (grid.points - 1)) ** 2, nodes
+        def with_h2_term(system, delta, state, sweep, bounds, bracket, tally):
+            points.append(len(sweep.w))
+            energy, nodes = solve(system, delta, state, sweep, bounds, bracket, tally)
+            return energy + 1e-7 * ((points[0] - 1) / (points[-1] - 1)) ** 2, nodes
 
         monkeypatch.setattr(oracle_mod, "_solve_on_grid", with_h2_term)
         _, energies = _record_grid_solves(monkeypatch)
@@ -1269,7 +1312,7 @@ class TestRichardsonExtrapolation:
         x = _extrapolations(energies)
         changes = [abs(b - a) for a, b in zip(x, x[1:])]
         assert len(energies) == 4
-        assert res.grid_points == (grids[0].points - 1) * 2 ** (len(energies) - 1) + 1
+        assert res.grid_points == (points[0] - 1) * 2 ** (len(energies) - 1) + 1
         assert res.energy == x[-1]
         assert res.estimated_error == changes[-1] > oracle_mod.ENERGY_TOL
         assert all(c >= oracle_mod.GRID_TOL for c in changes[:-1])
@@ -1368,14 +1411,14 @@ class TestStaleBracket:
         (29, 1, screening_delta(29, FA), 20.0),
     ], ids=["h_2s", "z29_2s"])
     def test_matches_unseeded_eigenvalue(self, z, n, delta, r_max, label):
-        system, grid = AtomicSystem(z), RadialGrid(r_max=r_max, points=20001)
+        system, mesh = AtomicSystem(z), (r_max, 20001)
 
         def solve(k, bracket=None):
-            return _grid_solve(system, delta, QuantumState(k, 0), grid, bracket)
+            return _grid_solve(system, delta, QuantumState(k, 0), mesh, bracket)
 
         energy, nodes = solve(n)
         bracket = _BRACKETS[label](energy, solve(n - 1)[0], solve(n + 1)[0])
-        sweep = oracle_mod._Sweeper(system, delta, QuantumState(n, 0), grid)
+        sweep = oracle_mod._Sweeper(system, delta, QuantumState(n, 0), *mesh)
         counts = [sweep.nodes(end) for end in bracket]
         assert counts[0] > n or counts[1] <= n  # the bracket is stale
         seeded_energy, seeded_nodes = solve(n, bracket)
