@@ -46,7 +46,9 @@ _dtbtrs = None
 
 def workspace(points):
     """The sweep buffers of a ``points``-point mesh: the band matrix, the
-    right-hand side, and t (which then holds |u|), 1 - t and u.
+    right-hand side, and t (which then holds |u|), 1 - t and u.  After a
+    sweep the last buffer holds u over the whole mesh; a rescaling scales
+    u from its point on, so values on its two sides differ in scale.
 
     Fortran order, so that f2py passes the band uncopied.  Row 0 is the unit
     diagonal, which diag="U" leaves unread.  Row 2 is -1 everywhere:

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="perturbative totals vs the direct eigensolver")
     p_verify.add_argument("--z", required=True,
-                          help="Z list: ints, 'a..b', 'paper', comma separated")
+                          help="Z list: ints, 'a..b', 'paper', 'a..b:paper', comma separated")
     p_verify.add_argument("--state", action="append",
                           help="state as 'n,l'; repeatable (default 0,0)")
     _add_config_flags(p_verify)

@@ -53,20 +53,22 @@ end far above 1.5 E0: Z=19 2s finishes on 1601 points in 8 Bohr, not 6393
 in 20.
 
 Since E(A, delta) = A^2 e(delta / A), each level unbinds at one critical
-ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 3;
-other states take the 1s entry, the largest.  A solve whose delta / A
-passes its entry by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises
-``NoBoundState`` before it builds a grid or imports numpy; inside the
-margin the sweep decides.
+ratio delta_c / A of its state, tabled in ``CRITICAL_RATIO`` for n, l <= 3
+and rebuilt by :func:`_critical_ratio` on a :class:`_Sweeper`; other states
+take the 1s entry, the largest.  A solve whose delta / A passes its entry
+by more than ``CRITICAL_MARGIN`` = 1e-4 of it raises ``NoBoundState``
+before it builds a grid or imports numpy; inside the margin the sweep
+decides.
 
 The sweep is the hot path; ``_numerov_py`` runs it as one LAPACK banded
-triangular solve per trial energy.  One :class:`_Sweeper` per mesh builds
-its r^2, w, start values and sweep buffers once, 13 doubles per point; a
-solve holds one mesh at a time and none once it returns.
-numpy and the sweep's ``dtbtrs`` are imported by the first solve, not with
-this module, so the closed-form commands load no numpy or scipy module.
-Chandrupatla's method is :func:`_chandrupatla`, a few dozen lines on
-``math``, so a solve loads ``scipy.linalg`` and nothing else from scipy.
+triangular solve per trial energy.  :class:`_Sweeper`, the one Numerov
+driver, builds a mesh's r^2, w, start values and sweep buffers once, 13
+doubles per point; a solve holds one mesh at a time and none once it
+returns.  numpy and the sweep's ``dtbtrs`` are imported by the first
+solve, not with this module, so the closed-form commands load no numpy or
+scipy module.  Chandrupatla's method is :func:`_chandrupatla`, a few dozen
+lines on ``math``, so a solve loads ``scipy.linalg`` and nothing else from
+scipy.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ CRITICAL_RATIO = {
 #: unbound without a sweep: 11 times the entries' largest rounding, 8.8e-6
 #: of 5d's 0.04002435 (the largest with n or l = 3 is 1.7e-6, of 6d's
 #: 0.02916665).  :func:`_critical_ratio`'s entries do not move, to its
-#: bisection's 1e-9, when its mesh step of 2e-3 becomes 4e-3 or 1e-3.
+#: bisection's 1e-9, when its step bound of 2e-3 becomes 4e-3 or 1e-3.
 CRITICAL_MARGIN = 1e-4
 
 
@@ -558,30 +560,27 @@ def _critical_ratio(n: int, l: int) -> float:
     holds at most n bound levels.
 
     Channel l holds as many bound levels as its E = 0 solution has nodes.
-    The sweep runs that solution on a mesh of step h = 2e-3 in ln r out to
-    40 / delta, where the potential is e^-40 of its Coulomb value, so past
-    the mesh's edge R the solution is u = a r^(l+1) + b r^-l.  It has one
-    more zero past R when u(R) (u'(R) + l u(R) / R) = (2l + 1) a R^l u(R)
-    is negative.  There phi = u / sqrt(r) is a' e^(kx) + b' e^(-kx) with
-    k = l + 1/2, so phi(R) - e^(-k h) phi(R - h) has the sign of a,
-    exactly.  The bisection starts from [0.5, 2] / N^2, which holds every
-    entry, on one mesh that reaches 40 / delta at its lower end.
+    The bisection starts from [0.5, 2] / N^2, which holds every entry, and
+    each delta it tries takes one sweep at E = 0 on its own
+    :class:`_Sweeper`, the solver's mesh, of step h <= 2e-3 out to
+    R = 40 / (0.5 / N^2), where at every delta tried the potential is below
+    e^-40 of its Coulomb value.  Past R the solution is u = a r^(l+1) + b r^-l, with one more
+    zero when u(R) (u'(R) + l u(R) / R) = (2l + 1) a R^l u(R) is negative.
+    There phi = u / sqrt(r) is a' e^(kx) + b' e^(-kx) with k = l + 1/2, so
+    phi(R) - e^(-k h) phi(R - h) has the sign of a, exactly.  The sweep's
+    u buffer holds phi(R - h); at E = 0 phi grows only as a power of r, so
+    no sweep rescales it.
     """
-    import numpy as np
-
-    big_n, h = n + l + 1, 2e-3
-    lo, hi = 0.5 / big_n**2, 2.0 / big_n**2
-    r = R_MIN * np.exp(h * np.arange(math.ceil(math.log(40.0 / lo / R_MIN) / h) + 1))
-    r2 = r * r
-    decay = math.exp(-(l + 0.5) * h)
-    work, work_before = _numerov_py.workspace(len(r)), _numerov_py.workspace(len(r) - 1)
+    system, state = AtomicSystem(1), QuantumState(n, l)
+    lo, hi = 0.5 / state.big_n**2, 2.0 / state.big_n**2
+    r_max = 40.0 / lo
+    points = math.ceil(math.log(r_max / R_MIN) / 2e-3) + 1
 
     def levels(delta):
-        w = (l + 0.5) ** 2 - 2.0 * r * np.exp(-delta * r)
-        u0, u1 = _series_start(1.0, delta, l, r[0], r[1])(0.0)
-        nodes, last = _numerov_py.count_nodes_sweep(w, r2, 0.0, h, u0, u1, work)
-        _, before = _numerov_py.count_nodes_sweep(w[:-1], r2[:-1], 0.0, h, u0, u1, work_before)
-        return nodes + (last * (last - decay * before) < 0.0)
+        sweep = _Sweeper(system, delta, state, r_max, points)
+        nodes, last = sweep._sweep(0.0)
+        before = float(sweep.work[-1][-2])
+        return nodes + (last * (last - math.exp(-(l + 0.5) * sweep.h) * before) < 0.0)
 
     if not levels(lo) > n >= levels(hi):
         raise ValueError(f"delta_c / A of n={n}, l={l} lies outside [{lo}, {hi}]")

@@ -12,6 +12,7 @@ to keV only at output boundaries.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -74,6 +75,8 @@ class ScreeningModel:
     delta0: float = 0.98
 
     def __post_init__(self):
+        if not isinstance(self.variant, ScreeningLaw):
+            raise ValueError(f"variant must be a ScreeningLaw, got {self.variant!r}")
         if not (math.isfinite(self.delta0) and self.delta0 >= 0):
             raise ValueError(f"delta0 must be finite and non-negative, got {self.delta0}")
 
@@ -81,12 +84,18 @@ class ScreeningModel:
 @dataclass(frozen=True)
 class QuantumState:
     """Radial quantum number ``n`` (node count) and orbital quantum number
-    ``l``.  The principal-like index is N = n + l + 1."""
+    ``l``, both integers (numpy's included).  The principal-like index is
+    N = n + l + 1."""
 
     n: int
     l: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.n), operator.index(self.l)
+        except TypeError:
+            raise TypeError(f"quantum numbers must be integers, got n={self.n!r} "
+                            f"l={self.l!r}") from None
         if self.n < 0 or self.l < 0:
             raise ValueError(f"quantum numbers must be non-negative, got n={self.n} l={self.l}")
 

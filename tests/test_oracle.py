@@ -1160,6 +1160,27 @@ class TestCriticalRatio:
         tolerance = min(2e-6, oracle_mod.CRITICAL_MARGIN / 11 * entry)
         assert abs(oracle_mod._critical_ratio(n, l) - entry) <= tolerance
 
+    @pytest.mark.parametrize("n, l", _TABLED_STATES)
+    def test_generator_sweeps_once_per_delta(self, monkeypatch, n, l):
+        # each delta the bisection tries gets one sweeper and one sweep, 33
+        # in all from [0.5, 2] / N^2 to 1e-9; one banded solve per sweep
+        # means no sweep rescales, so the last two values share one scale
+        work, deltas, solves = _count_sweeps(monkeypatch), [], []
+        sweeper, summed_solve = oracle_mod._Sweeper, _numerov_py._summed_solve
+
+        def recorded(system, delta, *args):
+            deltas.append(delta)
+            return sweeper(system, delta, *args)
+
+        def counted_solve(*args):
+            solves.append(None)
+            return summed_solve(*args)
+
+        monkeypatch.setattr(oracle_mod, "_Sweeper", recorded)
+        monkeypatch.setattr(_numerov_py, "_summed_solve", counted_solve)
+        oracle_mod._critical_ratio(n, l)
+        assert work["sweeps"] == len(deltas) == len(set(deltas)) == len(solves) == 33
+
     def test_published_values(self):
         # Rogers, Graboske & Harwood (1970), at the digits where they agree:
         # 1s and 3p to five, 2s and 2p (published 0.31009, 0.22029) to three

@@ -7,6 +7,7 @@ high-precision arithmetic (mpmath, 25 digits) from the defining formulas.
 import math
 import re
 
+import numpy as np
 import pytest
 
 from yukawa_atom import (
@@ -354,6 +355,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuantumState(0, -2)
 
+    @pytest.mark.parametrize("variant", ["fermi_amaldi", "thomas_fermi", "bogus", None])
+    def test_screening_model_rejects_variant_not_a_law(self, variant):
+        # screening_delta applies the Fermi-Amaldi factor only to the enum
+        # member, so "fermi_amaldi" would give Z=29 3.0109 in place of 2.9413
+        with pytest.raises(ValueError, match="variant must be a ScreeningLaw"):
+            ScreeningModel(variant=variant)
+
     def test_screening_model_rejects_negative_delta0(self):
         with pytest.raises(ValueError):
             ScreeningModel(delta0=-0.1)
@@ -366,6 +374,31 @@ class TestValidation:
     def test_breakdown_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             energy_breakdown(1.0, QuantumState(0, 0), -0.5)
+
+
+#: The three routes to a level's energy, at Z=29 with the Fermi-Amaldi delta.
+STATE_ROUTES = {
+    "energy_breakdown": lambda st: energy_breakdown(29.0, st, screening_delta(29, FA)).total,
+    "solve_bound_state":
+        lambda st: solve_bound_state(AtomicSystem(29), screening_delta(29, FA), st).energy,
+    "correction_via_quadrature":
+        lambda st: correction_via_quadrature(AtomicSystem(29), st, screening_delta(29, FA), 2),
+}
+
+
+class TestIntegerQuantumNumbers:
+    @pytest.mark.parametrize("route", STATE_ROUTES)
+    @pytest.mark.parametrize("n, l", [(0.5, 0), (1.0, 0), (0, np.float64(1.0)), ("1", 0)])
+    def test_non_integer_refused_before_any_route(self, route, n, l):
+        # unchecked, 0.5 gives a closed-form energy, the eigensolver's "no
+        # bound state with 0.5 nodes" and a TypeError inside the quadrature
+        with pytest.raises(TypeError, match="quantum numbers must be integers"):
+            STATE_ROUTES[route](QuantumState(n, l))
+
+    @pytest.mark.parametrize("route", STATE_ROUTES)
+    def test_numpy_integers_give_the_same_energy(self, route):
+        numpy_state = QuantumState(np.int64(1), np.int32(0))
+        assert STATE_ROUTES[route](numpy_state) == STATE_ROUTES[route](QuantumState(1, 0))
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
