@@ -10,6 +10,17 @@ Exit codes: 0 ok, 1 comparison above tolerance, 2 usage or file errors,
 3 eigensolver non-convergence.  Floats print with 9 significant digits so
 identical invocations are byte-identical.
 
+``_fmt`` and ``_json_literal`` state the rule for one cell.  ``_render``
+applies ``_fmt``'s rule a row at a time: a csv line or an aligned line is
+one %-format built once per tuple of value types, and an aligned table
+pads every line with one "%-Ns" format.  The output is the per-cell
+output byte for byte.  "%.9g" writes the text that ``format(value,
+".9g")`` writes for any float, numpy's included, so ``isinstance(value,
+float)`` still picks the 9-digit rule.  "%.0s" writes nothing for None and
+"%s" writes ``str(value)``.  Values are only ever substituted into a
+template, never part of it, so a string holding "%" or "," prints
+unchanged.  JSON takes ``_json_literal`` per cell.
+
 The parser is the one place each option is defined.  The shared options
 take their defaults and choices from the library.  ``ScreeningModel``,
 ``UnitSystem`` and the Z-list and state parsers check their values, and
@@ -82,6 +93,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@functools.cache
+def _row_templates(types: tuple) -> tuple[str, str, tuple[int, ...]]:
+    """%-formats for a row whose values have these types, by ``_fmt``'s
+    rules: 9 significant digits for a float (numpy's included), nothing for
+    None and ``str`` for anything else.
+
+    Returns the format of the whole csv line; the format of the row's cells
+    joined by NUL, which no float, int or None text holds; and the indices
+    of the cells of any other type, which that format leaves empty for the
+    caller to fill with ``str``, so no text of theirs can shift a split.
+    """
+    formats, loose = [], []
+    for i, t in enumerate(types):
+        if issubclass(t, float):
+            formats.append("%.9g")
+        elif t is type(None):
+            formats.append("%.0s")
+        else:
+            formats.append("%s")
+            if t is not int and t is not bool:
+                loose.append(i)
+    cells = ["%.0s" if i in loose else f for i, f in enumerate(formats)]
+    return ",".join(formats), "\0".join(cells), tuple(loose)
+
+
+def _row_values(rows, columns) -> list[tuple]:
+    """Each row's values in column order, None where a key is missing."""
+    return [tuple(map(r.get, columns)) for r in rows]
+
+
 def _json_value(value):
     if isinstance(value, float):
         return float(f"{value:.9g}")
@@ -120,6 +161,12 @@ def _json_object(members, pad: str) -> str:
 
 
 def _render(rows, columns, fmt, summary=None):
+    """Print rows of ``columns`` as an aligned table, csv or JSON, with
+    ``_fmt``'s rules for every cell (``_json_literal``'s in JSON).
+
+    Each csv line and each aligned line is one %-format of the row's
+    values, so a value's text is never read as part of a format.
+    """
     if fmt == "json":
         keyed = [(encode_basestring_ascii(k) + ": ", k) for k in columns]
         objects = [_json_object([key + _json_literal(r.get(k)) for key, k in keyed], "    ")
@@ -132,15 +179,21 @@ def _render(rows, columns, fmt, summary=None):
         lines = [text + "\n}"]
     elif fmt == "csv":
         lines = [",".join(columns)]
-        lines += [",".join([_fmt(r.get(k)) for k in columns]) for r in rows]
+        lines += [_row_templates(tuple(map(type, row)))[0] % row
+                  for row in _row_values(rows, columns)]
         if summary is not None:
             lines.append("# " + ", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
     else:
-        cells = [[_fmt(r.get(k)) for k in columns] for r in rows]
-        widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
-                  for i, c in enumerate(columns)]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-                 for row in [columns, *cells]]
+        cells = []
+        for row in _row_values(rows, columns):
+            _, template, loose = _row_templates(tuple(map(type, row)))
+            texts = (template % row).split("\0")
+            for i in loose:
+                texts[i] = str(row[i])
+            cells.append(texts)
+        widths = [max(map(len, column)) for column in zip(columns, *cells)]
+        padded = "  ".join([f"%-{w}s" for w in widths])
+        lines = [(padded % tuple(row)).rstrip() for row in [columns, *cells]]
         if summary is not None:
             lines.append(", ".join(f"{k}={_fmt(v)}" for k, v in summary.items()))
     sys.stdout.write("\n".join(lines) + "\n")
@@ -200,6 +253,7 @@ def _breakdown_row(z: int, state: QuantumState, order: int, model: ScreeningMode
                    units: UnitSystem) -> dict:
     delta = screening_delta(z, model)
     b = energy_breakdown(float(z), state, delta, order)
+    total = b.total
     return {
         "z": z,
         "n": state.n,
@@ -211,8 +265,8 @@ def _breakdown_row(z: int, state: QuantumState, order: int, model: ScreeningMode
         "e1_hartree": b.e1,
         "e2_hartree": b.e2,
         "e3_hartree": b.e3,
-        "total_hartree": b.total,
-        "total_kev": to_kev(b.total, units),
+        "total_hartree": total,
+        "total_kev": to_kev(total, units),
         "flag": "SERIES_SUSPECT" if b.series_suspect else "",
     }
 

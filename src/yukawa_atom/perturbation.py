@@ -7,10 +7,19 @@ hydrogenic zeroth order, a constant A*delta from the expansion of the
 exponential, and three successive corrections that are polynomials in delta
 with coefficients built from N = n + l + 1 and L = l(l+1).  Energies convert
 to keV only at output boundaries.
+
+Each term is a state factor times a power of delta over a power of A.  The
+factors depend on (n, l) alone and are cached per state (``_factors``).  A
+cached factor is the left-hand prefix of its written-out term, so the term
+performs the same float operations in the same order as the whole
+expression and every energy keeps every bit.  The powers stay inside
+``energy_breakdown``'s overflow guard, and only the factors an order reads
+are built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -61,8 +70,7 @@ class AtomicSystem:
         _check_z(self.z)
         if self.a is None:
             object.__setattr__(self, "a", float(self.z))
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ValueError(f"coupling strength must be finite and positive, got {self.a}")
+        _check_a(self.a)
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,19 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"screening parameter must be finite and non-negative, got {delta}")
 
 
+def _check_a(a: float) -> None:
+    """Reject a coupling strength that is not finite and positive."""
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"coupling strength must be finite and positive, got {a}")
+
+
 def _check_z(z: int) -> None:
-    """Reject an atomic number below 1 or too large to convert to a float."""
+    """Reject an atomic number that is not an integer (numpy's pass), is
+    below 1 or is too large to convert to a float."""
+    try:
+        operator.index(z)
+    except TypeError:
+        raise TypeError(f"atomic number must be an integer, got {z!r}") from None
     if z < 1:
         raise ValueError(f"atomic number must be >= 1, got {z}")
     if not z <= sys.float_info.max:
@@ -173,56 +192,80 @@ def screening_delta(z: int, model: ScreeningModel) -> float:
 
 def coulomb_energy(a: float, state: QuantumState) -> float:
     """Unscreened hydrogenic energy -A^2 / (2 N^2)."""
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"coupling strength must be finite and positive, got {a}")
-    big_n = state.big_n
-    return -a * a / (2.0 * big_n * big_n)
+    _check_a(a)
+    return -a * a / _factors(state.n, state.l, 0)[0]
 
 
 def first_order_shift(state: QuantumState, delta: float) -> float:
     """First correction -(3N^2 - L) delta^2 / 4; independent of A."""
     _check_delta(delta)
-    return _first_order(state, delta)
+    return _terms(1.0, state, delta, 1)[1]
 
 
 def second_order_shift(a: float, state: QuantumState, delta: float) -> float:
     """Second correction, one positive delta^3 and one negative delta^4 term."""
     _check_delta(delta)
-    return _second_order(a, state, delta)
+    return _terms(a, state, delta, 2)[2]
 
 
 def third_order_shift(a: float, state: QuantumState, delta: float) -> float:
     """Third correction: delta^4, delta^5 and delta^6 terms."""
     _check_delta(delta)
-    return _third_order(a, state, delta)
+    return _terms(a, state, delta, 3)[3]
 
 
-def _first_order(state: QuantumState, delta: float) -> float:
-    # the formulas behind the public shifts, for a delta already checked
-    big_n = float(state.big_n)
-    return -(3.0 * big_n**2 - state.big_l) * delta**2 / 4.0
+@functools.lru_cache(maxsize=4096)
+def _factors(n: int, l: int, order: int) -> tuple[float, ...]:
+    """The state's factors of every term through ``order``, in term order.
+
+    Each factor is the left-hand prefix of its written-out term, the part
+    before the first power of delta, so ``factor * delta**k / divisor``
+    performs the same float operations in the same order as the whole
+    expression and rounds to the same bits:
+      e0 = -A^2 / (2 N N)
+      e1 = -(3N^2 - L) delta^2 / 4
+      e2 = N^2 b2 delta^3 / (12 A) - N^4 b2 delta^4 / (16 A A)
+      e3 = -N^2 b1 b2 delta^4 / (96 A^2) + N^4 b2 b3 delta^5 / (48 A^3)
+           - N^6 b2 b3 delta^6 / (64 A^4)
+    with b1 = 5N^2 - 3L, b2 = b1 + 1 and b3 = 9N^2 - 5L.  Only the factors
+    ``order`` reads are built, so a power of N past the float range raises
+    ``OverflowError`` at the order that needs it and no earlier.
+    """
+    # a numpy int shares its cache key with the equal int, so build from
+    # ints: every caller then reads the same Python floats
+    n, l = int(n), int(l)
+    big_n = float(n + l + 1)
+    big_l = float(l * (l + 1))
+    factors = (2.0 * big_n * big_n,)
+    if order >= 1:
+        factors += (-(3.0 * big_n**2 - big_l),)
+    if order >= 2:
+        b1 = 5.0 * big_n**2 - 3.0 * big_l
+        b2 = b1 + 1.0
+        factors += (big_n**2 * b2, big_n**4 * b2)
+        if order >= 3:
+            b3 = 9.0 * big_n**2 - 5.0 * big_l
+            factors += (-big_n**2 * b1 * b2, big_n**4 * b2 * b3, big_n**6 * b2 * b3)
+    return factors
 
 
-def _second_order(a: float, state: QuantumState, delta: float) -> float:
-    big_n = float(state.big_n)
-    bracket = 5.0 * big_n**2 - 3.0 * state.big_l + 1.0
-    return (
-        big_n**2 * bracket * delta**3 / (12.0 * a)
-        - big_n**4 * bracket * delta**4 / (16.0 * a * a)
-    )
-
-
-def _third_order(a: float, state: QuantumState, delta: float) -> float:
-    big_n = float(state.big_n)
-    big_l = float(state.big_l)
-    b1 = 5.0 * big_n**2 - 3.0 * big_l
-    b2 = b1 + 1.0
-    b3 = 9.0 * big_n**2 - 5.0 * big_l
-    return (
-        -big_n**2 * b1 * b2 * delta**4 / (96.0 * a**2)
-        + big_n**4 * b2 * b3 * delta**5 / (48.0 * a**3)
-        - big_n**6 * b2 * b3 * delta**6 / (64.0 * a**4)
-    )
+def _terms(a: float, state: QuantumState, delta: float, order: int) -> tuple[float, ...]:
+    """(e0, e1, e2, e3) with the corrections above ``order`` zero: the one
+    place the closed forms are evaluated, for inputs already checked."""
+    f = _factors(state.n, state.l, order)
+    e0 = -a * a / f[0]
+    if order == 0:
+        return e0, 0.0, 0.0, 0.0
+    e1 = f[1] * delta**2 / 4.0
+    if order == 1:
+        return e0, e1, 0.0, 0.0
+    delta4 = delta**4
+    e2 = f[2] * delta**3 / (12.0 * a) - f[3] * delta4 / (16.0 * a * a)
+    if order == 2:
+        return e0, e1, e2, 0.0
+    e3 = (f[4] * delta4 / (96.0 * a**2) + f[5] * delta**5 / (48.0 * a**3)
+          - f[6] * delta**6 / (64.0 * a**4))
+    return e0, e1, e2, e3
 
 
 def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3) -> EnergyBreakdown:
@@ -235,14 +278,10 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     _check_delta(delta)
+    _check_a(a)
     try:
-        b = EnergyBreakdown(
-            e0=coulomb_energy(a, state),
-            shift_const=a * delta if order >= 1 else 0.0,
-            e1=_first_order(state, delta) if order >= 1 else 0.0,
-            e2=_second_order(a, state, delta) if order >= 2 else 0.0,
-            e3=_third_order(a, state, delta) if order >= 3 else 0.0,
-        )
+        e0, e1, e2, e3 = _terms(a, state, delta, order)
+        b = EnergyBreakdown(e0, a * delta if order >= 1 else 0.0, e1, e2, e3)
     except OverflowError:
         b = None
     if b is None or not math.isfinite(b.total):

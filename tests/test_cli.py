@@ -279,6 +279,144 @@ class TestJsonLiteral:
         assert cli._json_literal(value) == json.dumps(value)
 
 
+# The renderer's per-cell rules as they stood before each csv and aligned row
+# became one %-format: the reference that ``_render`` must print byte for byte.
+
+def _reference_fmt(value):
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def _reference_json_literal(value):
+    return json.dumps(float(f"{value:.9g}") if isinstance(value, float) else value)
+
+
+def _reference_json_object(members, pad):
+    return "{\n  " + pad + (",\n  " + pad).join(members) + "\n" + pad + "}" if members else "{}"
+
+
+def _reference_render(rows, columns, fmt, summary=None):
+    if fmt == "json":
+        keyed = [(json.dumps(k) + ": ", k) for k in columns]
+        objects = [_reference_json_object(
+            [key + _reference_json_literal(r.get(k)) for key, k in keyed], "    ") for r in rows]
+        text = '{\n  "rows": ' + ("[\n    " + ",\n    ".join(objects) + "\n  ]" if rows else "[]")
+        if summary is not None:
+            text += ',\n  "summary": ' + _reference_json_object(
+                [json.dumps(k) + ": " + _reference_json_literal(v) for k, v in summary.items()],
+                "  ")
+        lines = [text + "\n}"]
+    elif fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join([_reference_fmt(r.get(k)) for k in columns]) for r in rows]
+        if summary is not None:
+            lines.append("# " + ", ".join(f"{k}={_reference_fmt(v)}" for k, v in summary.items()))
+    else:
+        cells = [[_reference_fmt(r.get(k)) for k in columns] for r in rows]
+        widths = [max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
+                  for i, c in enumerate(columns)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                 for row in [columns, *cells]]
+        if summary is not None:
+            lines.append(", ".join(f"{k}={_reference_fmt(v)}" for k, v in summary.items()))
+    return "\n".join(lines) + "\n"
+
+
+_AWKWARD_STRINGS = ["", "E00", "50%", "%s", "%(z)s", "%%", "a,b", ",", '"q"', "tab\tend ",
+                    "\x00", "Ångström µ", "\U0001f600", "SERIES_SUSPECT"]
+
+
+def _random_float(rng):
+    """A float from every region where the 9-digit text or its literal
+    changes form."""
+    kind = rng.integers(9)
+    if kind == 0:  # any 64-bit pattern: nan payloads, infinities, subnormals
+        return float(rng.integers(0, 2**64, dtype=np.uint64).view(np.float64))
+    if kind == 1:  # subnormal
+        return float((rng.integers(1, 2**52, dtype=np.uint64)
+                      >> np.uint64(rng.integers(0, 52))).view(np.float64)) * rng.choice([-1, 1])
+    if kind == 2:
+        return float(rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e-310,
+                                 sys.float_info.min, sys.float_info.max]))
+    if kind in (3, 4):  # either side of 1e9 or of 1e-4
+        edge = 1e9 if kind == 3 else 1e-4
+        offset = rng.normal() * 1e-9 * 10 ** rng.uniform(0, 9)
+        return float(rng.choice([-1, 1]) * edge * (1 + offset))
+    if kind == 5:  # integer valued
+        return float(rng.integers(-10**12, 10**12) // 10 ** rng.integers(0, 12))
+    if kind == 6:  # exponents from 1e-40 to 1e-5 and 1e9 to 1e40
+        exponent = rng.choice([rng.uniform(-40, -4), rng.uniform(9, 40)])
+        return float(rng.choice([-1, 1]) * 10 ** exponent)
+    return float(rng.normal() * 10 ** rng.uniform(-4, 9))  # positional
+
+
+def _random_value(rng, kind, json_safe=True):
+    if kind == "float":
+        return _random_float(rng)
+    if kind == "positional":
+        return float(rng.normal() * 10 ** rng.uniform(-3, 8))
+    if kind == "int":
+        return int(rng.integers(-10**6, 10**6)) * 10 ** int(rng.integers(0, 3) * 10)
+    if kind == "str":
+        return _AWKWARD_STRINGS[rng.integers(len(_AWKWARD_STRINGS))]
+    # json.dumps refuses a numpy int, so only the text formats draw one
+    values = [_random_float(rng), np.float64(_random_float(rng)), None, True, False,
+              int(rng.integers(-99, 99)), _AWKWARD_STRINGS[rng.integers(len(_AWKWARD_STRINGS))]]
+    if not json_safe:
+        values.append(np.int64(rng.integers(-99, 99)))
+    return values[rng.integers(len(values))]
+
+
+class TestRenderMatchesPerCellRules:
+    """``_render`` prints what the per-cell rules print, in every format."""
+
+    KINDS = ("float", "positional", "int", "str", "mixed")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_random_rows(self, capsys, fmt):
+        rng = np.random.default_rng(36)
+        for case in range(300):
+            kinds = [self.KINDS[i] for i in rng.integers(0, len(self.KINDS), rng.integers(1, 9))]
+            columns = [f"c{i}" + str(rng.choice(["", "%", ",", '"', "%s"])) for i in
+                       range(len(kinds))]
+            nrows = int(rng.choice([0, 1, 2, 3, 17]))
+            rows = []
+            for _ in range(nrows):
+                row = {c: _random_value(rng, kind, fmt == "json") for c, kind in
+                       zip(columns, kinds)}
+                if rng.random() < 0.1:  # a missing key prints as None
+                    del row[columns[rng.integers(len(columns))]]
+                rows.append(row)
+            summary = None if rng.random() < 0.5 else {
+                f"s{i}%": _random_value(rng, "mixed", fmt == "json")
+                for i in range(rng.integers(0, 4))}
+            cli._render(rows, columns, fmt, summary)
+            out = capsys.readouterr().out
+            assert out == _reference_render(rows, columns, fmt, summary), (case, rows, summary)
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_column_of_one_type_each(self, capsys, fmt):
+        # every column a plain float, int, str, numpy float or None column,
+        # with the floats' texts all positional in some columns and mixed
+        # with exponents, nan, inf and integer values in others
+        rng = np.random.default_rng(3600)
+        columns = ["pos", "any", "int", "str", "np", "none", "whole", "small", "tiny", "big",
+                   "edge"]
+        rows = [{"pos": _random_value(rng, "positional"), "any": _random_float(rng),
+                 "int": _random_value(rng, "int"), "str": _random_value(rng, "str"),
+                 "np": np.float64(_random_float(rng)), "none": None,
+                 "whole": float(rng.integers(-9, 9)), "small": float(rng.uniform(1e-9, 1e-5)),
+                 "tiny": float(rng.choice([1e-35, 1e-300, 1e-310, 5e-324, 0.5])),
+                 "big": float(rng.choice([1e9, 999999999.5, 123456789.0, 2.5])),
+                 "edge": float(rng.choice([0.5, -0.0, math.nan, math.inf, 9.99999999995e-5]))}
+                for _ in range(60)]
+        cli._render(rows, columns, fmt)
+        assert capsys.readouterr().out == _reference_render(rows, columns, fmt)
+
+
 class TestReusedParser:
     """``main`` parses every command with one parser per process."""
 

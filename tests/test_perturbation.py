@@ -230,6 +230,116 @@ class TestBitIdentity:
             third_order_shift(1.0, state, 1.0)
 
 
+# The closed forms written out whole, as the module evaluated them before
+# it cached each state's factors: the cached prefixes must round every term
+# to these bits.
+
+def _coulomb(a, n, l):
+    big_n = n + l + 1
+    return -a * a / (2.0 * big_n * big_n)
+
+
+def _first(a, n, l, delta):
+    big_n = float(n + l + 1)
+    return -(3.0 * big_n**2 - l * (l + 1)) * delta**2 / 4.0
+
+
+def _second(a, n, l, delta):
+    big_n = float(n + l + 1)
+    bracket = 5.0 * big_n**2 - 3.0 * (l * (l + 1)) + 1.0
+    return (
+        big_n**2 * bracket * delta**3 / (12.0 * a)
+        - big_n**4 * bracket * delta**4 / (16.0 * a * a)
+    )
+
+
+def _third(a, n, l, delta):
+    big_n = float(n + l + 1)
+    big_l = float(l * (l + 1))
+    b1 = 5.0 * big_n**2 - 3.0 * big_l
+    b2 = b1 + 1.0
+    b3 = 9.0 * big_n**2 - 5.0 * big_l
+    return (
+        -big_n**2 * b1 * b2 * delta**4 / (96.0 * a**2)
+        + big_n**4 * b2 * b3 * delta**5 / (48.0 * a**3)
+        - big_n**6 * b2 * b3 * delta**6 / (64.0 * a**4)
+    )
+
+
+_WRITTEN_OUT_TERMS = (_first, _second, _third)
+
+
+def _order_terms(a, n, l, delta, order):
+    """(e0, A delta, e1, e2, e3) of the written-out forms, each correction
+    evaluated only if ``order`` reads it, as a breakdown stores them."""
+    terms = [_coulomb(a, n, l), a * delta if order else 0.0, 0.0, 0.0, 0.0]
+    for k, term in enumerate(_WRITTEN_OUT_TERMS[:order]):
+        terms[2 + k] = term(a, n, l, delta)
+    return terms
+
+
+def _bits(x):
+    return x.hex()
+
+
+def _seeded_grid(count=3000, seed=20261020):
+    """(A, delta, n, l, order): small states, and n or l up to 1e60.  delta
+    spans 1e-40 to 12 so that at a large N each monomial of a correction
+    leads at some delta/A, where a factor's last bit shows in the term."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, l = (int(rng.integers(0, 7)) if rng.random() < 0.5
+                else int(10 ** rng.uniform(0, 60)) for _ in range(2))
+        delta = 0.0 if rng.random() < 0.05 else float(10 ** rng.uniform(-40, 1.08))
+        yield float(10 ** rng.uniform(-2, 3)), delta, n, l, int(rng.integers(0, 4))
+
+
+class TestFactors:
+    """The per-state factors give the written-out expressions bit for bit."""
+
+    def test_breakdown_is_the_written_out_forms(self):
+        raised = compared = 0
+        for a, delta, n, l, order in _seeded_grid():
+            try:
+                want = _order_terms(a, n, l, delta, order)
+            except OverflowError:
+                want = None
+            if want is None or not math.isfinite(sum(want)):
+                with pytest.raises(ValueError, match=f"overflows the order-{order} energy"):
+                    energy_breakdown(a, QuantumState(n, l), delta, order)
+                raised += 1
+                continue
+            b = energy_breakdown(a, QuantumState(n, l), delta, order)
+            got = [b.e0, b.shift_const, b.e1, b.e2, b.e3]
+            assert list(map(_bits, got)) == list(map(_bits, want)), (a, delta, n, l, order)
+            assert _bits(b.total) == _bits(want[0] + want[1] + want[2] + want[3] + want[4])
+            compared += 1
+        assert raised > 100 and compared > 1000
+
+    @pytest.mark.parametrize("k, shift", [(1, first_order_shift), (2, second_order_shift),
+                                          (3, third_order_shift)])
+    def test_shifts_are_the_written_out_terms(self, k, shift):
+        raised = 0
+        for a, delta, n, l, _ in _seeded_grid(1000, seed=k):
+            state = QuantumState(n, l)
+            args = (state, delta) if k == 1 else (a, state, delta)
+            try:
+                want = _WRITTEN_OUT_TERMS[k - 1](a, n, l, delta)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    shift(*args)
+                raised += 1
+                continue
+            assert _bits(shift(*args)) == _bits(want), (a, delta, n, l)
+        # with N below 1e61 only N^6 can leave the float range
+        assert (raised > 0) == (k == 3)
+
+    def test_coulomb_term_is_the_written_out_form(self):
+        for a, _, n, l, _ in _seeded_grid(500):
+            want = _coulomb(a, n, l)
+            assert _bits(coulomb_energy(a, QuantumState(n, l))) == _bits(want)
+
+
 class TestToKev:
     def test_conversion_constant(self):
         assert to_kev(-1.0) == pytest.approx(-0.027212, rel=1e-12)
@@ -342,6 +452,20 @@ class TestScalingLaw:
 class TestValidation:
     def test_atomic_system_defaults_coupling_to_z(self):
         assert AtomicSystem(29).a == 29.0
+
+    @pytest.mark.parametrize("z", [2.5, 29.0, np.float64(29.0), "29", None])
+    def test_non_integer_atomic_number_refused(self, z):
+        # unchecked, AtomicSystem(2.5) built a = 2.5 and screening_delta(2.5)
+        # returned 0.946; a non-integer coupling belongs in ``a``
+        with pytest.raises(TypeError, match="atomic number must be an integer"):
+            AtomicSystem(z)
+        with pytest.raises(TypeError, match="atomic number must be an integer"):
+            screening_delta(z, FA)
+
+    @pytest.mark.parametrize("z", [np.int64(29), np.int32(29), np.uint8(29)])
+    def test_numpy_integer_atomic_number_accepted(self, z):
+        assert AtomicSystem(z).a == 29.0
+        assert screening_delta(z, FA) == screening_delta(29, FA)
 
     def test_atomic_system_rejects_bad_values(self):
         with pytest.raises(ValueError):

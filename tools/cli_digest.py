@@ -11,8 +11,11 @@ way, byte for byte, when their totals agree:
 The list covers ``table`` for every shell in every format, over the
 default Z list and over ``3..84:paper``; ``compare`` for E00, E01 and E10
 under every reference source; a ``level`` grid; a ``verify`` run of six
-levels; and commands that exit 1 or 2.  ``COLUMNS`` is set to 80,
-so that argparse lays out its usage lines the same way in any terminal.
+levels; ``table`` over Z = 1..2, where Z = 1 has delta = 0; a
+non-default ``--hartree-ev``; ``compare`` over a chosen Z list; and
+commands that exit 1 or 2, among them an overflowing ``--delta0`` in
+every format.  ``COLUMNS`` is set to 80, so that argparse lays out its
+usage lines the same way in any terminal.
 The script takes no options, and pytest does not collect it.
 """
 
@@ -44,6 +47,17 @@ COMMANDS = [
       for fmt in FORMATS),
     *(("verify", "--z", "1,5,29", "--state", "0,0", "--state", "1,0", "--format", fmt)
       for fmt in FORMATS),
+    # Z = 1 has delta = 0 under Fermi-Amaldi; a non-default keV constant;
+    # compare over a chosen Z list
+    *(("table", "--shell", shell, "--z", "1..2", "--format", fmt)
+      for shell in ("E00", "E11")
+      for fmt in FORMATS),
+    *(("table", "--shell", "E10", "--hartree-ev", "27.211386", "--format", fmt)
+      for fmt in FORMATS),
+    *(("level", "--z", "29", "--n", "1", "--l", "1", "--hartree-ev", "1e-3", "--format", fmt)
+      for fmt in FORMATS),
+    *(("compare", "--shell", "E01", "--z", "9..40,84", "--format", fmt)
+      for fmt in FORMATS),
     # exit 1: above the tolerance
     ("compare", "--shell", "E00", "--tolerance", "0"),
     ("compare", "--shell", "E10", "--source", "experiment"),
@@ -55,6 +69,9 @@ COMMANDS = [
     ("table", "--shell", "E00", "--z", "5..3"),
     ("table", "--shell", "E00", "--delta0", "nan"),
     ("verify", "--z", "1", "--state", "0.5,0"),
+    # exit 2: a screening strength whose energy leaves the float range
+    *(("level", "--z", "84", "--n", "0", "--l", "0", "--delta0", "1e80", "--format", fmt)
+      for fmt in FORMATS),
 ]
 
 
