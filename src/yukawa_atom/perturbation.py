@@ -273,7 +273,8 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
 
     The constant A*delta term enters at order >= 1; corrections above
     ``order`` are zero.  Every term is degree-2 homogeneous in (A, delta).
-    Raises ``ValueError`` when a term or the total leaves the float range.
+    Raises ``ValueError`` when a term or the total leaves the float range,
+    a power of A in a divisor underflowing to zero included.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
@@ -282,7 +283,7 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
     try:
         e0, e1, e2, e3 = _terms(a, state, delta, order)
         b = EnergyBreakdown(e0, a * delta if order >= 1 else 0.0, e1, e2, e3)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a power of A underflows in a divisor
         b = None
     if b is None or not math.isfinite(b.total):
         raise ValueError(f"screening parameter {delta} overflows the order-{order} energy "

@@ -22,11 +22,15 @@ One private evaluator, ``_radial``, computes every ``RadialFunction``.  It
 reads the function's constants once: the Laguerre recurrence's step
 constants, started from the norm, and beta, c2, c3 and the exponent's shift
 g_peak.  The weight decides how a closure is evaluated.  The one public
-``__call__`` runs the unweighted amplitude on arrays, with ``np.exp``.  Each
-of the four integrands handed to ``quad`` (chi's norm and tail, the moderated
-norm and the correction) is one weighted closure that returns the squared
-amplitude times a cubic weight, one Python float at a time with ``math.exp``
-and no nested call; the three correction orders differ only in the weight.
+``__call__`` runs the unweighted amplitude on arrays, with ``np.exp``.  The
+four integrands handed to ``quad`` (chi's norm and tail, the moderated norm
+and the correction) return the squared amplitude times a cubic weight, one
+Python float at a time with ``math.exp`` and no nested call.  Each is
+compiled once per shape (Laguerre degree, chi or moderated, norm or
+weighted) from one template of that formula, as straight-line code up to
+degree ``_UNROLL_MAX``, less the terms a shape makes exact zeros or ones,
+so every value keeps the formula's bits; the three correction orders share
+a shape and differ only in the weight.
 Every integral goes through ``_quad``, which imports
 ``scipy.integrate`` on its first call and looks ``quad`` up there on every
 call, so a wrapper put in its place sees every integral while it stays there.
@@ -37,6 +41,7 @@ not with this module, so importing it loads no numpy or scipy module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -112,25 +117,85 @@ class RadialFunction:
         return _on_floats(_radial(self), r)
 
 
+#: Highest Laguerre degree whose recurrence an integrand writes out step by
+#: step; a higher degree keeps the loop, so no integrand's source grows past
+#: this many steps.
+_UNROLL_MAX = 8
+
+#: The weighted integrand r -> f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3), with
+#: the exponent's c2 and c3 named g2 and g3 (c_j is a Laguerre step's).
+_INTEGRAND_TEMPLATE = """\
+def build(exp, norm, p, beta, g2, g3, shift, w0, w1, w2, w3, steps):
+    {unpack}
+    def integrand(r):
+        {recurrence}
+        amp = {laguerre} * r ** p * exp({exponent})
+        return {square}
+    return integrand
+"""
+
+
+@functools.lru_cache(maxsize=None)  # at most (_UNROLL_MAX + 2) * 4 shapes
+def _integrand_builder(degree: int | None, moderated: bool, weighted: bool):
+    """``build`` of ``_INTEGRAND_TEMPLATE`` for one shape, compiled once:
+    ``build(...)`` returns the integrand of those constants.
+
+    ``degree`` None runs the Laguerre recurrence as a loop over ``steps``;
+    a degree up to ``_UNROLL_MAX`` writes it out, where L_(-1) = 0 drops
+    the first step's c term.  Chi (c2 = c3 = g_peak = 0) keeps -beta r of
+    the exponent, and a norm (the unit weight) the bare square.  Every term
+    left out is an exact zero or one, so each shape computes the loop's
+    value bit for bit.  The constants are ``build``'s arguments, never
+    part of the source.
+    """
+    if degree is None:
+        unpack, laguerre = "", "cur"
+        recurrence = ["prev, cur = 0.0, norm",
+                      "for a, b, c in steps:",
+                      "    prev, cur = cur, (a - b * r) * cur - c * prev"]
+    else:
+        # L_j = (a_j - b_j r) L_(j-1) - c_j L_(j-2), from L_0 = norm
+        lag = ["norm"] + [f"L{j}" for j in range(1, degree + 1)]
+        unpack = "".join(f"(a{j}, b{j}, c{j}), " for j in range(1, degree + 1))
+        unpack = f"{unpack}= steps" if degree else ""
+        recurrence = [f"{lag[j]} = (a{j} - b{j} * r) * {lag[j - 1]}"
+                      + (f" - c{j} * {lag[j - 2]}" if j > 1 else "")
+                      for j in range(1, degree + 1)]
+        laguerre = lag[degree]
+    source = _INTEGRAND_TEMPLATE.format(
+        unpack=unpack,
+        recurrence="\n        ".join(recurrence),
+        laguerre=laguerre,
+        exponent="((g3 * r + g2) * r - beta) * r - shift" if moderated else "-beta * r",
+        square="amp * amp * (((w3 * r + w2) * r + w1) * r + w0)" if weighted else "amp * amp",
+    )
+    namespace = {}
+    exec(compile(source, f"<integrand {degree} {moderated} {weighted}>", "exec"), namespace)
+    return namespace["build"]
+
+
 def _radial(f: RadialFunction, weight: tuple[float, float, float, float] | None = None):
     """Closure r -> f(r); given a ``weight`` (w0, w1, w2, w3), the closure
     r -> f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3) instead, an integrand for
     ``quad``.
 
-    The plain closure takes arrays and uses ``np.exp``; the weighted one
-    takes the floats ``quad`` passes one at a time and uses ``math.exp``,
-    since numpy's per-call overhead costs several times the arithmetic.
     Everything that depends only on ``f`` is read or computed here, once:
-    per point the closure runs the Laguerre recurrence from L_0 = norm with
-    each step's constants ready, one power, one exponential and, for a
-    weight, one cubic, with no further call.
+    the norm, beta, the exponent's c2, c3 and shift g_peak, and each
+    Laguerre step's constants.  The plain closure takes arrays, runs the
+    recurrence from L_0 = norm as a loop and uses ``np.exp``.  The weighted
+    one takes the floats ``quad`` passes one at a time and uses
+    ``math.exp``, since numpy's per-call overhead costs several times the
+    arithmetic.  It comes from ``_integrand_builder``, compiled once per
+    shape, and up to degree ``_UNROLL_MAX`` is straight-line code: per point
+    the written-out recurrence, one power, one exponential and, for any
+    weight but the unit one, one cubic, with no further call.
     """
     norm, beta, c2, c3, shift = f.norm, f.beta, f.c2, f.c3, f.g_peak
-    l = f.state.l
+    n, l = f.state.n, f.state.l
     p, k = l + 1, 2 * l + 1
     # L_j = ((2j - 1 + k - 2 beta r) L_(j-1) - (j - 1 + k) L_(j-2)) / j
     steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
-                  for j in range(1, f.state.n + 1))
+                  for j in range(1, n + 1))
 
     if weight is None:
         import numpy as np
@@ -142,17 +207,9 @@ def _radial(f: RadialFunction, weight: tuple[float, float, float, float] | None 
             return cur * r ** p * np.exp(((c3 * r + c2) * r - beta) * r - shift)
 
         return amplitude
-    w0, w1, w2, w3 = weight
-    exp = math.exp  # a closure variable, not a global looked up per point
-
-    def density(r):
-        prev, cur = 0.0, norm
-        for a, b, c in steps:
-            prev, cur = cur, (a - b * r) * cur - c * prev
-        amp = cur * r ** p * exp(((c3 * r + c2) * r - beta) * r - shift)
-        return amp * amp * (((w3 * r + w2) * r + w1) * r + w0)
-
-    return density
+    build = _integrand_builder(n if n <= _UNROLL_MAX else None,
+                               not c2 == c3 == shift == 0.0, weight != _UNIT_WEIGHT)
+    return build(math.exp, norm, p, beta, c2, c3, shift, *weight, steps)
 
 
 #: ``_radial``'s weight for a norm integral.
@@ -161,7 +218,12 @@ _UNIT_WEIGHT = (1.0, 0.0, 0.0, 0.0)
 
 def coulomb_chi(system: AtomicSystem, state: QuantumState) -> RadialFunction:
     """Construct the numerically normalized Coulomb radial function; its
-    truncated tail past r_max is checked to be negligible."""
+    truncated tail past r_max is checked to be negligible.
+
+    Raises ``ValueError`` when the coupling A is so large or so small that
+    the integrand's preconditioning scale, (2 beta)^-(2l+3) times factors
+    of the state, leaves the float range.
+    """
     big_n = state.big_n
     n, l = state.n, state.l
     beta = system.a / big_n
@@ -169,11 +231,17 @@ def coulomb_chi(system: AtomicSystem, state: QuantumState) -> RadialFunction:
 
     # Precondition the integrand to O(1) so the quadrature works in relative
     # terms for any coupling; the final norm still comes from the quadrature.
-    scale = math.sqrt(
-        (2.0 * beta) ** -(2 * l + 3)
-        * math.factorial(n + 2 * l + 1) / math.factorial(n)
-        * 2.0 * big_n
-    )
+    try:
+        scale = math.sqrt(
+            (2.0 * beta) ** -(2 * l + 3)
+            * math.factorial(n + 2 * l + 1) / math.factorial(n)
+            * 2.0 * big_n
+        )
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"coupling strength A={system.a} puts the norm of the state "
+                         f"n={n} l={l} outside the float range")
 
     chi = RadialFunction(state=state, beta=beta, norm=1.0 / scale, r_max=r_max)
     density = _radial(chi, weight=_UNIT_WEIGHT)
@@ -225,7 +293,8 @@ def moderated_radial(system: AtomicSystem, state: QuantumState, delta: float) ->
     point the moderating exponent grows with r and the product chi * u is
     not normalizable.  Close to that edge the exponent may still be rising
     at r_max; the function is normalized on [0, r_max] all the same, and
-    flagged by ``rising_at_r_max``.
+    flagged by ``rising_at_r_max``.  A coupling outside ``coulomb_chi``'s
+    range raises its ``ValueError``.
     """
     import numpy as np
 
@@ -260,7 +329,8 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
 
     The factor conventions follow the rescaled superpotentials stored here;
     they make order 1..3 reproduce the closed forms exactly for nodeless
-    (n = 0) states.
+    (n = 0) states.  A coupling outside ``coulomb_chi``'s range raises its
+    ``ValueError``.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")

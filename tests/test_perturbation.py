@@ -564,6 +564,15 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match=re.escape(f"screening parameter {delta} overflows")):
             energy_breakdown(3.0, QuantumState(0, 0), delta, order)
 
+    @pytest.mark.parametrize("a, delta, order", [
+        (1e-170, 5e-171, 2), (1e-100, 5e-101, 3), (5e-324, 0.5, 3),
+    ])
+    def test_breakdown_divisor_underflow(self, a, delta, order):
+        # a * a (order 2) or a**4 (order 3) underflows to zero in a divisor:
+        # the same ValueError as an overflow, not a ZeroDivisionError
+        with pytest.raises(ValueError, match=re.escape(f"screening parameter {delta} overflows")):
+            energy_breakdown(a, QuantumState(0, 0), delta, order)
+
 
 #: Every route that takes a screening parameter, called at Z=3 1s.
 DELTA_ROUTES = {

@@ -6,6 +6,7 @@ expressions directly with scipy.
 """
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from yukawa_atom import (
 from yukawa_atom.wavefunctions import (
     _QUAD_OPTS,
     _UNIT_WEIGHT,
+    _UNROLL_MAX,
     RadialFunction,
     _exponent_coefficients,
     _radial,
@@ -180,6 +182,25 @@ class TestCoulombChi:
             assert ratio == pytest.approx(2.0 ** (l + 1), rel=1e-3)
 
 
+#: Each quadrature route at the coupling A = a for the state (0, l).
+QUADRATURE_ROUTES = {
+    "coulomb_chi": lambda a, l: coulomb_chi(AtomicSystem(1, a=a), QuantumState(0, l)),
+    "correction_via_quadrature":
+        lambda a, l: correction_via_quadrature(AtomicSystem(1, a=a), QuantumState(0, l), 0.0, 2),
+    "moderated_radial":
+        lambda a, l: moderated_radial(AtomicSystem(1, a=a), QuantumState(0, l), 0.0),
+}
+
+
+@pytest.mark.parametrize("route", QUADRATURE_ROUTES)
+@pytest.mark.parametrize("a, l", [(1e200, 0), (1e100, 2), (1e-200, 0), (1e-200, 2)])
+def test_coupling_past_float_range_rejected(route, a, l):
+    # (2 beta)^-(2l+3) underflows to zero for a large coupling and
+    # overflows for a small one; either way the norm cannot be built
+    with pytest.raises(ValueError, match=re.escape(f"coupling strength A={a} puts the norm")):
+        QUADRATURE_ROUTES[route](a, l)
+
+
 class TestFloatEvaluator:
     @pytest.mark.parametrize("z", [1, 3, 29, 84])
     def test_float_evaluator_matches_numpy_call(self, z):
@@ -222,6 +243,88 @@ class TestFloatEvaluator:
         for r in np.linspace(0.0, chi.r_max, 50):
             cubic = weight[0] + weight[1] * r + weight[2] * r**2 + weight[3] * r**3
             assert density(r) == pytest.approx(radial(r) ** 2 * cubic, rel=1e-13, abs=1e-300)
+
+
+def general_density(f, weight):
+    """The general weighted closure, the reference every written-out
+    integrand matches bit for bit: the recurrence as a loop, the full
+    exponent and the full cubic."""
+    norm, beta, c2, c3, shift = f.norm, f.beta, f.c2, f.c3, f.g_peak
+    l = f.state.l
+    p, k = l + 1, 2 * l + 1
+    steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
+                  for j in range(1, f.state.n + 1))
+    w0, w1, w2, w3 = weight
+    exp = math.exp
+
+    def density(r):
+        prev, cur = 0.0, norm
+        for a, b, c in steps:
+            prev, cur = cur, (a - b * r) * cur - c * prev
+        amp = cur * r ** p * exp(((c3 * r + c2) * r - beta) * r - shift)
+        return amp * amp * (((w3 * r + w2) * r + w1) * r + w0)
+
+    return density
+
+
+def correction_weights(a, state, delta):
+    """The weights ``correction_via_quadrature`` gives orders 1, 2 and 3."""
+    _, s = superpotential_w1(state, delta)
+    _, k1, k2 = superpotential_w2(a, state, delta)
+    return [(0.0, -a * delta * delta / 2.0, 0.0, 0.0),
+            (0.0, 0.0, a * delta**3 / 6.0 - s * s / 2.0, 0.0),
+            (0.0, 0.0, -s * k1, -a * delta**4 / 24.0 - s * k2)]
+
+
+def assert_same_bits(f, weights):
+    """``_radial(f, weight)`` equals ``general_density`` bit for bit at 50
+    points from 0 to r_max, both ends included."""
+    r = [float(x) for x in np.linspace(0.0, f.r_max, 50)]
+    assert r[0] == 0.0 and r[-1] == f.r_max
+    for weight in weights:
+        got, want = _radial(f, weight=weight), general_density(f, weight)
+        assert [got(x).hex() for x in r] == [want(x).hex() for x in r], (f, weight)
+
+
+class TestWrittenOutIntegrands:
+    """Each integrand shape's written-out code computes the general
+    closure's values bit for bit."""
+
+    @pytest.mark.parametrize("z", [3, 29, 84])
+    def test_same_bits_as_general_closure(self, z):
+        system, delta = AtomicSystem(z), screening_delta(z, ScreeningModel())
+        moderated = 0
+        for n in range(6):
+            for l in range(3):
+                state = QuantumState(n, l)
+                weights = [_UNIT_WEIGHT, *correction_weights(float(z), state, delta),
+                           (0.5, -1.0, 0.25, 2.0)]
+                assert_same_bits(coulomb_chi(system, state), weights)
+                if 3 * state.big_n**2 * delta < 4 * z:
+                    moderated += 1
+                    assert_same_bits(moderated_radial(system, state, delta), weights)
+        assert moderated > 0
+
+    def test_same_bits_above_unroll_cap(self):
+        # a degree past the cap runs the recurrence as a loop
+        system, state = AtomicSystem(29), QuantumState(_UNROLL_MAX + 1, 1)
+        weights = [_UNIT_WEIGHT, *correction_weights(29.0, state, 0.1), (0.5, -1.0, 0.25, 2.0)]
+        assert_same_bits(coulomb_chi(system, state), weights)
+        psi = moderated_radial(system, state, 0.1)
+        assert psi.c3 != 0.0
+        assert_same_bits(psi, weights)
+
+    def test_one_code_object_per_shape(self):
+        # the constants are arguments, never part of the compiled source,
+        # and every degree past the cap shares the loop's code
+        def code(z, n, weight=_UNIT_WEIGHT):
+            return _radial(coulomb_chi(AtomicSystem(z), QuantumState(n, 0)),
+                           weight=weight).__code__
+
+        assert code(3, 2) is code(84, 2)
+        assert code(3, 2) is not code(3, 1)
+        assert code(3, 2) is not code(3, 2, weight=(0.5, -1.0, 0.25, 2.0))
+        assert code(3, _UNROLL_MAX + 1) is code(84, _UNROLL_MAX + 7)
 
 
 _DELTA_29 = screening_delta(29, ScreeningModel())
