@@ -210,6 +210,8 @@ def _parse_z_spec(text: str, shell: str) -> list[int]:
             values.extend(BUNDLED_Z[shell])
             continue
         restrict_paper = token.endswith(":paper")
+        if restrict_paper and ".." not in token:
+            raise ValueError(f"bad Z value {token!r}")
         if restrict_paper:
             token = token[: -len(":paper")]
         if ".." in token:

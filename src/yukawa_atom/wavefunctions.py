@@ -21,16 +21,16 @@ the third-order integrand takes the plain product W1*W2.
 One private evaluator, ``_radial``, computes every ``RadialFunction``.  It
 reads the function's constants once: the Laguerre recurrence's step
 constants, started from the norm, and beta, c2, c3 and the exponent's shift
-g_peak.  The weight decides how a closure is evaluated.  The one public
-``__call__`` runs the unweighted amplitude on arrays, with ``np.exp``.  The
-four integrands handed to ``quad`` (chi's norm and tail, the moderated norm
-and the correction) return the squared amplitude times a cubic weight, one
-Python float at a time with ``math.exp`` and no nested call.  Each is
-compiled once per shape (Laguerre degree, chi or moderated, norm or
-weighted) from one template of that formula, as straight-line code up to
-degree ``_UNROLL_MAX``, less the terms a shape makes exact zeros or ones,
-so every value keeps the formula's bits; the three correction orders share
-a shape and differ only in the weight.
+g_peak.  The radial formula is written once, in one source template, and
+compiled once per shape: Laguerre degree, chi or moderated, and output
+kind, which is the amplitude, its square or its square times a cubic
+weight.  Up to degree ``_UNROLL_MAX`` the recurrence is straight-line code,
+less the terms a shape makes exact zeros or ones, so every value keeps the
+formula's bits.  The public ``__call__`` runs the amplitude on arrays, with
+``np.exp``.  The four integrands handed to ``quad`` (chi's norm and tail,
+the moderated norm and the correction) take one Python float at a time,
+with ``math.exp`` and no nested call; the three correction orders share a
+shape and differ only in the weight.
 Every integral goes through ``_quad``, which imports
 ``scipy.integrate`` on its first call and looks ``quad`` up there on every
 call, so a wrapper put in its place sees every integral while it stays there.
@@ -122,31 +122,34 @@ class RadialFunction:
 #: this many steps.
 _UNROLL_MAX = 8
 
-#: The weighted integrand r -> f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3), with
+#: A closure r -> f(r), f(r)^2 or f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3), with
 #: the exponent's c2 and c3 named g2 and g3 (c_j is a Laguerre step's).
 _INTEGRAND_TEMPLATE = """\
 def build(exp, norm, p, beta, g2, g3, shift, w0, w1, w2, w3, steps):
     {unpack}
-    def integrand(r):
+    def radial(r):
         {recurrence}
         amp = {laguerre} * r ** p * exp({exponent})
-        return {square}
-    return integrand
+        return {output}
+    return radial
 """
 
+_OUTPUTS = {"amplitude": "amp", "square": "amp * amp",
+            "weighted": "amp * amp * (((w3 * r + w2) * r + w1) * r + w0)"}
 
-@functools.lru_cache(maxsize=None)  # at most (_UNROLL_MAX + 2) * 4 shapes
-def _integrand_builder(degree: int | None, moderated: bool, weighted: bool):
+
+@functools.lru_cache(maxsize=None)  # at most (_UNROLL_MAX + 2) * 6 shapes
+def _integrand_builder(degree: int | None, moderated: bool, kind: str):
     """``build`` of ``_INTEGRAND_TEMPLATE`` for one shape, compiled once:
-    ``build(...)`` returns the integrand of those constants.
+    ``build(...)`` returns the closure of those constants, whose output
+    ``kind`` is a key of ``_OUTPUTS``.
 
     ``degree`` None runs the Laguerre recurrence as a loop over ``steps``;
     a degree up to ``_UNROLL_MAX`` writes it out, where L_(-1) = 0 drops
     the first step's c term.  Chi (c2 = c3 = g_peak = 0) keeps -beta r of
-    the exponent, and a norm (the unit weight) the bare square.  Every term
-    left out is an exact zero or one, so each shape computes the loop's
-    value bit for bit.  The constants are ``build``'s arguments, never
-    part of the source.
+    the exponent.  Every term left out is an exact zero or one, on floats
+    and arrays alike, so each shape computes the loop's value bit for bit.
+    The constants are ``build``'s arguments, never part of the source.
     """
     if degree is None:
         unpack, laguerre = "", "cur"
@@ -167,49 +170,43 @@ def _integrand_builder(degree: int | None, moderated: bool, weighted: bool):
         recurrence="\n        ".join(recurrence),
         laguerre=laguerre,
         exponent="((g3 * r + g2) * r - beta) * r - shift" if moderated else "-beta * r",
-        square="amp * amp * (((w3 * r + w2) * r + w1) * r + w0)" if weighted else "amp * amp",
+        output=_OUTPUTS[kind],
     )
     namespace = {}
-    exec(compile(source, f"<integrand {degree} {moderated} {weighted}>", "exec"), namespace)
+    exec(compile(source, f"<radial {degree} {moderated} {kind}>", "exec"), namespace)
     return namespace["build"]
 
 
 def _radial(f: RadialFunction, weight: tuple[float, float, float, float] | None = None):
-    """Closure r -> f(r); given a ``weight`` (w0, w1, w2, w3), the closure
-    r -> f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3) instead, an integrand for
-    ``quad``.
+    """Closure r -> f(r) on arrays; given a ``weight`` (w0, w1, w2, w3), the
+    closure r -> f(r)^2 (w0 + w1 r + w2 r^2 + w3 r^3) on floats instead, an
+    integrand for ``quad``.
 
     Everything that depends only on ``f`` is read or computed here, once:
     the norm, beta, the exponent's c2, c3 and shift g_peak, and each
-    Laguerre step's constants.  The plain closure takes arrays, runs the
-    recurrence from L_0 = norm as a loop and uses ``np.exp``.  The weighted
-    one takes the floats ``quad`` passes one at a time and uses
-    ``math.exp``, since numpy's per-call overhead costs several times the
-    arithmetic.  It comes from ``_integrand_builder``, compiled once per
-    shape, and up to degree ``_UNROLL_MAX`` is straight-line code: per point
-    the written-out recurrence, one power, one exponential and, for any
-    weight but the unit one, one cubic, with no further call.
+    Laguerre step's constants.  Both closures come from
+    ``_integrand_builder``, compiled once per shape, and up to degree
+    ``_UNROLL_MAX`` are straight-line code: per point the written-out
+    recurrence, one power and one exponential, then the square and, for any
+    weight but the unit one, one cubic.  The amplitude takes ``np.exp``;
+    an integrand takes ``math.exp`` on the floats ``quad`` passes one at a
+    time, since numpy's per-call overhead costs several times the
+    arithmetic.
     """
-    norm, beta, c2, c3, shift = f.norm, f.beta, f.c2, f.c3, f.g_peak
     n, l = f.state.n, f.state.l
     p, k = l + 1, 2 * l + 1
     # L_j = ((2j - 1 + k - 2 beta r) L_(j-1) - (j - 1 + k) L_(j-2)) / j
-    steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
+    steps = tuple(((2 * j - 1 + k) / j, 2.0 * f.beta / j, (j - 1 + k) / j)
                   for j in range(1, n + 1))
-
     if weight is None:
         import numpy as np
 
-        def amplitude(r):
-            prev, cur = 0.0, norm
-            for a, b, c in steps:
-                prev, cur = cur, (a - b * r) * cur - c * prev
-            return cur * r ** p * np.exp(((c3 * r + c2) * r - beta) * r - shift)
-
-        return amplitude
+        exp, kind, weight = np.exp, "amplitude", _UNIT_WEIGHT
+    else:
+        exp, kind = math.exp, "square" if weight == _UNIT_WEIGHT else "weighted"
     build = _integrand_builder(n if n <= _UNROLL_MAX else None,
-                               not c2 == c3 == shift == 0.0, weight != _UNIT_WEIGHT)
-    return build(math.exp, norm, p, beta, c2, c3, shift, *weight, steps)
+                               not f.c2 == f.c3 == f.g_peak == 0.0, kind)
+    return build(exp, f.norm, p, f.beta, f.c2, f.c3, f.g_peak, *weight, steps)
 
 
 #: ``_radial``'s weight for a norm integral.
@@ -263,10 +260,17 @@ def superpotential_w1(state: QuantumState, delta: float) -> tuple[float, float]:
 
 def superpotential_w2(a: float, state: QuantumState, delta: float) -> tuple[float, float, float]:
     """Second-order superpotential -N [A r + N(N+1)] [3 N^2 delta - 4A] delta^3 r / (24 A^2):
-    its coefficients in ascending powers of r, (0, k N(N+1), k A)."""
+    its coefficients in ascending powers of r, (0, k N(N+1), k A).
+
+    Raises ``ValueError`` when delta^3 overflows or A^2 underflows to zero.
+    """
     _check_delta(delta)
     big_n = float(state.big_n)
-    k = -big_n * (3.0 * big_n**2 * delta - 4.0 * a) * delta**3 / (24.0 * a * a)
+    try:
+        k = -big_n * (3.0 * big_n**2 * delta - 4.0 * a) * delta**3 / (24.0 * a * a)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"coupling strength A={a} and delta={delta} put the second-order "
+                         "superpotential outside the float range") from None
     return 0.0, k * big_n * (big_n + 1.0), k * a
 
 
@@ -329,25 +333,33 @@ def correction_via_quadrature(system: AtomicSystem, state: QuantumState,
 
     The factor conventions follow the rescaled superpotentials stored here;
     they make order 1..3 reproduce the closed forms exactly for nodeless
-    (n = 0) states.  A coupling outside ``coulomb_chi``'s range raises its
-    ``ValueError``.
+    (n = 0) states.  Only the requested order's weight is built, and one
+    that leaves the float range raises ``ValueError`` before any integral;
+    a coupling outside ``coulomb_chi``'s range raises its ``ValueError``.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
     _check_delta(delta)
-    chi = coulomb_chi(system, state)
     a, d = system.a, delta
-    # every order's weight is r (w1 + w2 r + w3 r^2), with W1(r) = s r and
+    # the order's weight is r (w1 + w2 r + w3 r^2), with W1(r) = s r and
     # W2(r) = (k2 r + k1) r
-    _, s = superpotential_w1(state, delta)
-    _, k1, k2 = superpotential_w2(a, state, delta)
-    w1, w2, w3 = {
-        1: (-a * d * d / 2.0, 0.0, 0.0),
-        2: (0.0, a * d**3 / 6.0 - s * s / 2.0, 0.0),
-        3: (0.0, -s * k1, -a * d**4 / 24.0 - s * k2),
-    }[order]
-
-    integrand = _radial(chi, weight=(0.0, w1, w2, w3))
+    try:
+        if order == 1:
+            weight = (0.0, -a * d * d / 2.0, 0.0, 0.0)
+        else:
+            _, s = superpotential_w1(state, delta)
+            if order == 2:
+                weight = (0.0, 0.0, a * d**3 / 6.0 - s * s / 2.0, 0.0)
+            else:
+                _, k1, k2 = superpotential_w2(a, state, delta)
+                weight = (0.0, 0.0, -s * k1, -a * d**4 / 24.0 - s * k2)
+    except OverflowError:
+        weight = (math.inf,)
+    if not all(map(math.isfinite, weight)):
+        raise ValueError(f"coupling strength A={a} and delta={delta} put the order-{order} "
+                         "weight outside the float range")
+    chi = coulomb_chi(system, state)
+    integrand = _radial(chi, weight=weight)
     value, err = _quad(integrand, 0.0, chi.r_max)
     if err > max(1e-12, 1e-9 * abs(value)):
         raise QuadratureError(f"order-{order} correction did not converge", value, err)

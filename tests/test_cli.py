@@ -158,7 +158,8 @@ class TestTable:
                                                ("5..3,4", "bad Z range '5..3'"),
                                                ("9..3:paper", "bad Z range '9..3'"),
                                                (",", "empty Z list"),
-                                               ("abc", "bad Z value 'abc'")])
+                                               ("abc", "bad Z value 'abc'"),
+                                               ("30:paper", "bad Z value '30:paper'")])
     def test_bad_range_and_empty_list_exit_2(self, capsys, spec, message):
         with pytest.raises(SystemExit) as excinfo:
             main(["table", "--shell", "E00", "--z", spec])

@@ -21,6 +21,7 @@ from yukawa_atom import (
     ScreeningModel,
     correction_via_quadrature,
     coulomb_chi,
+    energy_breakdown,
     first_order_shift,
     moderated_radial,
     moderating_u,
@@ -201,6 +202,15 @@ def test_coupling_past_float_range_rejected(route, a, l):
         QUADRATURE_ROUTES[route](a, l)
 
 
+@pytest.mark.parametrize("route", ["superpotential_w2", "moderating_u"])
+def test_second_order_divisor_underflow_rejected(route):
+    # A^2 underflows to zero in the second-order superpotential's divisor
+    call = {"superpotential_w2": lambda: superpotential_w2(1e-200, QuantumState(0, 0), 0.1),
+            "moderating_u": lambda: moderating_u(1e-200, QuantumState(0, 0), 0.1, 1.0)}[route]
+    with pytest.raises(ValueError, match=re.escape("coupling strength A=1e-200 and delta=0.1")):
+        call()
+
+
 class TestFloatEvaluator:
     @pytest.mark.parametrize("z", [1, 3, 29, 84])
     def test_float_evaluator_matches_numpy_call(self, z):
@@ -267,6 +277,36 @@ def general_density(f, weight):
     return density
 
 
+def general_amplitude(f):
+    """The NumPy amplitude ``RadialFunction.__call__`` once ran on its own,
+    the reference the compiled amplitude matches bit for bit: the
+    recurrence as a loop and the full exponent, with ``np.exp``."""
+    norm, beta, c2, c3, shift = f.norm, f.beta, f.c2, f.c3, f.g_peak
+    l = f.state.l
+    p, k = l + 1, 2 * l + 1
+    steps = tuple(((2 * j - 1 + k) / j, 2.0 * beta / j, (j - 1 + k) / j)
+                  for j in range(1, f.state.n + 1))
+
+    def amplitude(r):
+        prev, cur = 0.0, norm
+        for a, b, c in steps:
+            prev, cur = cur, (a - b * r) * cur - c * prev
+        return cur * r ** p * np.exp(((c3 * r + c2) * r - beta) * r - shift)
+
+    return amplitude
+
+
+def assert_amplitude_same_bits(f):
+    """``f(r)`` equals ``general_amplitude`` bit for bit at 50 points from 0
+    to r_max, both ends included, and at one scalar."""
+    r = np.linspace(0.0, f.r_max, 50)
+    assert r[0] == 0.0 and r[-1] == f.r_max
+    want = general_amplitude(f)
+    assert [x.hex() for x in f(r).tolist()] == [x.hex() for x in want(r).tolist()], f
+    x = float(r[17])
+    assert f(x).hex() == float(want(np.asarray(x))).hex(), f
+
+
 def correction_weights(a, state, delta):
     """The weights ``correction_via_quadrature`` gives orders 1, 2 and 3."""
     _, s = superpotential_w1(state, delta)
@@ -314,6 +354,24 @@ class TestWrittenOutIntegrands:
         assert psi.c3 != 0.0
         assert_same_bits(psi, weights)
 
+    @pytest.mark.parametrize("z", [3, 29, 84])
+    def test_amplitude_same_bits_as_numpy_loop(self, z):
+        system, delta = AtomicSystem(z), screening_delta(z, ScreeningModel())
+        moderated = 0
+        for n in [*range(6), _UNROLL_MAX + 1]:
+            for l in range(3):
+                state = QuantumState(n, l)
+                assert_amplitude_same_bits(coulomb_chi(system, state))
+                if 3 * state.big_n**2 * delta < 4 * z:
+                    moderated += 1
+                    assert_amplitude_same_bits(moderated_radial(system, state, delta))
+        assert moderated > 0
+
+    def test_amplitude_same_bits_above_unroll_cap(self):
+        psi = moderated_radial(AtomicSystem(29), QuantumState(_UNROLL_MAX + 1, 1), 0.1)
+        assert psi.c3 != 0.0
+        assert_amplitude_same_bits(psi)
+
     def test_one_code_object_per_shape(self):
         # the constants are arguments, never part of the compiled source,
         # and every degree past the cap shares the loop's code
@@ -325,6 +383,10 @@ class TestWrittenOutIntegrands:
         assert code(3, 2) is not code(3, 1)
         assert code(3, 2) is not code(3, 2, weight=(0.5, -1.0, 0.25, 2.0))
         assert code(3, _UNROLL_MAX + 1) is code(84, _UNROLL_MAX + 7)
+        # the amplitude on arrays is a shape of its own, shared across Z
+        assert code(3, 2, weight=None) is code(84, 2, weight=None)
+        assert code(3, 2, weight=None) is not code(3, 2)
+        assert code(3, 2, weight=None) is not code(3, 1, weight=None)
 
 
 _DELTA_29 = screening_delta(29, ScreeningModel())
@@ -595,6 +657,24 @@ class TestCorrectionViaQuadrature:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             correction_via_quadrature(AtomicSystem(1), QuantumState(0, 0), 0.1, 4)
+
+    def test_builds_only_its_own_order_weight(self):
+        # order 3's delta^4 overflows here, and order 1 never builds it
+        state = QuantumState(1, 0)
+        got = correction_via_quadrature(AtomicSystem(1, a=1e90), state, 1e89, 1)
+        assert got == pytest.approx(energy_breakdown(1e90, state, 1e89, 1).e1, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_weight_past_float_range_rejected_before_quad(self, monkeypatch, order):
+        # order 2's weight is inf - inf, order 3's delta^4 overflows
+        import scipy.integrate
+
+        calls = []
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: calls.append(args))
+        message = f"coupling strength A=1e+90 and delta=1e+89 put the order-{order} weight"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            correction_via_quadrature(AtomicSystem(1, a=1e90), QuantumState(1, 0), 1e89, order)
+        assert calls == []
 
     def test_quad_looked_up_at_call_time(self, monkeypatch):
         # a wrapper swapped into scipy.integrate sees every quadrature while
