@@ -8,13 +8,19 @@ exponential, and three successive corrections that are polynomials in delta
 with coefficients built from N = n + l + 1 and L = l(l+1).  Energies convert
 to keV only at output boundaries.
 
+One function, ``energy_breakdown``, evaluates the closed forms: each
+order's term is written there once, inside one guard, so a term or total
+that leaves the float range raises ``ValueError``, whether a power
+overflows or a power of A underflows to zero in a divisor.  Its ``e1``,
+``e2`` and ``e3`` are the per-order corrections; ``coulomb_energy`` gives
+the zeroth order alone, under the same kind of guard.
+
 Each term is a state factor times a power of delta over a power of A.  The
 factors depend on (n, l) alone and are cached per state (``_factors``).  A
 cached factor is the left-hand prefix of its written-out term, so the term
 performs the same float operations in the same order as the whole
-expression and every energy keeps every bit.  The powers stay inside
-``energy_breakdown``'s overflow guard, and only the factors an order reads
-are built.
+expression and every energy keeps every bit.  Only the factors an order
+reads are built.
 """
 
 from __future__ import annotations
@@ -35,9 +41,6 @@ __all__ = [
     "UnitSystem",
     "screening_delta",
     "coulomb_energy",
-    "first_order_shift",
-    "second_order_shift",
-    "third_order_shift",
     "energy_breakdown",
     "to_kev",
 ]
@@ -191,27 +194,14 @@ def screening_delta(z: int, model: ScreeningModel) -> float:
 
 
 def coulomb_energy(a: float, state: QuantumState) -> float:
-    """Unscreened hydrogenic energy -A^2 / (2 N^2)."""
+    """Unscreened hydrogenic energy -A^2 / (2 N^2); raises ``ValueError``
+    when it leaves the float range, as A^2 does past about 1.34e154."""
     _check_a(a)
-    return -a * a / _factors(state.n, state.l, 0)[0]
-
-
-def first_order_shift(state: QuantumState, delta: float) -> float:
-    """First correction -(3N^2 - L) delta^2 / 4; independent of A."""
-    _check_delta(delta)
-    return _terms(1.0, state, delta, 1)[1]
-
-
-def second_order_shift(a: float, state: QuantumState, delta: float) -> float:
-    """Second correction, one positive delta^3 and one negative delta^4 term."""
-    _check_delta(delta)
-    return _terms(a, state, delta, 2)[2]
-
-
-def third_order_shift(a: float, state: QuantumState, delta: float) -> float:
-    """Third correction: delta^4, delta^5 and delta^6 terms."""
-    _check_delta(delta)
-    return _terms(a, state, delta, 3)[3]
+    e0 = -a * a / _factors(state.n, state.l, 0)[0]
+    if not math.isfinite(e0):
+        raise ValueError(f"coupling strength A={a} puts the Coulomb energy of the state "
+                         f"n={state.n} l={state.l} outside the float range")
+    return e0
 
 
 @functools.lru_cache(maxsize=4096)
@@ -249,27 +239,9 @@ def _factors(n: int, l: int, order: int) -> tuple[float, ...]:
     return factors
 
 
-def _terms(a: float, state: QuantumState, delta: float, order: int) -> tuple[float, ...]:
-    """(e0, e1, e2, e3) with the corrections above ``order`` zero: the one
-    place the closed forms are evaluated, for inputs already checked."""
-    f = _factors(state.n, state.l, order)
-    e0 = -a * a / f[0]
-    if order == 0:
-        return e0, 0.0, 0.0, 0.0
-    e1 = f[1] * delta**2 / 4.0
-    if order == 1:
-        return e0, e1, 0.0, 0.0
-    delta4 = delta**4
-    e2 = f[2] * delta**3 / (12.0 * a) - f[3] * delta4 / (16.0 * a * a)
-    if order == 2:
-        return e0, e1, e2, 0.0
-    e3 = (f[4] * delta4 / (96.0 * a**2) + f[5] * delta**5 / (48.0 * a**3)
-          - f[6] * delta**6 / (64.0 * a**4))
-    return e0, e1, e2, e3
-
-
 def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3) -> EnergyBreakdown:
-    """Breakdown at an explicitly supplied screening parameter.
+    """Each order's term of the level energy at an explicitly supplied
+    screening parameter; ``e1``, ``e2`` and ``e3`` are the corrections.
 
     The constant A*delta term enters at order >= 1; corrections above
     ``order`` are zero.  Every term is degree-2 homogeneous in (A, delta).
@@ -281,8 +253,18 @@ def energy_breakdown(a: float, state: QuantumState, delta: float, order: int = 3
     _check_delta(delta)
     _check_a(a)
     try:
-        e0, e1, e2, e3 = _terms(a, state, delta, order)
-        b = EnergyBreakdown(e0, a * delta if order >= 1 else 0.0, e1, e2, e3)
+        f = _factors(state.n, state.l, order)
+        e0 = -a * a / f[0]
+        shift = e1 = e2 = e3 = 0.0
+        if order:
+            shift, e1 = a * delta, f[1] * delta**2 / 4.0
+            if order > 1:
+                delta4 = delta**4
+                e2 = f[2] * delta**3 / (12.0 * a) - f[3] * delta4 / (16.0 * a * a)
+                if order > 2:
+                    e3 = (f[4] * delta4 / (96.0 * a**2) + f[5] * delta**5 / (48.0 * a**3)
+                          - f[6] * delta**6 / (64.0 * a**4))
+        b = EnergyBreakdown(e0, shift, e1, e2, e3)
     except (OverflowError, ZeroDivisionError):  # a power of A underflows in a divisor
         b = None
     if b is None or not math.isfinite(b.total):

@@ -220,4 +220,4 @@ def bundled_reference_path(shell_label: str) -> Path:
         raise MissingReference(
             f"no reference table is bundled for shell {shell_label!r}"
         ) from None
-    return Path(resources.files("yukawa_atom") / "data" / name)
+    return Path(resources.files(__package__) / "data" / name)

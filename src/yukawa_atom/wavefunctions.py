@@ -27,10 +27,10 @@ kind, which is the amplitude, its square or its square times a cubic
 weight.  Up to degree ``_UNROLL_MAX`` the recurrence is straight-line code,
 less the terms a shape makes exact zeros or ones, so every value keeps the
 formula's bits.  The public ``__call__`` runs the amplitude on arrays, with
-``np.exp``.  The four integrands handed to ``quad`` (chi's norm and tail,
-the moderated norm and the correction) take one Python float at a time,
-with ``math.exp`` and no nested call; the three correction orders share a
-shape and differ only in the weight.
+``np.exp``, and gives 0 at r = inf.  The four integrands handed to
+``quad`` (chi's norm and tail, the moderated norm and the correction) take
+one Python float at a time, with ``math.exp`` and no nested call; the three
+correction orders share a shape and differ only in the weight.
 Every integral goes through ``_quad``, which imports
 ``scipy.integrate`` on its first call and looks ``quad`` up there on every
 call, so a wrapper put in its place sees every integral while it stays there.
@@ -114,7 +114,17 @@ class RadialFunction:
         return (3.0 * self.c3 * self.r_max + 2.0 * self.c2) * self.r_max - self.beta > 0.0
 
     def __call__(self, r):
-        return _on_floats(_radial(self), r)
+        import numpy as np
+
+        radial = _radial(self)
+
+        def vanishing_at_inf(x):
+            # at r = inf, r ** p * exp(g) is inf * 0: the function is 0
+            # there, and the formula runs at r = 0 in its place
+            at_inf = x == math.inf
+            return np.where(at_inf, 0.0, radial(np.where(at_inf, 0.0, x)))
+
+        return _on_floats(vanishing_at_inf, r)
 
 
 #: Highest Laguerre degree whose recurrence an integrand writes out step by

@@ -22,14 +22,11 @@ from yukawa_atom import (
     correction_via_quadrature,
     coulomb_chi,
     energy_breakdown,
-    first_order_shift,
     load_reference,
     moderated_radial,
     moderating_u,
     screening_delta,
-    second_order_shift,
     solve_bound_state,
-    third_order_shift,
     to_kev,
 )
 from yukawa_atom.cli import main
@@ -94,11 +91,6 @@ def test_criterion_3_table3_reproduction():
 
 def test_criterion_4_quadrature_closed_form_theorem():
     t0 = time.perf_counter()
-    closed_forms = {
-        1: lambda a, st, d: first_order_shift(st, d),
-        2: second_order_shift,
-        3: third_order_shift,
-    }
     failures = []
     checked = 0
     for n in (0, 1, 2):
@@ -109,7 +101,7 @@ def test_criterion_4_quadrature_closed_form_theorem():
                 for ratio in (0.05, 0.2, 0.5):
                     delta = ratio * a
                     for order in (1, 2, 3):
-                        want = closed_forms[order](a, state, delta)
+                        want = getattr(energy_breakdown(a, state, delta, order), f"e{order}")
                         got = correction_via_quadrature(system, state, delta, order)
                         rel = abs(got - want) / abs(want)
                         checked += 1
@@ -213,11 +205,8 @@ def test_criterion_8_specialization_suite():
                         + bn**4 * (5 * bn**2 - 3 * bl + 1) * (9 * bn**2 - 5 * bl) * delta**5 / (48 * a**3)
                         - bn**6 * (5 * bn**2 - 3 * bl + 1) * (9 * bn**2 - 5 * bl) * delta**6 / (64 * a**4)
                     )
-                    for got, want in (
-                        (first_order_shift(state, delta), spec1),
-                        (second_order_shift(a, state, delta), spec2),
-                        (third_order_shift(a, state, delta), spec3),
-                    ):
+                    b = energy_breakdown(a, state, delta)
+                    for got, want in ((b.e1, spec1), (b.e2, spec2), (b.e3, spec3)):
                         worst = max(worst, abs(got - want) / max(abs(want), 1e-300))
     ok = worst < 1e-12
     _report(8, ok, f"general vs per-state encodings, worst rel diff {worst:.2e}")

@@ -142,6 +142,15 @@ class TestOracleBasics:
         with pytest.raises(ValueError, match="screening parameter must be finite"):
             solve_bound_state(AtomicSystem(1), delta, QuantumState(0, 0))
 
+    def test_coulomb_energy_past_float_range_refused_before_any_mesh(self, monkeypatch):
+        # A^2 overflows at A = 1e200: E0 read -inf, the default box 0 Bohr,
+        # and the first mesh's log raised a bare "math domain error"
+        meshes = []
+        monkeypatch.setattr(oracle_mod, "_first_mesh", lambda *args: meshes.append(args))
+        with pytest.raises(ValueError, match=r"coupling strength A=1e\+200 puts the Coulomb "):
+            solve_bound_state(AtomicSystem(1, a=1e200), 0.0, QuantumState(0, 0))
+        assert meshes == []
+
     @pytest.mark.parametrize("r_max", [float("nan"), float("inf"), float("-inf"),
                                        oracle_mod.R_MIN, 1e-7, 0.0, -20.0])
     @pytest.mark.parametrize("delta", [0.5, 2.0], ids=["bound", "past_critical"])

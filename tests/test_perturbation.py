@@ -6,6 +6,7 @@ high-precision arithmetic (mpmath, 25 digits) from the defining formulas.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,15 +20,12 @@ from yukawa_atom import (
     correction_via_quadrature,
     coulomb_energy,
     energy_breakdown,
-    first_order_shift,
     moderated_radial,
     moderating_u,
     screening_delta,
-    second_order_shift,
     solve_bound_state,
     superpotential_w1,
     superpotential_w2,
-    third_order_shift,
     to_kev,
 )
 
@@ -69,6 +67,7 @@ class TestCoulombEnergy:
             (3.0, 0, 0, -4.5),
             (1.0, 1, 0, -0.125),
             (29.0, 0, 1, -105.125),
+            (1.3e154, 0, 0, -8.449999999999999e307),  # A^2 just below overflow
         ],
     )
     def test_hydrogenic_values(self, a, n, l, expected):
@@ -78,45 +77,55 @@ class TestCoulombEnergy:
         with pytest.raises(ValueError):
             coulomb_energy(0.0, QuantumState(0, 0))
 
+    @pytest.mark.parametrize("a", [1.4e154, 1e200, sys.float_info.max])
+    def test_refuses_energy_past_float_range(self, a):
+        # A^2 overflows past about 1.34e154, where E0 read -inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"coupling strength A={a} puts the Coulomb energy of the state n=0 l=0 "
+                "outside the float range")):
+            coulomb_energy(a, QuantumState(0, 0))
+
 
 class TestOrderShifts:
+    """Each order's correction, read from the breakdown's e1, e2 and e3."""
+
     def test_first_order_zero_screening(self):
-        assert first_order_shift(QuantumState(0, 0), 0.0) == 0.0
+        assert energy_breakdown(3.0, QuantumState(0, 0), 0.0).e1 == 0.0
 
     def test_first_order_frozen(self):
         # frozen: -(3/4) * 1.078630^2
-        assert first_order_shift(QuantumState(0, 0), DELTA_Z3) == pytest.approx(
+        assert energy_breakdown(3.0, QuantumState(0, 0), DELTA_Z3).e1 == pytest.approx(
             -0.872582007675, rel=1e-10
         )
 
     def test_first_order_n1(self):
-        assert first_order_shift(QuantumState(1, 0), 1.0) == pytest.approx(-3.0, rel=1e-14)
+        assert energy_breakdown(1.0, QuantumState(1, 0), 1.0).e1 == pytest.approx(-3.0, rel=1e-14)
 
     def test_second_order_zero_screening(self):
-        assert second_order_shift(3.0, QuantumState(0, 0), 0.0) == 0.0
+        assert energy_breakdown(3.0, QuantumState(0, 0), 0.0).e2 == 0.0
 
     def test_second_order_frozen(self):
         # frozen: (6/36) d^3 - (6/144) d^4 at d = 1.078630
-        assert second_order_shift(3.0, QuantumState(0, 0), DELTA_Z3) == pytest.approx(
+        assert energy_breakdown(3.0, QuantumState(0, 0), DELTA_Z3).e2 == pytest.approx(
             0.152754076496, rel=1e-10
         )
 
     def test_second_order_hand_case(self):
         # N = 2, L = 2: 4*15*0.001/12 - 16*15*0.0001/16
-        assert second_order_shift(1.0, QuantumState(0, 1), 0.1) == pytest.approx(
+        assert energy_breakdown(1.0, QuantumState(0, 1), 0.1).e2 == pytest.approx(
             0.0035, rel=1e-12
         )
 
     def test_third_order_zero_screening(self):
-        assert third_order_shift(3.0, QuantumState(0, 0), 0.0) == 0.0
+        assert energy_breakdown(3.0, QuantumState(0, 0), 0.0).e3 == 0.0
 
     def test_third_order_frozen(self):
-        assert third_order_shift(3.0, QuantumState(0, 0), DELTA_Z3) == pytest.approx(
+        assert energy_breakdown(3.0, QuantumState(0, 0), DELTA_Z3).e3 == pytest.approx(
             -0.00256980758462, rel=1e-10
         )
 
     def test_third_order_hand_case(self):
-        assert third_order_shift(2.0, QuantumState(0, 0), 0.5) == pytest.approx(
+        assert energy_breakdown(2.0, QuantumState(0, 0), 0.5).e3 == pytest.approx(
             -0.00131225585938, rel=1e-10
         )
 
@@ -208,26 +217,28 @@ class TestBitIdentity:
     @pytest.mark.parametrize("a, delta", [(1.0, 0.0), (3.0, DELTA_Z3), (29.0, 2.5),
                                           (84.0, 3.9), (0.37, 0.11), (1.0, 1.7)])
     def test_terms_are_the_shift_functions(self, n, l, a, delta):
+        # at every order the breakdown holds the written-out shift functions
+        # of the orders it reads and 0.0 above, and a breakdown cut at a
+        # lower order holds the same bits as the full one
         state = QuantumState(n, l)
+        full = energy_breakdown(a, state, delta, 3)
         for order in range(4):
             b = energy_breakdown(a, state, delta, order)
             assert b.e0 == coulomb_energy(a, state)
             assert b.shift_const == (a * delta if order else 0.0)
-            assert b.e1 == (first_order_shift(state, delta) if order >= 1 else 0.0)
-            assert b.e2 == (second_order_shift(a, state, delta) if order >= 2 else 0.0)
-            assert b.e3 == (third_order_shift(a, state, delta) if order >= 3 else 0.0)
+            shifts = (b.e1, b.e2, b.e3)
+            assert list(map(_bits, shifts)) == list(map(_bits, _order_terms(a, n, l, delta, order)[2:]))
+            assert shifts[:order] == (full.e1, full.e2, full.e3)[:order]
 
     def test_power_of_n_past_float_range_only_at_the_order_reading_it(self):
         # N = 1e60: N^6 leaves the float range and the order-2 products
         # overflow, but the first order stays finite
         state = QuantumState(10**60, 0)
         b = energy_breakdown(1.0, state, 1.0, 1)
-        assert math.isfinite(b.total) and b.e1 == first_order_shift(state, 1.0)
+        assert math.isfinite(b.total) and b.e1 == _first(1.0, 10**60, 0, 1.0)
         for order in (2, 3):
             with pytest.raises(ValueError, match=f"overflows the order-{order} energy"):
                 energy_breakdown(1.0, state, 1.0, order)
-        with pytest.raises(OverflowError):
-            third_order_shift(1.0, state, 1.0)
 
 
 # The closed forms written out whole, as the module evaluated them before
@@ -316,22 +327,27 @@ class TestFactors:
             compared += 1
         assert raised > 100 and compared > 1000
 
-    @pytest.mark.parametrize("k, shift", [(1, first_order_shift), (2, second_order_shift),
-                                          (3, third_order_shift)])
+    @pytest.mark.parametrize("k, shift", [(1, "first_order_shift"), (2, "second_order_shift"),
+                                          (3, "third_order_shift")])
     def test_shifts_are_the_written_out_terms(self, k, shift):
+        # the order-k shift alone, read from a breakdown cut at order k: the
+        # written-out term's bits, or the breakdown's ValueError where that
+        # term leaves the float range
         raised = 0
         for a, delta, n, l, _ in _seeded_grid(1000, seed=k):
             state = QuantumState(n, l)
-            args = (state, delta) if k == 1 else (a, state, delta)
             try:
                 want = _WRITTEN_OUT_TERMS[k - 1](a, n, l, delta)
             except OverflowError:
-                with pytest.raises(OverflowError):
-                    shift(*args)
+                want = math.inf
                 raised += 1
+            if not math.isfinite(want):
+                with pytest.raises(ValueError, match=f"overflows the order-{k} energy"):
+                    energy_breakdown(a, state, delta, k)
                 continue
-            assert _bits(shift(*args)) == _bits(want), (a, delta, n, l)
-        # with N below 1e61 only N^6 can leave the float range
+            got = getattr(energy_breakdown(a, state, delta, k), f"e{k}")
+            assert _bits(got) == _bits(want), (shift, a, delta, n, l)
+        # with N below 1e61 only N^6 can leave the float range as a power
         assert (raised > 0) == (k == 3)
 
     def test_coulomb_term_is_the_written_out_form(self):
@@ -401,9 +417,10 @@ class TestSpecializationConsistency:
     def test_general_formulas_specialize(self, n, l, delta, a):
         state = QuantumState(n, l)
         s1, s2, s3 = _specialized(n, l, a, delta)
-        assert first_order_shift(state, delta) == pytest.approx(s1, rel=1e-12)
-        assert second_order_shift(a, state, delta) == pytest.approx(s2, rel=1e-12)
-        assert third_order_shift(a, state, delta) == pytest.approx(s3, rel=1e-12)
+        b = energy_breakdown(a, state, delta)
+        assert b.e1 == pytest.approx(s1, rel=1e-12)
+        assert b.e2 == pytest.approx(s2, rel=1e-12)
+        assert b.e3 == pytest.approx(s3, rel=1e-12)
 
 
 class TestSignStructure:
@@ -411,7 +428,7 @@ class TestSignStructure:
     @pytest.mark.parametrize("a", [1.0, 5.0])
     @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0, 2.5])
     def test_first_order_never_positive(self, n, l, a, delta):
-        assert first_order_shift(QuantumState(n, l), delta) <= 0.0
+        assert energy_breakdown(a, QuantumState(n, l), delta).e1 <= 0.0
 
     @pytest.mark.parametrize("n, l", [(0, 0), (1, 1), (0, 2)])
     @pytest.mark.parametrize("a", [1.0, 4.0])
@@ -419,7 +436,7 @@ class TestSignStructure:
     def test_second_order_positive_below_threshold(self, n, l, a, frac):
         state = QuantumState(n, l)
         delta = frac * 4.0 * a / (3.0 * state.big_n**2)
-        assert second_order_shift(a, state, delta) >= 0.0
+        assert energy_breakdown(a, state, delta).e2 >= 0.0
 
     @pytest.mark.parametrize("n, l", [(0, 0), (1, 0), (1, 2)])
     def test_second_order_monomial_signs(self, n, l):
@@ -431,7 +448,7 @@ class TestSignStructure:
         negative = -(big_n**4) * bracket * delta**4 / (16.0 * a * a)
         assert positive >= 0.0
         assert negative <= 0.0
-        assert second_order_shift(a, state, delta) == pytest.approx(
+        assert energy_breakdown(a, state, delta).e2 == pytest.approx(
             positive + negative, rel=1e-14
         )
 
@@ -581,9 +598,10 @@ DELTA_ROUTES = {
     "correction_via_quadrature":
         lambda d: correction_via_quadrature(AtomicSystem(3), QuantumState(0, 0), d, 1),
     "moderated_radial": lambda d: moderated_radial(AtomicSystem(3), QuantumState(0, 0), d),
-    "first_order_shift": lambda d: first_order_shift(QuantumState(0, 0), d),
-    "second_order_shift": lambda d: second_order_shift(3.0, QuantumState(0, 0), d),
-    "third_order_shift": lambda d: third_order_shift(3.0, QuantumState(0, 0), d),
+    # each order's shift, read from a breakdown cut at that order
+    "first_order_shift": lambda d: energy_breakdown(3.0, QuantumState(0, 0), d, 1).e1,
+    "second_order_shift": lambda d: energy_breakdown(3.0, QuantumState(0, 0), d, 2).e2,
+    "third_order_shift": lambda d: energy_breakdown(3.0, QuantumState(0, 0), d, 3).e3,
     "superpotential_w1": lambda d: superpotential_w1(QuantumState(0, 0), d),
     "superpotential_w2": lambda d: superpotential_w2(3.0, QuantumState(0, 0), d),
     "moderating_u": lambda d: moderating_u(3.0, QuantumState(0, 0), d, 1.0),

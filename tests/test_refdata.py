@@ -1,7 +1,10 @@
 """Reference dataset loading, validation and comparison tests."""
 
 import csv
+import importlib
 import re
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,21 @@ class TestBundledTables:
         for _ in range(2):
             load_reference(bundled_reference_path("E00"))
         assert reads == [bundled_reference_path("E00")] * 2
+
+    def test_copy_under_another_name_reads_its_own_tables(self, tmp_path, monkeypatch):
+        # the package looked its tables up under the name "yukawa_atom",
+        # whichever name it was imported under
+        copy = tmp_path / "yukawa_copy"
+        shutil.copytree(Path(refdata.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            copied = importlib.import_module("yukawa_copy.refdata")
+            path = copied.bundled_reference_path("E00")
+            assert path.is_relative_to(copy) and path.is_file()
+        finally:
+            for name in [m for m in sys.modules if m.partition(".")[0] == "yukawa_copy"]:
+                del sys.modules[name]
 
 
 class TestLoaderValidation:

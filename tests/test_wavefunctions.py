@@ -22,14 +22,11 @@ from yukawa_atom import (
     correction_via_quadrature,
     coulomb_chi,
     energy_breakdown,
-    first_order_shift,
     moderated_radial,
     moderating_u,
     screening_delta,
-    second_order_shift,
     superpotential_w1,
     superpotential_w2,
-    third_order_shift,
 )
 from yukawa_atom.wavefunctions import (
     _QUAD_OPTS,
@@ -419,6 +416,22 @@ class TestScalarOrArray:
         np.testing.assert_allclose(values.ravel(), scalars, rtol=1e-15, atol=0.0)
 
 
+class TestInfiniteRadius:
+    """chi and chi * u are 0 at r = inf, where r^(l+1) is inf and the
+    exponential 0."""
+
+    @pytest.mark.parametrize("moderated", [False, True])
+    @pytest.mark.parametrize("n, l", [(0, 0), (1, 1), (2, 0), (_UNROLL_MAX + 1, 1)])
+    def test_zero_at_infinity(self, moderated, n, l):
+        # inf * 0 read nan, with a numpy RuntimeWarning (an error here)
+        system, state = AtomicSystem(29), QuantumState(n, l)
+        f = moderated_radial(system, state, 0.1) if moderated else coulomb_chi(system, state)
+        assert f(math.inf).hex() == "0x0.0p+0"
+        values = f(np.array([[0.25, math.inf], [math.inf, 2.0]]))
+        assert [x.hex() for x in values.ravel()] == [
+            f(0.25).hex(), "0x0.0p+0", "0x0.0p+0", f(2.0).hex()]
+
+
 class TestSuperpotentials:
     def test_w1_slope_ground_state(self):
         assert superpotential_w1(QuantumState(0, 0), 1.0) == (0.0, -0.5)
@@ -582,12 +595,12 @@ class TestCorrectionViaQuadrature:
         system, state = AtomicSystem(3), QuantumState(0, 0)
         delta = 1.07862956797
         got = correction_via_quadrature(system, state, delta, 1)
-        assert got == pytest.approx(first_order_shift(state, delta), rel=1e-8)
+        assert got == pytest.approx(energy_breakdown(3.0, state, delta).e1, rel=1e-8)
 
     def test_second_order_matches_closed_form_excited(self):
         system, state = AtomicSystem(1), QuantumState(1, 1)
         got = correction_via_quadrature(system, state, 0.2, 2)
-        assert got == pytest.approx(second_order_shift(1.0, state, 0.2), rel=1e-8)
+        assert got == pytest.approx(energy_breakdown(1.0, state, 0.2).e2, rel=1e-8)
 
     @pytest.mark.parametrize("n, l", [(0, 0), (0, 1), (0, 2)])
     @pytest.mark.parametrize("a", [1.0, 10.0])
@@ -595,12 +608,8 @@ class TestCorrectionViaQuadrature:
         z = max(1, int(a))
         system, state = AtomicSystem(z, a=a), QuantumState(n, l)
         delta = 0.2 * a
-        closed = (
-            first_order_shift(state, delta),
-            second_order_shift(a, state, delta),
-            third_order_shift(a, state, delta),
-        )
-        for order, want in zip((1, 2, 3), closed):
+        b = energy_breakdown(a, state, delta)
+        for order, want in zip((1, 2, 3), (b.e1, b.e2, b.e3)):
             got = correction_via_quadrature(system, state, delta, order)
             assert got == pytest.approx(want, rel=1e-8), order
 
@@ -609,12 +618,9 @@ class TestCorrectionViaQuadrature:
         a = 3.0
         system, state = AtomicSystem(3, a=a), QuantumState(n, l)
         delta = 0.3
-        assert correction_via_quadrature(system, state, delta, 1) == pytest.approx(
-            first_order_shift(state, delta), rel=1e-8
-        )
-        assert correction_via_quadrature(system, state, delta, 2) == pytest.approx(
-            second_order_shift(a, state, delta), rel=1e-8
-        )
+        b = energy_breakdown(a, state, delta)
+        assert correction_via_quadrature(system, state, delta, 1) == pytest.approx(b.e1, rel=1e-8)
+        assert correction_via_quadrature(system, state, delta, 2) == pytest.approx(b.e2, rel=1e-8)
 
     def test_third_order_excited_states_deviate_from_closed_form(self):
         # The closed third-order expression for n >= 1 extrapolates the
@@ -626,7 +632,7 @@ class TestCorrectionViaQuadrature:
         system, state = AtomicSystem(1), QuantumState(1, 0)
         delta = 0.05
         got = correction_via_quadrature(system, state, delta, 3)
-        closed = third_order_shift(a, state, delta)
+        closed = energy_breakdown(a, state, delta).e3
         rel = abs(got - closed) / abs(closed)
         assert rel > 0.1
 
